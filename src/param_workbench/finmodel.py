@@ -14,6 +14,7 @@ morphism's witness action is forced and equality stays decidable.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -152,17 +153,24 @@ class PropRel:
     bookkeeping but carry no identity, which is what lets substituted
     types match their instantiations on the nose instead of only up to
     a relabeling iso.
+
+    Invariant: the keys of entries are strictly increasing in label_key
+    order, which is exactly "canonically ordered and one witness per
+    pair".  Constructors that already emit keys in that order (expo1)
+    build the record directly; others go through rel(), which sorts.
     """
     dom: FinSetObj
     cod: FinSetObj
     entries: tuple  # (((a, b), w), ...) canonically keyed
 
     def __post_init__(self):
-        keys = [k for k, _ in self.entries]
-        if keys != sorted(set(keys), key=label_key):
+        # a pair key orders as its label_key does: by a, then by b
+        keys = [(label_key(a), label_key(b)) for (a, b), _ in self.entries]
+        if not all(map(operator.lt, keys, keys[1:])):
             raise ValueError("witness keys must be canonically ordered, one per pair")
+        dom, cod = set(self.dom.elements), set(self.cod.elements)
         for (a, b), _ in self.entries:
-            if a not in self.dom or b not in self.cod:
+            if a not in dom or b not in cod:
                 raise ValueError(f"witness key ({a!r}, {b!r}) escapes the boundary")
 
     @cached_property
@@ -307,7 +315,8 @@ def fn_label(f: FinFn) -> Label:
 
 
 def expo0(a: FinSetObj, b: FinSetObj) -> FinSetObj:
-    return fin_set([fn_label(f) for f in all_functions(a, b)])
+    # the function space is already in canonical label order
+    return FinSetObj(tuple(fn_label(f) for f in _fn_space(a, b)))
 
 
 def apply_label(lbl: Label, x):
@@ -369,22 +378,58 @@ def expo1(r: PropRel, s: PropRel) -> PropRel:
     """Relates (f, g) iff they carry every witness of r to one of s.
 
     The witness is the forced dependent table, keyed by source pairs.
+
+    Only related pairs are enumerated: each constraint s(f a, g b)
+    touches one image of g, so for a fixed f the related g are the
+    product, over b, of the s-partners of every f(a) with (a, b) in r.
+    The function spaces list their members in canonical label order
+    (lexicographic in the images, which are canonically ordered), so
+    walking f, then each image of g, in that order yields the keys
+    already canonically sorted, as PropRel requires.
     """
-    wit = {}
+    fspace = _fn_space(r.dom, s.dom)
+    gspace = _fn_space(r.cod, s.cod)
     sw = s.witness
-    for flab_f in all_functions(r.dom, s.dom):
-        fm = flab_f.mapping
-        for flab_g in all_functions(r.cod, s.cod):
-            gm = flab_g.mapping
-            entries = []
-            for (a, b), _ in r.entries:
-                w = sw.get((fm[a], gm[b]))
-                if w is None:
-                    break
-                entries.append(((a, b), w))
-            else:
-                wit[(fn_label(flab_f), fn_label(flab_g))] = ("wtab", tuple(entries))
-    return rel(expo0(r.dom, s.dom), expo0(r.cod, s.cod), wit)
+    dpos = {a: i for i, a in enumerate(r.dom)}
+    bpos = {b: j for j, b in enumerate(r.cod)}
+    # g's index in gspace is the mixed-radix number of its image positions
+    weight = [len(s.cod) ** (len(r.cod) - 1 - j) for j in range(len(r.cod))]
+    rkeys = [key for key, _ in r.entries]
+    ra = [dpos[a] for a, _ in rkeys]
+    rb = [bpos[b] for _, b in rkeys]
+    partners = [[] for _ in r.cod]        # r-partners of each b, as dom positions
+    for i, j in zip(ra, rb):
+        partners[j].append(i)
+    # s-partners of each c as (cod position, d); s's keys are sorted by c
+    # and then d, so each list comes out in canonical order of d
+    cpos = {d: p for p, d in enumerate(s.cod)}
+    spart = {c: [] for c in s.dom}
+    for (c, d), _ in s.entries:
+        spart[c].append((cpos[d], d))
+    free = list(enumerate(s.cod))
+
+    entries = []
+    for f in fspace:
+        fimg = [y for _, y in f.table]
+        offsets, images = [], []
+        for j, ps in enumerate(partners):
+            opts = spart[fimg[ps[0]]] if ps else free
+            for i in ps[1:]:
+                c = fimg[i]
+                opts = [(p, d) for p, d in opts if (c, d) in sw]
+            if not opts:
+                break
+            offsets.append([p * weight[j] for p, _ in opts])
+            images.append([d for _, d in opts])
+        else:
+            flab = fn_label(f)
+            fa = [fimg[i] for i in ra]
+            for k, gimg in zip(map(sum, itertools.product(*offsets)),
+                               itertools.product(*images)):
+                ws = map(sw.__getitem__, zip(fa, map(gimg.__getitem__, rb)))
+                entries.append(((flab, fn_label(gspace[k])),
+                                ("wtab", tuple(zip(rkeys, ws)))))
+    return PropRel(expo0(r.dom, s.dom), expo0(r.cod, s.cod), tuple(entries))
 
 
 def eval1(r: PropRel, s: PropRel) -> PropRelMor:

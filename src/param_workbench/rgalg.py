@@ -146,6 +146,12 @@ ASSOC_EXHAUSTIVE_LIMIT = 2_000_000
 def check_category(c: FinCategory, report: Report, tag: str,
                    assoc_limit: int = ASSOC_EXHAUSTIVE_LIMIT,
                    rng: Optional[random.Random] = None) -> None:
+    """Table well-formedness, then the identity and associativity laws.
+
+    The laws are skipped only when this call's own well-formedness
+    checks fail; failures already on a shared report do not stop them.
+    """
+    start = len(report.findings)
     obj_set = set(c.objects)
     mor_set = set(c.mor_ids)
 
@@ -185,7 +191,7 @@ def check_category(c: FinCategory, report: Report, tag: str,
         if witness:
             break
     report.check(f"{tag}: compose total on composable pairs", witness)
-    if not report.ok:
+    if not all(f.passed for f in report.findings[start:]):
         return
 
     witness = None

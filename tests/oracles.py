@@ -13,7 +13,7 @@ import itertools
 
 from param_workbench import cubemodel as cb
 from param_workbench import systemf as sf
-from param_workbench.finmodel import all_functions
+from param_workbench.finmodel import all_functions, expo0, fn_label, rel
 
 # Semantic types are tuples:
 #   ("atom", level) | ("unit",) | ("prod", l, r) | ("arrow", d, c)
@@ -152,6 +152,28 @@ def all_two_mors(src: cb.TwoRel, tgt: cb.TwoRel) -> list:
                     except ValueError:
                         continue
     return out
+
+
+def brute_expo1(r, s):
+    """The level-1 exponential by exhaustive search.
+
+    Tries every pair of functions between the carriers and keeps the
+    pairs that carry each witness of r to one of s; rel() sorts the
+    result, so nothing here depends on enumeration order.
+    """
+    wit = {}
+    sw = s.witness
+    for f in all_functions(r.dom, s.dom):
+        for g in all_functions(r.cod, s.cod):
+            entries = []
+            for (a, b), _ in r.entries:
+                w = sw.get((f(a), g(b)))
+                if w is None:
+                    break
+                entries.append(((a, b), w))
+            else:
+                wit[(fn_label(f), fn_label(g))] = ("wtab", tuple(entries))
+    return rel(expo0(r.dom, s.dom), expo0(r.cod, s.cod), wit)
 
 
 def erases_to(t, u) -> bool:

@@ -6,11 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from param_workbench import rgalg
 from param_workbench.finmodel import (
     STAR,
     WUNIT,
+    FinFn,
+    FinSetObj,
     IsoPolicy,
+    PropRel,
     PropRelMor,
     all_functions,
     all_rel_mors,
@@ -54,11 +58,11 @@ SIZES = [A1, A2]
 
 
 @st.composite
-def small_rels(draw):
-    dom = fin_set(range(draw(st.integers(1, 2))))
-    cod = fin_set(range(draw(st.integers(1, 2))))
+def small_rels(draw, min_size=1):
+    dom = fin_set(range(draw(st.integers(min_size, 2))))
+    cod = fin_set(range(draw(st.integers(min_size, 2))))
     pairs = [(a, b) for a in dom for b in cod]
-    chosen = draw(st.sets(st.sampled_from(pairs)))
+    chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else ()
     return rel(dom, cod, {p: ("w", p[0], p[1]) for p in chosen})
 
 
@@ -213,6 +217,51 @@ def test_constructors_stay_propositional_and_face_stable(r, s):
         assert len(keys) == len(set(keys))
         assert out.dom == dom
         assert out.cod == cod
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_rels(0), small_rels(0))
+def test_expo1_matches_brute_force(r, s):
+    """Enumerating only related pairs gives the same relation, entry for
+    entry, as filtering every pair of functions."""
+    got, want = expo1(r, s), oracles.brute_expo1(r, s)
+    assert got.entries == want.entries
+    assert got.dom == want.dom
+    assert got.cod == want.cod
+
+
+def test_expo1_matches_brute_force_on_nested_labels():
+    inner = expo1(eq_rel(A2), eq_rel(A2))
+    swap = graph_rel(fn(A2, A2, lambda x: 1 - x))
+    half = rel(A2, A1, {(1, 0): ("w",)})
+    for r, s in [(swap, inner), (inner, swap), (half, inner), (inner, half)]:
+        assert expo1(r, s).entries == oracles.brute_expo1(r, s).entries
+
+
+class TestValidators:
+    @pytest.mark.parametrize("elements", [(1, 0), (0, 0), ("a", 0)])
+    def test_set_elements_must_be_canonical_and_distinct(self, elements):
+        with pytest.raises(ValueError, match="canonically ordered"):
+            FinSetObj(elements)
+
+    @pytest.mark.parametrize("keys", [
+        [(1, 1), (0, 0)],
+        [(0, 0), (0, 0)],
+        [(0, 1), (1, 0), (0, 0)],
+    ])
+    def test_relation_keys_must_be_canonical_and_distinct(self, keys):
+        entries = tuple((k, ("w", i)) for i, k in enumerate(keys))
+        with pytest.raises(ValueError, match="canonically ordered"):
+            PropRel(A2, A2, entries)
+
+    @pytest.mark.parametrize("key", [(1, 0), (0, 1), ("x", 0)])
+    def test_relation_keys_stay_inside_the_boundary(self, key):
+        with pytest.raises(ValueError, match="escapes the boundary"):
+            PropRel(A1, A1, ((key, "w"),))
+
+    def test_function_images_stay_inside_the_codomain(self):
+        with pytest.raises(ValueError, match="escapes the codomain"):
+            FinFn(A2, A1, ((0, 0), (1, 1)))
 
 
 def test_every_square_into_the_terminal_is_unique():

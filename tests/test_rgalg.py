@@ -90,6 +90,24 @@ class TestValidate:
         rep = validate_rg(rg, sub)
         assert rep.ok, [f.row() for f in rep.failures]
 
+    def test_level0_law_failure_keeps_level1_laws(self):
+        # level 0 has an idempotent b with one composite corrupted, so
+        # its identity law fails; level 1's laws must still be checked
+        comp = {("a", "a"): "a", ("b", "a"): "a", ("a", "b"): "b",
+                ("b", "b"): "b"}
+        l0 = make_category(["A"], {"a": ("A", "A"), "b": ("A", "A")},
+                           {"A": "a"}, comp)
+        rg = one_object_instance()
+        up = make_cat_functor({"A": "R"}, {"a": "r", "b": "r"})
+        rep = validate_rg(RgCategory(l0, rg.level1, rg.face_top,
+                                     rg.face_bot, up))
+        assert "level0: identity laws" in [f.law for f in rep.failures]
+        level1 = {f.law: f.passed for f in rep.findings
+                  if f.law.startswith("level1: ")}
+        assert level1["level1: identity laws"]
+        assert any("associativity" in law and passed
+                   for law, passed in level1.items())
+
     def test_dangling_boundary_reported_before_laws(self):
         broken = make_category(["A"], {"a": ("A", "Z")}, {"A": "a"}, {})
         rep = Report()
