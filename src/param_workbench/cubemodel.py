@@ -614,12 +614,6 @@ def _tables_fill(q1: TwoRel, q2: TwoRel, corners, tabs) -> bool:
     return True
 
 
-def sqexpo_mor(m: TwoRelMor, n: TwoRelMor) -> TwoRelMor:
-    return TwoRelMor(sqexpo(m.src, n.src), sqexpo(m.tgt, n.tgt),
-                     wexpo_mor(m.top, n.top), wexpo_mor(m.left, n.left),
-                     wexpo_mor(m.bottom, n.bottom), wexpo_mor(m.right, n.right))
-
-
 # ---------------------------------------------------------------------------
 # the face-equation suite
 # ---------------------------------------------------------------------------

@@ -200,21 +200,6 @@ def weaken(f: TypeFunctor) -> TypeFunctor:
     return substitute(f, tuple(FProj(n + 1, i) for i in range(n)), n + 1)
 
 
-def eager_normal_form(f: TypeFunctor) -> TypeFunctor:
-    if isinstance(f, (FProj, FUnit)):
-        return f
-    if isinstance(f, FProd):
-        return FProd(eager_normal_form(f.left), eager_normal_form(f.right))
-    if isinstance(f, FArrow):
-        return FArrow(eager_normal_form(f.dom), eager_normal_form(f.cod))
-    if isinstance(f, FForall):
-        return FForall(eager_normal_form(f.body))
-    if isinstance(f, FSubst):
-        return substitute(eager_normal_form(f.inner),
-                          tuple(eager_normal_form(a) for a in f.args), f.arity)
-    raise TypeError(f"not a type functor: {f!r}")
-
-
 # ---------------------------------------------------------------------------
 # environments
 # ---------------------------------------------------------------------------
@@ -858,7 +843,7 @@ def _env_tag(env: EnvL) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the base category of slot counts and its total category
+# the base category of slot counts
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -924,63 +909,6 @@ def reindex(f: CtxMor, x, u: Optional[ProbeUniverse] = None):
                       substitute(x.target, f.comps, f.src),
                       comp, uu, f"{x.name}*")
     raise TypeError(f"cannot reindex {x!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class TotalObj:
-    base: int
-    fiber: TypeFunctor
-
-    def __post_init__(self):
-        if self.fiber.arity != self.base:
-            raise ValueError("fiber object lives over the wrong base")
-
-
-@dataclass(frozen=True, eq=False)
-class TotalMor:
-    """A base morphism together with a vertical part into the pullback."""
-    src: TotalObj
-    tgt: TotalObj
-    base: CtxMor
-    vert: NatRep
-
-    def __post_init__(self):
-        if self.base.src != self.src.base or self.base.tgt != self.tgt.base:
-            raise ValueError("base boundary mismatch")
-        if self.vert.source != self.src.fiber:
-            raise ValueError("vertical part starts at the wrong fiber object")
-        if self.vert.target != substitute(self.tgt.fiber, self.base.comps,
-                                          self.base.src):
-            raise ValueError("vertical part must land in the pullback")
-
-
-def total_id(x: TotalObj, u: Optional[ProbeUniverse] = None) -> TotalMor:
-    return TotalMor(x, x, ctx_id(x.base), nat_id(x.fiber, u))
-
-
-def total_compose(m2: TotalMor, m1: TotalMor,
-                  u: Optional[ProbeUniverse] = None) -> TotalMor:
-    if m1.tgt is not m2.src and (m1.tgt.base, m1.tgt.fiber) != (m2.src.base, m2.src.fiber):
-        raise ValueError("non-composable total morphisms")
-    return TotalMor(m1.src, m2.tgt, ctx_compose(m2.base, m1.base),
-                    nat_compose(reindex(m1.base, m2.vert, u), m1.vert))
-
-
-def cartesian_lifting(f: CtxMor, g: TypeFunctor,
-                      u: Optional[ProbeUniverse] = None) -> TotalMor:
-    """The chosen lifting: base f, identity vertical part at the pullback."""
-    if g.arity != f.tgt:
-        raise ValueError("fiber object lives over the wrong base")
-    pulled = substitute(g, f.comps, f.src)
-    return TotalMor(TotalObj(f.src, pulled), TotalObj(f.tgt, g), f,
-                    nat_id(pulled, u))
-
-
-def lifting_factor(lift: TotalMor, h: TotalMor, e: CtxMor) -> TotalMor:
-    """The unique fill-in for h through the lifting, over base factor e."""
-    if ctx_compose(lift.base, e) != h.base:
-        raise ValueError("base morphism does not factor as required")
-    return TotalMor(h.src, lift.src, e, h.vert)
 
 
 def theta(f: CtxMor) -> TypeFunctor:
@@ -1102,51 +1030,6 @@ def fiber_ccc(n: int, u: Optional[ProbeUniverse] = None) -> FiberCcc:
 # ---------------------------------------------------------------------------
 # the probe-bounded quantifier adjunction
 # ---------------------------------------------------------------------------
-
-def forall(f: TypeFunctor, u: ProbeUniverse) -> TypeFunctor:
-    """Bind the freshest slot; evaluation quantifies over u's probes."""
-    if f.arity < 1:
-        raise ValueError("nothing to bind")
-    if u is None:
-        raise ValueError("quantification needs a probe universe")
-    return FForall(f)
-
-
-def forall_on_nat(eta: NatRep, u: ProbeUniverse) -> NatRep:
-    """Apply a transformation under the binder, probe by probe."""
-    body_src, body_tgt = eta.source, eta.target
-
-    def comp0(env: EnvL):
-        src = forall0_value(body_src, env.entries, u)
-        tgt = forall0_value(body_tgt, env.entries, u)
-
-        def move(fam):
-            f0 = tuple(eta.at(EnvL(0, env.entries + (a,)))(fam[1][j])
-                       for j, a in enumerate(u.objs0))
-            lab = _complete_family(body_tgt, env.entries, u, f0)
-            if lab is None or lab not in tgt:
-                raise ValueError("image family fails the membership clauses")
-            return lab
-
-        return fn(src, tgt, move)
-
-    def comp(env: EnvL):
-        if env.level == 0:
-            return comp0(env)
-        if env.level != 1 or env.witnessed:
-            raise ValueError("quantified transformations live at levels 0/1")
-        src = forall1_value(body_src, env.entries, u)
-        tgt = forall1_value(body_tgt, env.entries, u)
-        fleg = comp0(_face_env(env, "dom"))
-        gleg = comp0(_face_env(env, "cod"))
-        out = try_rel_mor(src, tgt, fleg, gleg)
-        if out is None:
-            raise ValueError("image families fail to stay related")
-        return out
-
-    return NatRep(FForall(body_src), FForall(body_tgt), comp, u,
-                  f"all({eta.name})")
-
 
 def counit(g: TypeFunctor, u: ProbeUniverse) -> NatRep:
     """Instantiate a quantified value at the environment's fresh entry.

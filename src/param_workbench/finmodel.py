@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from . import rgalg
 
@@ -488,35 +488,6 @@ def all_rel_mors(r: PropRel, s: PropRel) -> Iterator[PropRelMor]:
             m = try_rel_mor(r, s, f, g)
             if m is not None:
                 yield m
-
-
-@dataclass(frozen=True)
-class CccStructure:
-    terminal0: Callable
-    bang0: Callable
-    product0: Callable
-    fst0: Callable
-    snd0: Callable
-    pair0: Callable
-    expo0: Callable
-    eval0: Callable
-    lambda0: Callable
-    terminal1: Callable
-    bang1: Callable
-    product1: Callable
-    fst1: Callable
-    snd1: Callable
-    pair1: Callable
-    expo1: Callable
-    eval1: Callable
-    lambda1: Callable
-
-
-def ccc_structure() -> CccStructure:
-    """The full cartesian-closed structure of both levels as one record."""
-    return CccStructure(
-        terminal0, bang0, product0, fst0, snd0, pair0, expo0, eval0, lambda0,
-        terminal1, bang1, product1, fst1, snd1, pair1, expo1, eval1, lambda1)
 
 
 def check_ccc(carriers, relations, report) -> None:

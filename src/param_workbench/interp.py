@@ -241,20 +241,6 @@ def closure_for_term(t: sf.Term, seed: Optional[ProbeUniverse] = None,
     return universe_closure(args, seed, bound)
 
 
-def polymorphic_family(t: sf.Term, u: Optional[ProbeUniverse] = None):
-    """The family record a closed quantified term denotes.
-
-    The label has shape ("fam", per-object elements), positions
-    following the universe's probe object order.
-    """
-    u = u or default_universe()
-    nat = interp_term(0, (), t, u)
-    if not isinstance(nat.target, FForall):
-        raise ValueError("the term's type is not quantified")
-    seed = evaluate(nat.source, EnvL(0, ()), u)
-    return nat.at(EnvL(0, ()))(seed.elements[0])
-
-
 # ---------------------------------------------------------------------------
 # equality extension
 # ---------------------------------------------------------------------------

@@ -2,18 +2,18 @@
 
 Terms are Church-style (lambdas carry full domain annotations), so
 typechecking is syntax-directed. Both binder kinds use de Bruijn
-indices; the pretty-printer regenerates fresh names.
+indices; the pretty-printer regenerates fresh names. `step` is the
+reference semantics; `normalize` and `unormalize` share one NbE core.
 """
 
 from __future__ import annotations
 
-import os
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 DEFAULT_FUEL = 10**6
-FUEL_ENV_VAR = "PARAM_WORKBENCH_FUEL"
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +173,8 @@ class TypecheckError(Exception):
 
 
 class FuelExhausted(Exception):
-    """Normalization ran out of fuel. System F is strongly normalizing,
-    so hitting this on well-typed input signals an implementation bug."""
+    """More beta, type-beta and projection contractions than the fuel allows.
+    System F is strongly normalizing: on well-typed input this signals a bug."""
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +393,6 @@ def typecheck(tyctx_depth: int, termctx: tuple[Type, ...], t: Term) -> Type:
 # Normalization
 # ---------------------------------------------------------------------------
 
-def _fuel() -> int:
-    raw = os.environ.get(FUEL_ENV_VAR)
-    return int(raw) if raw else DEFAULT_FUEL
-
-
 def step(t: Term) -> Optional[Term]:
     """One normal-order (leftmost-outermost) reduction step, or None."""
     match t:
@@ -443,101 +438,135 @@ def step(t: Term) -> Optional[Term]:
 
 def normalize(t: Term, fuel: Optional[int] = None) -> Term:
     """Full beta-normal form. Reduces under binders; idempotent."""
-    remaining = _fuel() if fuel is None else fuel
-    while True:
-        s = step(t)
-        if s is None:
-            return t
-        remaining -= 1
-        if remaining < 0:
-            raise FuelExhausted("no normal form within fuel bound")
-        t = s
-
-
-def ustep(t: UntypedTerm) -> Optional[UntypedTerm]:
-    match t:
-        case UApp(ULam(body), arg):
-            return usubst(body, arg)
-        case UFst(UPair(l, _)):
-            return l
-        case USnd(UPair(_, r)):
-            return r
-        case UApp(f, x):
-            s = ustep(f)
-            if s is not None:
-                return UApp(s, x)
-            s = ustep(x)
-            return None if s is None else UApp(f, s)
-        case ULam(b):
-            s = ustep(b)
-            return None if s is None else ULam(s)
-        case UPair(l, r):
-            s = ustep(l)
-            if s is not None:
-                return UPair(s, r)
-            s = ustep(r)
-            return None if s is None else UPair(l, s)
-        case UFst(b):
-            s = ustep(b)
-            return None if s is None else UFst(s)
-        case USnd(b):
-            s = ustep(b)
-            return None if s is None else USnd(s)
-        case UVar(_) | UUnit():
-            return None
-    raise TypeError(f"not an untyped term: {t!r}")
-
-
-def ushift(t: UntypedTerm, amount: int, cutoff: int = 0) -> UntypedTerm:
-    match t:
-        case UVar(i):
-            return UVar(i + amount) if i >= cutoff else t
-        case ULam(b):
-            return ULam(ushift(b, amount, cutoff + 1))
-        case UApp(f, x):
-            return UApp(ushift(f, amount, cutoff), ushift(x, amount, cutoff))
-        case UPair(l, r):
-            return UPair(ushift(l, amount, cutoff), ushift(r, amount, cutoff))
-        case UFst(b):
-            return UFst(ushift(b, amount, cutoff))
-        case USnd(b):
-            return USnd(ushift(b, amount, cutoff))
-        case UUnit():
-            return t
-    raise TypeError(f"not an untyped term: {t!r}")
-
-
-def usubst(t: UntypedTerm, replacement: UntypedTerm, target: int = 0) -> UntypedTerm:
-    match t:
-        case UVar(i):
-            if i == target:
-                return ushift(replacement, target)
-            return UVar(i - 1) if i > target else t
-        case ULam(b):
-            return ULam(usubst(b, replacement, target + 1))
-        case UApp(f, x):
-            return UApp(usubst(f, replacement, target), usubst(x, replacement, target))
-        case UPair(l, r):
-            return UPair(usubst(l, replacement, target), usubst(r, replacement, target))
-        case UFst(b):
-            return UFst(usubst(b, replacement, target))
-        case USnd(b):
-            return USnd(usubst(b, replacement, target))
-        case UUnit():
-            return t
-    raise TypeError(f"not an untyped term: {t!r}")
+    return _normal_form(t, fuel, typed=True)
 
 
 def unormalize(t: UntypedTerm, fuel: Optional[int] = None) -> UntypedTerm:
-    remaining = _fuel() if fuel is None else fuel
+    """Full normal form of an erased term; free variables stay free."""
+    return _normal_form(t, fuel, typed=False)
+
+
+# Normalization by evaluation (Berger & Schwichtenberg 1991). A value is a
+# closure of a Lam, ULam or TyLam, a pair of thunks, UnitV() or UUnit(), a
+# variable level (negative when free), or a neutral: a value and the ctor and
+# argument (thunk, (type, tyenv) or None) of an elimination it cannot contract.
+
+_Clo = namedtuple("_Clo", "lam env tyenv")
+_TyClo = namedtuple("_TyClo", "body env tyenv")
+_PairV = namedtuple("_PairV", "ctor left right")
+_Neu = namedtuple("_Neu", "head ctor arg")
+
+
+class _Thunk:
+    """A term under its environments; `value` is set once it is forced."""
+    __slots__ = ("term", "env", "tyenv", "value")
+
+    def __init__(self, term, env: tuple, tyenv: tuple, value=None):
+        self.term, self.env, self.tyenv, self.value = term, env, tyenv, value
+
+
+def _memo(forced: list, v):
+    for th in forced:
+        th.value = v
+    return v
+
+
+def _eval(t, env: tuple, tyenv: tuple, fuel: list):
+    """Weak head value of a term or thunk. Contractions and thunks in head
+    position loop instead of recursing; each thunk entered gets the value."""
+    forced: list = []
     while True:
-        s = ustep(t)
-        if s is None:
-            return t
-        remaining -= 1
-        if remaining < 0:
+        match t:
+            case _Thunk() if t.value is None:
+                forced.append(t)
+                t, env, tyenv = t.term, t.env, t.tyenv
+                continue
+            case _Thunk():
+                return _memo(forced, t.value)
+            case Var(i) | UVar(i) if i < len(env):
+                t = env[i]
+                continue
+            case Var(i) | UVar(i):
+                return _memo(forced, len(env) - 1 - i)
+            case Lam() | ULam():
+                return _memo(forced, _Clo(t, env, tyenv))
+            case TyLam(b):
+                return _memo(forced, _TyClo(b, env, tyenv))
+            case Pair(l, r) | UPair(l, r):
+                pair = _PairV(type(t), _Thunk(l, env, tyenv), _Thunk(r, env, tyenv))
+                return _memo(forced, pair)
+            case UnitV() | UUnit():
+                return _memo(forced, t)
+            case App(f, x) | UApp(f, x):
+                v, arg = _eval(f, env, tyenv, fuel), _Thunk(x, env, tyenv)
+                if not isinstance(v, _Clo):
+                    return _memo(forced, _Neu(v, type(t), arg))
+                t, env, tyenv = v.lam.body, (arg,) + v.env, v.tyenv
+            case TyApp(f, ty):
+                v = _eval(f, env, tyenv, fuel)
+                if not isinstance(v, _TyClo):
+                    return _memo(forced, _Neu(v, TyApp, (ty, tyenv)))
+                t, env, tyenv = v.body, v.env, ((ty, tyenv),) + v.tyenv
+            case Fst(b) | UFst(b) | Snd(b) | USnd(b):
+                v = _eval(b, env, tyenv, fuel)
+                if not isinstance(v, _PairV):
+                    return _memo(forced, _Neu(v, type(t), None))
+                t = v.left if isinstance(t, (Fst, UFst)) else v.right
+            case _:
+                raise TypeError(f"not a term: {t!r}")
+        fuel[0] -= 1  # one beta, type-beta or projection contraction
+        if fuel[0] < 0:
             raise FuelExhausted("no normal form within fuel bound")
-        t = s
+
+
+def _quote_type(ty: Type, tyenv: tuple, depth: int) -> Type:
+    """ty under tyenv (levels and (type, tyenv) closures) at type depth `depth`."""
+    match ty:
+        case TVar(i) if i >= len(tyenv):
+            return TVar(i + depth - len(tyenv))
+        case TVar(i):
+            v = tyenv[i]
+            return TVar(depth - 1 - v) if isinstance(v, int) else _quote_type(*v, depth)
+        case ProdT(l, r) | ArrowT(l, r):
+            return type(ty)(_quote_type(l, tyenv, depth), _quote_type(r, tyenv, depth))
+        case ForallT(b):
+            return ForallT(_quote_type(b, (depth,) + tyenv, depth + 1))
+    return ty
+
+
+def _normal_form(t, fuel: Optional[int], typed: bool):
+    """Evaluate t and read it back with a stack of (value or thunk, term
+    depth, type depth) items and (None, n, build) ones that build from n outputs."""
+    budget = [DEFAULT_FUEL if fuel is None else fuel]
+    out: list = []
+    todo: list = [(_Thunk(t, (), ()), 0, 0)]
+    while todo:
+        v, d, dd = todo.pop()
+        if v is None:
+            out[len(out) - d:] = [dd(*out[len(out) - d:])]
+            continue
+        v = _eval(v, (), (), budget) if isinstance(v, _Thunk) else v
+        match v:
+            case int():
+                out.append((Var if typed else UVar)(d - 1 - v))
+            case _Clo(lam, env, tyenv):
+                x = _Thunk(None, (), (), d)
+                build = (ULam if isinstance(lam, ULam)
+                         else lambda b, a=_quote_type(lam.annot, tyenv, dd): Lam(a, b))
+                todo += [(None, 1, build), (_Thunk(lam.body, (x,) + env, tyenv), d + 1, dd)]
+            case _TyClo(body, env, tyenv):
+                todo += [(None, 1, TyLam), (_Thunk(body, env, (dd,) + tyenv), d, dd + 1)]
+            case _PairV(ctor, l, r):
+                todo += [(None, 2, ctor), (r, d, dd), (l, d, dd)]
+            case _Neu(head, ctor, None):
+                todo += [(None, 1, ctor), (head, d, dd)]
+            case _Neu(head, ctor, arg):
+                todo += [(None, 2, ctor), (arg, d, dd), (head, d, dd)]
+            case (ty, tyenv):  # the type argument of a stuck TyApp
+                out.append(_quote_type(ty, tyenv, dd))
+            case _:
+                out.append(v)
+    return out[0]
 
 
 def erase(t: Term) -> UntypedTerm:
@@ -565,16 +594,8 @@ def erase(t: Term) -> UntypedTerm:
 
 
 def term_size(t: Union[Term, UntypedTerm]) -> int:
-    match t:
-        case Var(_) | UVar(_) | UnitV() | UUnit():
-            return 1
-        case Lam(_, b) | TyLam(b) | Fst(b) | Snd(b) | ULam(b) | UFst(b) | USnd(b):
-            return 1 + term_size(b)
-        case App(f, x) | Pair(f, x) | UApp(f, x) | UPair(f, x):
-            return 1 + term_size(f) + term_size(x)
-        case TyApp(f, _):
-            return 1 + term_size(f)
-    raise TypeError(f"not a term: {t!r}")
+    """Number of term nodes; types are not counted."""
+    return sum(1 for _ in iter_subterms(t))
 
 
 # ---------------------------------------------------------------------------
@@ -615,9 +636,6 @@ def pretty_type(ty: Type, depth: int = 0) -> str:
 
 
 def pretty_term(t: Term, ty_depth: int = 0, tm_depth: int = 0) -> str:
-    def tyname(i: int, d: int) -> str:
-        return _ty_name(d - 1 - i) if i < d else f"?{i}"
-
     def go(t: Term, tyd: int, tmd: int, prec: int) -> str:
         # prec: 0 = binder position, 1 = application, 2 = atom
         match t:
@@ -928,15 +946,17 @@ def parse_program(src: str) -> list[Definition]:
     return out
 
 
-def iter_subterms(t: Term) -> Iterator[Term]:
-    yield t
-    match t:
-        case Lam(_, b) | TyLam(b) | Fst(b) | Snd(b):
-            yield from iter_subterms(b)
-        case App(f, x) | Pair(f, x):
-            yield from iter_subterms(f)
-            yield from iter_subterms(x)
-        case TyApp(f, _):
-            yield from iter_subterms(f)
-        case _:
-            pass
+def iter_subterms(t: Union[Term, UntypedTerm]) -> Iterator[Union[Term, UntypedTerm]]:
+    """Every subterm in preorder, typed or erased, with an explicit stack."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        yield t
+        match t:
+            case (Lam(_, b) | TyLam(b) | TyApp(b, _) | Fst(b) | Snd(b)
+                  | ULam(b) | UFst(b) | USnd(b)):
+                todo.append(b)
+            case App(f, x) | Pair(f, x) | UApp(f, x) | UPair(f, x):
+                todo += (x, f)
+            case _ if not isinstance(t, (Var, UVar, UnitV, UUnit)):
+                raise TypeError(f"not a term: {t!r}")

@@ -200,3 +200,93 @@ def erases_to(t, u) -> bool:
     if isinstance(t, sf.Snd):
         return isinstance(u, sf.USnd) and erases_to(t.body, u.body)
     raise TypeError(f"not a term: {t!r}")
+
+
+# ---------------------------------------------------------------------------
+# the untyped small-step reference: one normal-order step at a time
+# ---------------------------------------------------------------------------
+
+def ustep(t):
+    """One normal-order (leftmost-outermost) step of an erased term, or None."""
+    match t:
+        case sf.UApp(sf.ULam(body), arg):
+            return usubst(body, arg)
+        case sf.UFst(sf.UPair(l, _)):
+            return l
+        case sf.USnd(sf.UPair(_, r)):
+            return r
+        case sf.UApp(f, x):
+            s = ustep(f)
+            if s is not None:
+                return sf.UApp(s, x)
+            s = ustep(x)
+            return None if s is None else sf.UApp(f, s)
+        case sf.ULam(b):
+            s = ustep(b)
+            return None if s is None else sf.ULam(s)
+        case sf.UPair(l, r):
+            s = ustep(l)
+            if s is not None:
+                return sf.UPair(s, r)
+            s = ustep(r)
+            return None if s is None else sf.UPair(l, s)
+        case sf.UFst(b):
+            s = ustep(b)
+            return None if s is None else sf.UFst(s)
+        case sf.USnd(b):
+            s = ustep(b)
+            return None if s is None else sf.USnd(s)
+        case sf.UVar(_) | sf.UUnit():
+            return None
+    raise TypeError(f"not an untyped term: {t!r}")
+
+
+def ushift(t, amount, cutoff=0):
+    match t:
+        case sf.UVar(i):
+            return sf.UVar(i + amount) if i >= cutoff else t
+        case sf.ULam(b):
+            return sf.ULam(ushift(b, amount, cutoff + 1))
+        case sf.UApp(f, x):
+            return sf.UApp(ushift(f, amount, cutoff), ushift(x, amount, cutoff))
+        case sf.UPair(l, r):
+            return sf.UPair(ushift(l, amount, cutoff), ushift(r, amount, cutoff))
+        case sf.UFst(b):
+            return sf.UFst(ushift(b, amount, cutoff))
+        case sf.USnd(b):
+            return sf.USnd(ushift(b, amount, cutoff))
+        case sf.UUnit():
+            return t
+    raise TypeError(f"not an untyped term: {t!r}")
+
+
+def usubst(t, replacement, target=0):
+    match t:
+        case sf.UVar(i):
+            if i == target:
+                return ushift(replacement, target)
+            return sf.UVar(i - 1) if i > target else t
+        case sf.ULam(b):
+            return sf.ULam(usubst(b, replacement, target + 1))
+        case sf.UApp(f, x):
+            return sf.UApp(usubst(f, replacement, target), usubst(x, replacement, target))
+        case sf.UPair(l, r):
+            return sf.UPair(usubst(l, replacement, target), usubst(r, replacement, target))
+        case sf.UFst(b):
+            return sf.UFst(usubst(b, replacement, target))
+        case sf.USnd(b):
+            return sf.USnd(usubst(b, replacement, target))
+        case sf.UUnit():
+            return t
+    raise TypeError(f"not an untyped term: {t!r}")
+
+
+def iterate_steps(step, t, fuel):
+    """Apply `step` until it returns None: the normal form, or None when
+    more than `fuel` steps would be needed."""
+    for _ in range(fuel + 1):
+        s = step(t)
+        if s is None:
+            return t
+        t = s
+    return None

@@ -5,13 +5,13 @@ from __future__ import annotations
 import pathlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from param_workbench import systemf as sf
 from param_workbench.systemf import (
     App, ArrowT, ForallT, Fst, Lam, Pair, ProdT, Snd, TVar, TyApp, TyLam,
-    UApp, ULam, UnitT, UnitV, UUnit, UVar, Var,
+    UApp, UFst, ULam, UnitT, UnitV, UPair, UUnit, UVar, Var,
 )
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -297,13 +297,94 @@ class TestNormalize:
         with pytest.raises(sf.FuelExhausted):
             sf.normalize(t, fuel=0)
 
-    def test_fuel_env_var(self, monkeypatch):
-        monkeypatch.setenv(sf.FUEL_ENV_VAR, "1")
-        t = App(TyApp(ID, UnitT()), App(TyApp(ID, UnitT()), UnitV()))
+    def test_fuel_counts_contractions(self):
+        # one type-beta and one beta contraction
+        t = App(TyApp(ID, UnitT()), UnitV())
         with pytest.raises(sf.FuelExhausted):
-            sf.normalize(t)
-        monkeypatch.setenv(sf.FUEL_ENV_VAR, "10")
-        assert sf.normalize(t) == UnitV()
+            sf.normalize(t, fuel=1)
+        assert sf.normalize(t, fuel=2) == UnitV()
+        # one projection contraction
+        u = UFst(UPair(UUnit(), UUnit()))
+        with pytest.raises(sf.FuelExhausted):
+            sf.unormalize(u, fuel=0)
+        assert sf.unormalize(u, fuel=1) == UUnit()
+
+
+# ---------------------------------------------------------------------------
+# normalization against the small-step reference semantics
+# ---------------------------------------------------------------------------
+
+REFERENCE_FUEL = 100  # random draws needing more reference steps are skipped
+
+
+class TestAgainstSmallStep:
+    def test_typed_corpus(self):
+        for d in DEFS:
+            assert sf.normalize(d.term) == oracles.iterate_steps(sf.step, d.term, 10**4)
+
+    def test_erased_corpus(self):
+        for d in DEFS:
+            er = sf.erase(d.term)
+            assert sf.unormalize(er) == oracles.iterate_steps(oracles.ustep, er, 10**4)
+
+    @given(scoped_terms(size=10))
+    @settings(max_examples=300)
+    def test_typed_random(self, t):
+        # ill-typed draws included: stuck redexes such as App(UnitV(), x)
+        # stay in the normal form exactly as step leaves them
+        ref = oracles.iterate_steps(sf.step, t, REFERENCE_FUEL)
+        assume(ref is not None)
+        assert sf.normalize(t) == ref
+
+    @given(scoped_terms(tydepth=1, tmdepth=2, size=10))
+    @settings(max_examples=300)
+    def test_erased_random_with_free_variables(self, t):
+        er = sf.erase(t)
+        ref = oracles.iterate_steps(oracles.ustep, er, REFERENCE_FUEL)
+        assume(ref is not None)
+        assert sf.unormalize(er) == ref
+
+
+# ---------------------------------------------------------------------------
+# deep Church numerals: normal forms with thousands of nodes
+# ---------------------------------------------------------------------------
+
+NAT = "forall a. (a -> a) -> a -> a"
+CHURCH = {d.name: d.term for d in sf.parse_program("\n".join(
+    [f"c{k} : {NAT} = /\\a. \\f:a -> a. \\x:a. " + "f (" * k + "x" + ")" * k
+     for k in (4, 5, 6)]
+    + [f"exp : ({NAT}) -> ({NAT}) -> {NAT} = "
+       f"\\m:{NAT}. \\n:{NAT}. /\\a. n [a -> a] (m [a])",
+       f"p1024 : {NAT} = exp c4 c5",  # 4^5
+       f"p1296 : {NAT} = exp c6 c4"]))}  # 6^4
+
+
+def church_value(nf, typed: bool) -> int:
+    """The numeral a normal form denotes, read off its spine without
+    recursion (dataclass == on a deep term would recurse)."""
+    lam, app, var = (Lam, App, Var) if typed else (ULam, UApp, UVar)
+    if typed:
+        assert isinstance(nf, TyLam)
+        nf = nf.body
+    assert isinstance(nf, lam) and isinstance(nf.body, lam)
+    t, n = nf.body.body, 0
+    while isinstance(t, app):
+        assert isinstance(t.fn, var) and t.fn.index == 1
+        t, n = t.arg, n + 1
+    assert isinstance(t, var) and t.index == 0
+    return n
+
+
+class TestDeepChurch:
+    @pytest.mark.parametrize("name, value", [("p1024", 1024), ("p1296", 1296)])
+    def test_typed_and_erased(self, name, value):
+        term = CHURCH[name]
+        nf = sf.normalize(term)
+        assert church_value(nf, typed=True) == value
+        assert sf.term_size(nf) == 2 * value + 4
+        enf = sf.unormalize(sf.erase(term))
+        assert church_value(enf, typed=False) == value
+        assert sf.term_size(enf) == 2 * value + 3
 
 
 # ---------------------------------------------------------------------------
