@@ -40,6 +40,7 @@ from .finmodel import (
     fn_id,
     fn_inverse,
     fn_label,
+    hash_once,
     label_key,
     prod_fn,
     product0,
@@ -53,6 +54,7 @@ from .rgalg import Report
 # witnessed relations
 # ---------------------------------------------------------------------------
 
+@hash_once
 @dataclass(frozen=True)
 class WitRel:
     """Relation with a finite set of witness labels per related pair."""
@@ -110,6 +112,7 @@ def lift_prop(r: PropRel) -> WitRel:
     return wrel(r.dom, r.cod, {k: (w,) for k, w in r.entries})
 
 
+@hash_once
 @dataclass(frozen=True)
 class WitRelMor:
     """Boundary maps plus an explicit action on witnesses."""
@@ -316,6 +319,7 @@ def weta_expo(a: FinSetObj, b: FinSetObj) -> WitRelMor:
 _FACES = ("top", "left", "bottom", "right")
 
 
+@hash_once
 @dataclass(frozen=True)
 class TwoRel:
     """Square of witnessed relations with a prop-valued filling predicate."""
@@ -391,6 +395,7 @@ def transpose2(q: TwoRel) -> TwoRel:
     return two_rel(q.left, q.top, q.right, q.bottom, cells)
 
 
+@hash_once
 @dataclass(frozen=True)
 class TwoRelMor:
     """Map of squares: edge morphisms sharing corner legs, cells preserved."""

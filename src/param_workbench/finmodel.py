@@ -49,17 +49,41 @@ def canon(labels) -> tuple:
     return tuple(sorted(set(labels), key=label_key))
 
 
+def hash_once(cls):
+    """Cache each record's hash in its instance dict on first use.
+
+    Tuples do not cache their hash, so a frozen record keyed by nested
+    tuples would re-hash its whole tree on every dict lookup.  The
+    cached value is read back as a plain instance attribute (a
+    cached_property costs more per lookup); equality is untouched.
+    """
+    compute = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = self.__dict__["_hash"] = compute(self)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
 # ---------------------------------------------------------------------------
 # level 0: finite sets and functions
 # ---------------------------------------------------------------------------
 
+@hash_once
 @dataclass(frozen=True)
 class FinSetObj:
     """Finite set; elements stored in canonical label order."""
     elements: tuple
 
     def __post_init__(self):
-        if self.elements != canon(self.elements):
+        # strictly increasing keys: canonically ordered and distinct
+        keys = [label_key(x) for x in self.elements]
+        if not all(map(operator.lt, keys, keys[1:])):
             raise ValueError("elements must be canonically ordered and distinct")
 
     def __contains__(self, x) -> bool:
@@ -76,6 +100,7 @@ def fin_set(labels) -> FinSetObj:
     return FinSetObj(canon(labels))
 
 
+@hash_once
 @dataclass(frozen=True)
 class FinFn:
     """Total function between finite sets, tabulated."""
@@ -144,6 +169,7 @@ def all_functions(a: FinSetObj, b: FinSetObj) -> Iterator[FinFn]:
 # level 1: propositional relations with structured witnesses
 # ---------------------------------------------------------------------------
 
+@hash_once
 @dataclass(frozen=True, eq=False)
 class PropRel:
     """Relation with at most one witness label per pair.
@@ -212,6 +238,7 @@ def eq_rel(a: FinSetObj) -> PropRel:
     return rel(a, a, {(x, x): refl(x) for x in a})
 
 
+@hash_once
 @dataclass(frozen=True)
 class PropRelMor:
     """Relation morphism; the witness action is forced by propositionality."""

@@ -8,6 +8,9 @@ the finite data, so every law is a decidable table comparison.
 
 Everything is generic over the morphism carriers: object and morphism
 ids are arbitrary hashable values, and nothing below inspects them.
+Tables are sorted by the repr of single ids, or by their ranks in the
+sorted object and morphism tables, never by repr of pairs: the order
+depends neither on how callers list entries nor on hashing.
 """
 
 from __future__ import annotations
@@ -96,12 +99,12 @@ class FinCategory:
     @cached_property
     def inverses(self) -> dict:
         """Two-sided inverses; a morphism appears iff it is an iso."""
+        hom: dict = {}
+        for m, s, t in self.morphisms:
+            hom.setdefault((s, t), []).append(m)
         out = {}
-        for f in self.mor_ids:
-            s, t = self.src[f], self.tgt[f]
-            for g in self.mor_ids:
-                if self.src[g] != t or self.tgt[g] != s:
-                    continue
+        for f, s, t in self.morphisms:
+            for g in hom.get((t, s), ()):
                 if (self.comp.get((g, f)) == self.id_of[s]
                         and self.comp.get((f, g)) == self.id_of[t]):
                     out[f] = g
@@ -112,31 +115,47 @@ class FinCategory:
         return f in self.inverses
 
 
+def _by_rank(ids: Iterable) -> Callable:
+    """Sort key placing each id at its position in ids; ids missing
+    from it (malformed input) follow, in repr order."""
+    rank = {x: i for i, x in enumerate(ids)}
+    n = len(rank)
+    return lambda x: (rank[x], "") if x in rank else (n, _rkey(x))
+
+
 def make_category(objects: Iterable, morphisms: dict, identity: dict,
                   compose: dict) -> FinCategory:
-    """Normalize tables into canonical (repr-sorted) tuple form.
+    """Normalize tables into canonical tuple form: objects and morphisms
+    sorted by repr, identity and compose by the ranks of their ids.
 
     morphisms: id -> (src, tgt); identity: obj -> id;
     compose: (g, f) -> id.
     """
     objs = tuple(sorted(objects, key=_rkey))
     mors = tuple(sorted(((m, s, t) for m, (s, t) in morphisms.items()), key=_rkey))
-    ids = tuple(sorted(identity.items(), key=_rkey))
-    comp = tuple(sorted(compose.items(), key=_rkey))
+    okey = _by_rank(objs)
+    mkey = _by_rank(m for m, _, _ in mors)
+    ids = tuple(sorted(identity.items(), key=lambda e: okey(e[0])))
+    comp = tuple(sorted(compose.items(),
+                        key=lambda e: (mkey(e[0][0]), mkey(e[0][1]))))
     return FinCategory(objs, mors, ids, comp)
 
 
 def category_from_morphisms(objects: Iterable, morphisms: dict,
                             identity: dict, compose_fn: Callable) -> FinCategory:
-    """Build the compose table by calling compose_fn on composable pairs."""
+    """Build the compose table by calling compose_fn on composable pairs;
+    a composite equal to a listed morphism is stored as that morphism's
+    own id, so lookups keyed by it match on identity."""
     mor_items = list(morphisms.items())
+    own = {m: m for m in morphisms}
     compose = {}
     by_src: dict = {}
     for m, (s, t) in mor_items:
         by_src.setdefault(s, []).append((m, t))
     for f, (fs, ft) in mor_items:
         for g, gt in by_src.get(ft, ()):
-            compose[(g, f)] = compose_fn(g, f)
+            h = compose_fn(g, f)
+            compose[(g, f)] = own.get(h, h)
     return make_category(objects, morphisms, identity, compose)
 
 
@@ -250,13 +269,17 @@ class CatFunctor:
 
 
 def make_cat_functor(on_obj: dict, on_mor: dict) -> CatFunctor:
-    return CatFunctor(tuple(sorted(on_obj.items(), key=_rkey)),
-                      tuple(sorted(on_mor.items(), key=_rkey)))
+    def key(e):
+        return _rkey(e[0])
+    return CatFunctor(tuple(sorted(on_obj.items(), key=key)),
+                      tuple(sorted(on_mor.items(), key=key)))
 
 
 def cat_functor_compose(g: CatFunctor, f: CatFunctor) -> CatFunctor:
-    return make_cat_functor({o: g.on_obj[v] for o, v in f.on_obj.items()},
-                            {m: g.on_mor[v] for m, v in f.on_mor.items()})
+    # tables are ordered by key alone and the composite has f's keys,
+    # so f's canonical order is already the composite's
+    return CatFunctor(tuple((o, g.on_obj[v]) for o, v in f.obj_map),
+                      tuple((m, g.on_mor[v]) for m, v in f.mor_map))
 
 
 def cat_functor_id(c: FinCategory) -> CatFunctor:

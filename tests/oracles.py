@@ -154,6 +154,26 @@ def all_two_mors(src: cb.TwoRel, tgt: cb.TwoRel) -> list:
     return out
 
 
+def quadratic_inverses(cat) -> dict:
+    """Two-sided inverses by scanning every morphism pair.
+
+    The scan FinCategory.inverses made before it grouped candidates by
+    hom-set; for each morphism it keeps the first inverse in mor_ids
+    order.
+    """
+    out = {}
+    for f in cat.mor_ids:
+        s, t = cat.src[f], cat.tgt[f]
+        for g in cat.mor_ids:
+            if cat.src[g] != t or cat.tgt[g] != s:
+                continue
+            if (cat.comp.get((g, f)) == cat.id_of[s]
+                    and cat.comp.get((f, g)) == cat.id_of[t]):
+                out[f] = g
+                break
+    return out
+
+
 def brute_expo1(r, s):
     """The level-1 exponential by exhaustive search.
 

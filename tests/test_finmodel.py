@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from param_workbench import cubemodel as cm
 from param_workbench import rgalg
 from param_workbench.finmodel import (
     STAR,
@@ -291,3 +292,51 @@ class TestBuildInstance:
                          (rg.level1, sub.selected1)):
             for m in sel:
                 assert cat.inverses[m] in sel
+
+
+def _swap() -> FinFn:
+    return fn(A2, A2, lambda x: 1 - x)
+
+
+# each builder makes a fresh, equal record of one hash_once class
+RECORD_BUILDERS = {
+    "FinSetObj": lambda: FinSetObj((0, 1)),
+    "FinFn": _swap,
+    "PropRel": lambda: graph_rel(_swap()),
+    "PropRelMor": lambda: eq_mor(_swap()),
+    "WitRel": lambda: cm.weq(A2),
+    "WitRelMor": lambda: cm.eq_wmor(_swap()),
+    "TwoRel": lambda: cm.degen2("horizontal", cm.weq(A2)),
+    "TwoRelMor": lambda: cm.degen2_mor("vertical", cm.eq_wmor(_swap())),
+}
+
+
+class TestHashOnce:
+    @pytest.mark.parametrize("name", sorted(RECORD_BUILDERS))
+    def test_equal_records_hash_and_compare_equal(self, name):
+        build = RECORD_BUILDERS[name]
+        x, y = build(), build()
+        assert type(x).__name__ == name
+        assert x is not y
+        assert x == y
+        assert hash(x) == hash(y)
+        assert hash(x) == hash(x)
+
+    @pytest.mark.parametrize("name", sorted(RECORD_BUILDERS))
+    def test_cached_hash_still_finds_the_record(self, name):
+        build = RECORD_BUILDERS[name]
+        x = build()
+        hash(x)
+        s, d = {x}, {x: name}
+        assert x in s and d[x] == name
+        # a fresh equal record computes its hash only now
+        y = build()
+        assert y in s and d[y] == name
+
+    def test_witness_labels_do_not_change_a_relations_hash(self):
+        r = rel(A2, A1, {(0, 0): ("w", 0), (1, 0): ("w", 1)})
+        s = rel(A2, A1, {(0, 0): "x", (1, 0): ("y", ("z",))})
+        assert r.entries != s.entries
+        assert r == s
+        assert hash(r) == hash(s)
+        assert {r: 1}[s] == 1

@@ -1,15 +1,22 @@
 """Two-level category algebra: validation, composition, whiskering, laws."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import oracles
+import param_workbench
 from param_workbench import finmodel as fm
 from param_workbench import rgalg
 from param_workbench.rgalg import (
     IsoSubcategory,
     Report,
     RgCategory,
+    cat_functor_compose,
     check_functor_tab,
     check_nat_tab,
     check_seven_maps,
@@ -115,6 +122,82 @@ class TestValidate:
         laws = [f.law for f in rep.failures]
         assert "x: morphism boundaries in object table" in laws
         assert not any("associativity" in law for law in laws)
+
+    def test_compose_naming_an_unknown_morphism_is_a_finding(self):
+        broken = make_category(["A"], {"a": ("A", "A")}, {"A": "a"},
+                               {("a", "a"): "a", ("zz", "a"): "a"})
+        rep = Report()
+        rgalg.check_category(broken, rep, "x")
+        assert "x: compose boundaries" in [f.law for f in rep.failures]
+
+    def test_identity_for_an_unknown_object_is_a_finding(self):
+        broken = make_category(["A"], {"a": ("A", "A")},
+                               {"A": "a", "Z": "a"}, {("a", "a"): "a"})
+        rep = Report()
+        rgalg.check_category(broken, rep, "x")
+        assert "x: identities are endomorphisms" in [
+            f.law for f in rep.failures]
+
+
+def _bound1_instances():
+    return [fm.build_instance(p, 1)[0] for p in fm.IsoPolicy]
+
+
+class TestRankedTables:
+    def test_inverses_match_the_quadratic_scan(self, rey_instance):
+        for rg in _bound1_instances() + [rey_instance[0]]:
+            for cat in (rg.level0, rg.level1):
+                assert cat.inverses == oracles.quadratic_inverses(cat)
+
+    def test_functor_composites_keep_the_canonical_order(self, rey_instance):
+        # CatFunctor equality compares the tuples, so this pins the order
+        for rg in _bound1_instances() + [rey_instance[0]]:
+            closure = rgalg._closure_of_maps(rg)
+            pairs = [(f, g) for sa, _, f in closure for _, tb, g in closure
+                     if tb == sa]
+            assert pairs
+            for f, g in pairs:
+                want = make_cat_functor(
+                    {o: f.on_obj[v] for o, v in g.on_obj.items()},
+                    {m: f.on_mor[v] for m, v in g.on_mor.items()})
+                assert cat_functor_compose(f, g) == want
+
+    def test_table_order_does_not_depend_on_the_input_order(self,
+                                                            rey_instance):
+        rg, _ = rey_instance
+        for cat in (rg.level0, rg.level1):
+            again = make_category(
+                reversed(cat.objects),
+                {m: (s, t) for m, s, t in reversed(cat.morphisms)},
+                dict(reversed(cat.identity)), dict(reversed(cat.compose)))
+            assert again == cat
+
+    def test_table_order_does_not_depend_on_the_hash_seed(self):
+        script = (
+            "import hashlib\n"
+            "from param_workbench import finmodel as fm\n"
+            "rg, _ = fm.build_instance(fm.IsoPolicy.REY, 2)\n"
+            "h = hashlib.sha256()\n"
+            "for cat in (rg.level0, rg.level1):\n"
+            "    rank = {m: i for i, m in enumerate(cat.mor_ids)}\n"
+            "    h.update(repr(cat.objects).encode())\n"
+            "    h.update(repr(cat.mor_ids).encode())\n"
+            "    h.update(repr([(rank[g], rank[f], rank[gf])\n"
+            "                   for (g, f), gf in cat.compose]).encode())\n"
+            "print(h.hexdigest())\n")
+        src = str(Path(param_workbench.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        procs = [subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed})
+            for seed in ("0", "4242")]
+        try:
+            digests = [p.communicate(timeout=300)[0].strip() for p in procs]
+        finally:
+            for p in procs:
+                p.kill()
+        assert [p.returncode for p in procs] == [0, 0]
+        assert digests[0] and digests[0] == digests[1]
 
 
 class TestSevenMaps:
