@@ -27,22 +27,20 @@ from .finmodel import (
     FinSetObj,
     Label,
     PropRel,
-    PropRelMor,
     all_functions,
     apply_label,
     atom_objects,
     bang0,
     canon,
     expo0,
+    expo0_action,
     fin_set,
-    fn,
     fn_compose,
     fn_id,
     fn_inverse,
     fn_label,
     hash_once,
     label_key,
-    prod_fn,
     product0,
     refl,
     terminal0,
@@ -174,13 +172,6 @@ def wit_mor(src: WitRel, tgt: WitRel, f: FinFn, g: FinFn, send) -> WitRelMor:
     return WitRelMor(src, tgt, f, g, entries)
 
 
-def try_wit_mor(src: WitRel, tgt: WitRel, f: FinFn, g: FinFn, send) -> Optional[WitRelMor]:
-    try:
-        return wit_mor(src, tgt, f, g, send)
-    except (ValueError, KeyError):
-        return None
-
-
 def wit_mor_id(r: WitRel) -> WitRelMor:
     return wit_mor(r, r, fn_id(r.dom), fn_id(r.cod), lambda a, b, w: w)
 
@@ -205,11 +196,6 @@ def eq_wmor(f: FinFn) -> WitRelMor:
     return wit_mor(weq(f.dom), weq(f.cod), f, f, lambda a, b, w: refl(f(a)))
 
 
-def lift_prop_mor(m: PropRelMor) -> WitRelMor:
-    return wit_mor(lift_prop(m.src), lift_prop(m.tgt), m.f, m.g,
-                   lambda a, b, w: m.tgt.wit(m.f(a), m.g(b)))
-
-
 # ---------------------------------------------------------------------------
 # cartesian structure on witnessed relations
 # ---------------------------------------------------------------------------
@@ -231,13 +217,6 @@ def wprod(r: WitRel, s: WitRel) -> WitRel:
             wit[(("pr", a, c), ("pr", b, d))] = tuple(
                 ("wpair", w1, w2) for w1 in ws1 for w2 in ws2)
     return wrel(product0(r.dom, s.dom), product0(r.cod, s.cod), wit)
-
-
-def wprod_mor(m: WitRelMor, n: WitRelMor) -> WitRelMor:
-    def send(a, b, w):
-        return ("wpair", m.send(a[1], b[1], w[1]), n.send(a[2], b[2], w[2]))
-    return wit_mor(wprod(m.src, n.src), wprod(m.tgt, n.tgt),
-                   prod_fn(m.f, n.f), prod_fn(m.g, n.g), send)
 
 
 def _wtab(entries) -> Label:
@@ -270,15 +249,8 @@ def wexpo(r: WitRel, s: WitRel) -> WitRel:
 def wexpo_mor(m: WitRelMor, n: WitRelMor) -> WitRelMor:
     """Action of the exponential: m must be invertible (contravariant slot)."""
     mi = wit_mor_inverse(m)
-
-    def relabel(pre: FinFn, post: FinFn, dom_e: FinSetObj, cod_e: FinSetObj) -> FinFn:
-        def go(lbl):
-            return fn_label(fn(pre.dom, post.cod,
-                               lambda x: post(apply_label(lbl, pre(x)))))
-        return fn(dom_e, cod_e, go)
-
-    fleg = relabel(mi.f, n.f, expo0(m.src.dom, n.src.dom), expo0(m.tgt.dom, n.tgt.dom))
-    gleg = relabel(mi.g, n.g, expo0(m.src.cod, n.src.cod), expo0(m.tgt.cod, n.tgt.cod))
+    fleg = expo0_action(m.f, n.f)
+    gleg = expo0_action(m.g, n.g)
 
     def send(lf, lg, tab):
         entries = []
@@ -574,12 +546,6 @@ def sqprod(q1: TwoRel, q2: TwoRel) -> TwoRel:
                   ("wpair", r1, r2), ("wpair", s1, s2))))
     return two_rel(wprod(q1.top, q2.top), wprod(q1.left, q2.left),
                    wprod(q1.bottom, q2.bottom), wprod(q1.right, q2.right), cells)
-
-
-def sqprod_mor(m: TwoRelMor, n: TwoRelMor) -> TwoRelMor:
-    return TwoRelMor(sqprod(m.src, n.src), sqprod(m.tgt, n.tgt),
-                     wprod_mor(m.top, n.top), wprod_mor(m.left, n.left),
-                     wprod_mor(m.bottom, n.bottom), wprod_mor(m.right, n.right))
 
 
 def sqexpo(q1: TwoRel, q2: TwoRel) -> TwoRel:

@@ -14,6 +14,11 @@ a fixed finite ProbeUniverse: a family element must pick a value at
 every probe object, carry every probe relation, and (under the crey
 policy) commute with the universe's relevant bijections.  Every claim
 this module checks about quantified types is relative to that universe.
+
+Trees also act on isomorphisms, but only at level 0 (evaluate_mor):
+the crey membership clause and naturality transport along level-0
+bijections only, and a level-1 morphism is propositional, so it is
+forced by its two level-0 faces once they exist.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import itertools
 import json
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from . import cubemodel as cm
 from . import rgalg
@@ -33,7 +38,6 @@ from .finmodel import (
     PropRel,
     PropRelMor,
     all_functions,
-    apply_label,
     bang0,
     bang1,
     eq_mor,
@@ -41,6 +45,7 @@ from .finmodel import (
     eval0,
     eval1,
     expo0,
+    expo0_action,
     expo1,
     eta_expo,
     eta_prod,
@@ -49,8 +54,6 @@ from .finmodel import (
     fn,
     fn_compose,
     fn_id,
-    fn_inverse,
-    fn_label,
     fst0,
     fst1,
     graph_rel,
@@ -66,7 +69,6 @@ from .finmodel import (
     rel,
     rel_mor_compose,
     rel_mor_id,
-    rel_mor_inverse,
     snd0,
     snd1,
     terminal0,
@@ -150,25 +152,9 @@ class FForall(TypeFunctor):
         return self.body.arity - 1
 
 
-@dataclass(frozen=True)
-class FSubst(TypeFunctor):
-    """Unexpanded substitution; kept so lazy and eager readings can be
-    compared, never produced by substitute itself."""
-    arity: int
-    inner: TypeFunctor
-    args: tuple
-
-    def __post_init__(self):
-        if len(self.args) != self.inner.arity:
-            raise ValueError("argument count must match the inner arity")
-        for a in self.args:
-            if a.arity != self.arity:
-                raise ValueError("substitution arguments disagree on arity")
-
-
 def substitute(g: TypeFunctor, args: Sequence[TypeFunctor],
                out_arity: Optional[int] = None) -> TypeFunctor:
-    """Plug args into g's slots, eagerly, producing a tree with no FSubst."""
+    """Plug args into g's slots."""
     args = tuple(args)
     if len(args) != g.arity:
         raise ValueError(f"expected {g.arity} arguments, got {len(args)}")
@@ -189,8 +175,6 @@ def substitute(g: TypeFunctor, args: Sequence[TypeFunctor],
     if isinstance(g, FForall):
         lifted = tuple(weaken(a) for a in args) + (FProj(n + 1, n),)
         return FForall(substitute(g.body, lifted, n + 1))
-    if isinstance(g, FSubst):
-        return substitute(g.inner, tuple(substitute(a, args, n) for a in g.args), n)
     raise TypeError(f"not a type functor: {g!r}")
 
 
@@ -228,18 +212,6 @@ class EnvL:
     @property
     def witnessed(self) -> bool:
         return any(isinstance(e, (cm.WitRel, cm.TwoRel)) for e in self.entries)
-
-
-def env0(*objs: FinSetObj) -> EnvL:
-    return EnvL(0, tuple(objs))
-
-
-def env1(*rels) -> EnvL:
-    return EnvL(1, tuple(rels))
-
-
-def env2(*squares) -> EnvL:
-    return EnvL(2, tuple(squares))
 
 
 def eq_env(e: EnvL) -> EnvL:
@@ -431,13 +403,25 @@ def evaluate(f: TypeFunctor, env: EnvL, u: Optional[ProbeUniverse] = None):
     return _evaluate(f, env, u)
 
 
+def _formers(env: EnvL) -> tuple:
+    """The unit, product and exponential of the environment's level.
+
+    Looked up per call, not tabled at import, so that patching a
+    module name (as perfbench's tracer does) reaches these calls too.
+    """
+    if env.level == 0:
+        return terminal0, product0, expo0
+    if env.level == 2:
+        return cm.squnit, cm.sqprod, cm.sqexpo
+    if env.witnessed:
+        return cm.wunit_rel, cm.wprod, cm.wexpo
+    return terminal1, product1, expo1
+
+
 def _evaluate(f: TypeFunctor, env: EnvL, u: Optional[ProbeUniverse]):
     _check_arity(f, env)
     if isinstance(f, FProj):
         return env.entries[f.index]
-    if isinstance(f, FSubst):
-        inner_env = EnvL(env.level, tuple(evaluate(a, env, u) for a in f.args))
-        return evaluate(f.inner, inner_env, u)
     if isinstance(f, FForall):
         if u is None:
             raise ValueError("quantifier evaluation needs a probe universe")
@@ -447,101 +431,51 @@ def _evaluate(f: TypeFunctor, env: EnvL, u: Optional[ProbeUniverse]):
             return forall1_value(f.body, env.entries, u)
         raise ValueError("quantifiers evaluate over plain relations only; "
                          "use the square layer's membership checker instead")
-    if env.level == 0:
-        if isinstance(f, FUnit):
-            return terminal0()
-        if isinstance(f, FProd):
-            return product0(evaluate(f.left, env, u), evaluate(f.right, env, u))
-        if isinstance(f, FArrow):
-            return expo0(evaluate(f.dom, env, u), evaluate(f.cod, env, u))
-    elif env.level == 1 and not env.witnessed:
-        if isinstance(f, FUnit):
-            return terminal1()
-        if isinstance(f, FProd):
-            return product1(evaluate(f.left, env, u), evaluate(f.right, env, u))
-        if isinstance(f, FArrow):
-            return expo1(evaluate(f.dom, env, u), evaluate(f.cod, env, u))
-    elif env.level == 1:
-        if isinstance(f, FUnit):
-            return cm.wunit_rel()
-        if isinstance(f, FProd):
-            return cm.wprod(evaluate(f.left, env, u), evaluate(f.right, env, u))
-        if isinstance(f, FArrow):
-            return cm.wexpo(evaluate(f.dom, env, u), evaluate(f.cod, env, u))
-    else:
-        if isinstance(f, FUnit):
-            return cm.squnit()
-        if isinstance(f, FProd):
-            return cm.sqprod(evaluate(f.left, env, u), evaluate(f.right, env, u))
-        if isinstance(f, FArrow):
-            return cm.sqexpo(evaluate(f.dom, env, u), evaluate(f.cod, env, u))
+    unit, prod, expo = _formers(env)
+    if isinstance(f, FUnit):
+        return unit()
+    if isinstance(f, FProd):
+        return prod(evaluate(f.left, env, u), evaluate(f.right, env, u))
+    if isinstance(f, FArrow):
+        return expo(evaluate(f.dom, env, u), evaluate(f.cod, env, u))
     raise TypeError(f"not a type functor: {f!r}")
 
 
-def _expo0_action(pre: FinFn, post: FinFn) -> FinFn:
-    """Relabel function tables by precomposition and postcomposition."""
-    src = expo0(pre.dom, post.dom)
-    tgt = expo0(pre.cod, post.cod)
-    back = fn_inverse(pre)
-
-    def go(lbl):
-        return fn_label(fn(pre.cod, post.cod,
-                           lambda x: post(apply_label(lbl, back(x)))))
-
-    return fn(src, tgt, go)
+def _expo1_action(m: PropRelMor, n: PropRelMor) -> PropRelMor:
+    """(m ⇒ n) on relation morphisms; m runs against the arrow, so it
+    must be an isomorphism."""
+    if not m.is_iso:
+        raise ValueError("not an isomorphism")
+    return PropRelMor(expo1(m.src, n.src), expo1(m.tgt, n.tgt),
+                      expo0_action(m.f, n.f), expo0_action(m.g, n.g))
 
 
-def _expo1_action(m_rev: PropRelMor, n: PropRelMor) -> PropRelMor:
-    """(m ⇒ n) on relation squares; m_rev runs against the arrow."""
-    src = expo1(m_rev.tgt, n.src)
-    tgt = expo1(m_rev.src, n.tgt)
-    fleg = _expo0_action(fn_inverse(m_rev.f), n.f)
-    gleg = _expo0_action(fn_inverse(m_rev.g), n.g)
-    return PropRelMor(src, tgt, fleg, gleg)
+def evaluate_mor(f: TypeFunctor, isos, u: Optional[ProbeUniverse] = None) -> FinFn:
+    """Functorial action on a tuple of level-0 bijections.
 
-
-def evaluate_mor(f: TypeFunctor, menv, u: Optional[ProbeUniverse] = None):
-    """Functorial action on a tuple of relevant isomorphisms.
-
-    menv holds FinFn bijections (level 0) or PropRelMor isomorphisms
-    (level 1); the result is the same kind of morphism between the two
-    environment evaluations.
+    The result is a bijection between the tree's values at the isos'
+    domains and codomains.  Level 0 is the only level needed: the crey
+    membership clause and naturality transport along level-0 bijections
+    only, and a level-1 morphism is forced by its two level-0 faces.
     """
-    entries = tuple(menv)
-    level = 0 if all(isinstance(m, FinFn) for m in entries) else 1
-    if level == 0 and not all(m.is_bijection for m in entries):
-        raise ValueError("level-0 transports must be bijections")
-    if level == 1:
-        if not all(isinstance(m, PropRelMor) for m in entries):
-            raise ValueError("transport environments cannot mix levels")
-        if not all(m.is_iso for m in entries):
-            raise ValueError("level-1 transports must be isomorphisms")
-    if f.arity != len(entries):
-        raise ValueError(f"arity {f.arity} tree fed {len(entries)} transports")
+    isos = tuple(isos)
+    if not all(isinstance(m, FinFn) and m.is_bijection for m in isos):
+        raise ValueError("transports must be level-0 bijections")
+    if f.arity != len(isos):
+        raise ValueError(f"arity {f.arity} tree fed {len(isos)} transports")
 
     if isinstance(f, FProj):
-        return entries[f.index]
-    if isinstance(f, FSubst):
-        return evaluate_mor(f.inner, tuple(evaluate_mor(a, entries, u)
-                                           for a in f.args), u)
+        return isos[f.index]
     if isinstance(f, FUnit):
-        return fn_id(terminal0()) if level == 0 else rel_mor_id(terminal1())
+        return fn_id(terminal0())
     if isinstance(f, FProd):
-        l = evaluate_mor(f.left, entries, u)
-        r = evaluate_mor(f.right, entries, u)
-        return prod_fn(l, r) if level == 0 else prod_mor(l, r)
+        return prod_fn(evaluate_mor(f.left, isos, u), evaluate_mor(f.right, isos, u))
     if isinstance(f, FArrow):
-        d = evaluate_mor(f.dom, entries, u)
-        c = evaluate_mor(f.cod, entries, u)
-        if level == 0:
-            return _expo0_action(fn_inverse(d), c)
-        return _expo1_action(rel_mor_inverse(d), c)
+        return expo0_action(evaluate_mor(f.dom, isos, u), evaluate_mor(f.cod, isos, u))
     if isinstance(f, FForall):
         if u is None:
             raise ValueError("quantifier transport needs a probe universe")
-        if level == 0:
-            return _forall0_transport(f.body, entries, u)
-        return _forall1_transport(f.body, entries, u)
+        return _forall0_transport(f.body, isos, u)
     raise TypeError(f"not a type functor: {f!r}")
 
 
@@ -647,17 +581,6 @@ def _forall0_transport(body: TypeFunctor, isos: tuple, u: ProbeUniverse) -> FinF
     return fn(src, tgt, move)
 
 
-def _forall1_transport(body: TypeFunctor, isos: tuple, u: ProbeUniverse) -> PropRelMor:
-    src = forall1_value(body, tuple(m.src for m in isos), u)
-    tgt = forall1_value(body, tuple(m.tgt for m in isos), u)
-    fleg = _forall0_transport(body, tuple(m.f for m in isos), u)
-    gleg = _forall0_transport(body, tuple(m.g for m in isos), u)
-    out = try_rel_mor(src, tgt, fleg, gleg)
-    if out is None:
-        raise ValueError("family transport does not preserve relatedness")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the comparison isomorphism at equality environments
 # ---------------------------------------------------------------------------
@@ -700,7 +623,7 @@ def _epsilon_iso(f: TypeFunctor, env: tuple, u) -> PropRelMor:
     if isinstance(f, FArrow):
         a = evaluate(f.dom, EnvL(0, env), u)
         b = evaluate(f.cod, EnvL(0, env), u)
-        action = _expo1_action(rel_mor_inverse(_epsilon_iso(f.dom, env, u)),
+        action = _expo1_action(_epsilon_iso(f.dom, env, u),
                                _epsilon_iso(f.cod, env, u))
         return rel_mor_compose(action, eta_expo(a, b))
     if isinstance(f, FForall):
@@ -713,13 +636,6 @@ def _epsilon_iso(f: TypeFunctor, env: tuple, u) -> PropRelMor:
             raise ClosureError("universe is not closed under equalities of "
                                "its own probes")
         return out
-    if isinstance(f, FSubst):
-        # composite reading: inner's action on the argument comparisons,
-        # after inner's own comparison at the argument values
-        argvals = tuple(evaluate(a, EnvL(0, env), u) for a in f.args)
-        arg_isos = tuple(_epsilon_iso(a, env, u) for a in f.args)
-        return rel_mor_compose(evaluate_mor(f.inner, arg_isos, u),
-                               _epsilon_iso(f.inner, argvals, u))
     raise TypeError(f"not a type functor: {f!r}")
 
 
@@ -872,17 +788,9 @@ def ctx_compose(g: CtxMor, f: CtxMor) -> CtxMor:
                   tuple(substitute(c, f.comps, f.src) for c in g.comps))
 
 
-def ctx_bang(n: int) -> CtxMor:
-    return CtxMor(n, 0, ())
-
-
 def ctx_proj(n: int) -> CtxMor:
     """The weakening n+1 -> n dropping the freshest slot."""
     return CtxMor(n + 1, n, tuple(FProj(n + 1, i) for i in range(n)))
-
-
-def ctx_last(n: int) -> CtxMor:
-    return CtxMor(n + 1, 1, (FProj(n + 1, n),))
 
 
 def ctx_pair(f: CtxMor, g: CtxMor) -> CtxMor:
@@ -890,6 +798,11 @@ def ctx_pair(f: CtxMor, g: CtxMor) -> CtxMor:
     if f.src != g.src or g.tgt != 1:
         raise ValueError("pairing needs a common source and a single fresh slot")
     return CtxMor(f.src, f.tgt + 1, f.comps + g.comps)
+
+
+def _env_along(f: CtxMor, env: EnvL, u: Optional[ProbeUniverse]) -> EnvL:
+    """The environment f's components evaluate to at env."""
+    return EnvL(env.level, tuple(evaluate(c, env, u) for c in f.comps))
 
 
 def reindex(f: CtxMor, x, u: Optional[ProbeUniverse] = None):
@@ -902,8 +815,7 @@ def reindex(f: CtxMor, x, u: Optional[ProbeUniverse] = None):
         uu = u or x.universe
 
         def comp(env: EnvL):
-            return x.at(EnvL(env.level,
-                             tuple(evaluate(c, env, uu) for c in f.comps)))
+            return x.at(_env_along(f, env, uu))
 
         return NatRep(substitute(x.source, f.comps, f.src),
                       substitute(x.target, f.comps, f.src),
@@ -942,41 +854,33 @@ class FiberCcc:
     arity: int
     universe: Optional[ProbeUniverse] = None
 
-    def terminal(self) -> TypeFunctor:
-        return FUnit(self.arity)
-
-    def bang(self, x: TypeFunctor) -> NatRep:
+    def _pointwise(self, name: str, source: TypeFunctor, target: TypeFunctor,
+                   parts: tuple, at0: Callable, at1: Callable) -> NatRep:
+        """The transformation whose component applies at0 (level 0) or
+        at1 (level 1) to the values of parts."""
         u = self.universe
 
         def comp(env: EnvL):
             _fiber_levels(env)
-            val = evaluate(x, env, u)
-            return bang0(val) if env.level == 0 else bang1(val)
+            vals = [evaluate(p, env, u) for p in parts]
+            return at0(*vals) if env.level == 0 else at1(*vals)
 
-        return NatRep(x, self.terminal(), comp, u, "!")
+        return NatRep(source, target, comp, u, name)
+
+    def terminal(self) -> TypeFunctor:
+        return FUnit(self.arity)
+
+    def bang(self, x: TypeFunctor) -> NatRep:
+        return self._pointwise("!", x, self.terminal(), (x,), bang0, bang1)
 
     def prod(self, x: TypeFunctor, y: TypeFunctor) -> TypeFunctor:
         return FProd(x, y)
 
     def p1(self, x: TypeFunctor, y: TypeFunctor) -> NatRep:
-        u = self.universe
-
-        def comp(env: EnvL):
-            _fiber_levels(env)
-            a, b = evaluate(x, env, u), evaluate(y, env, u)
-            return fst0(a, b) if env.level == 0 else fst1(a, b)
-
-        return NatRep(FProd(x, y), x, comp, u, "p1")
+        return self._pointwise("p1", FProd(x, y), x, (x, y), fst0, fst1)
 
     def p2(self, x: TypeFunctor, y: TypeFunctor) -> NatRep:
-        u = self.universe
-
-        def comp(env: EnvL):
-            _fiber_levels(env)
-            a, b = evaluate(x, env, u), evaluate(y, env, u)
-            return snd0(a, b) if env.level == 0 else snd1(a, b)
-
-        return NatRep(FProd(x, y), y, comp, u, "p2")
+        return self._pointwise("p2", FProd(x, y), y, (x, y), snd0, snd1)
 
     def pair(self, f: NatRep, g: NatRep) -> NatRep:
         if f.source != g.source:
@@ -994,14 +898,8 @@ class FiberCcc:
         return FArrow(x, y)
 
     def ev(self, x: TypeFunctor, y: TypeFunctor) -> NatRep:
-        u = self.universe
-
-        def comp(env: EnvL):
-            _fiber_levels(env)
-            a, b = evaluate(x, env, u), evaluate(y, env, u)
-            return eval0(a, b) if env.level == 0 else eval1(a, b)
-
-        return NatRep(FProd(FArrow(x, y), x), y, comp, u, "ev")
+        return self._pointwise("ev", FProd(FArrow(x, y), x), y, (x, y),
+                               eval0, eval1)
 
     def lam(self, f: NatRep) -> NatRep:
         """Curry f : Z × X -> Y into Z -> (X ⇒ Y)."""
@@ -1031,6 +929,17 @@ def fiber_ccc(n: int, u: Optional[ProbeUniverse] = None) -> FiberCcc:
 # the probe-bounded quantifier adjunction
 # ---------------------------------------------------------------------------
 
+def _forced_by_faces(comp0: Callable, env: EnvL, src: PropRel, tgt: PropRel,
+                     error: Exception) -> PropRelMor:
+    """The level-1 component whose legs are comp0 at env's two level-0
+    faces; raises error when those legs do not preserve relatedness."""
+    out = try_rel_mor(src, tgt, comp0(_face_env(env, "dom")),
+                      comp0(_face_env(env, "cod")))
+    if out is None:
+        raise error
+    return out
+
+
 def counit(g: TypeFunctor, u: ProbeUniverse) -> NatRep:
     """Instantiate a quantified value at the environment's fresh entry.
 
@@ -1056,14 +965,9 @@ def counit(g: TypeFunctor, u: ProbeUniverse) -> NatRep:
         r = env.entries[-1]
         if r not in u.index1:
             raise ClosureError("relation entry is not a probe")
-        src = evaluate(source, env, u)
-        tgt = evaluate(g, env, u)
-        fleg = comp0(_face_env(env, "dom"))
-        gleg = comp0(_face_env(env, "cod"))
-        out = try_rel_mor(src, tgt, fleg, gleg)
-        if out is None:
-            raise ClosureError("family relatedness does not cover this probe")
-        return out
+        return _forced_by_faces(
+            comp0, env, evaluate(source, env, u), evaluate(g, env, u),
+            ClosureError("family relatedness does not cover this probe"))
 
     return NatRep(source, g, comp, u, "inst")
 
@@ -1098,14 +1002,9 @@ def transpose(f: TypeFunctor, g: TypeFunctor, eta: NatRep,
             return comp0(env)
         if env.level != 1 or env.witnessed:
             raise ValueError("transposed components live at levels 0/1")
-        src = evaluate(f, env, u)
-        tgt = forall1_value(g, env.entries, u)
-        fleg = comp0(_face_env(env, "dom"))
-        gleg = comp0(_face_env(env, "cod"))
-        out = try_rel_mor(src, tgt, fleg, gleg)
-        if out is None:
-            raise ValueError("packaged families fail to stay related")
-        return out
+        return _forced_by_faces(
+            comp0, env, evaluate(f, env, u), forall1_value(g, env.entries, u),
+            ValueError("packaged families fail to stay related"))
 
     return NatRep(f, FForall(g), comp, u, f"pack({eta.name})")
 
@@ -1247,9 +1146,11 @@ def fibration_suite(policy: IsoPolicy = IsoPolicy.REY, bound: int = 2,
         report.add(f"subst {i}: identity tuple is inert",
                    substitute(g, ctx_id(n).comps, n) == g)
         f = _rng_ctx_mor(rng, rng.choice((0, 1, 2)), n, pool)
-        lazy = FSubst(f.src, g, f.comps)
         eager = substitute(g, f.comps, f.src)
-        diff = _functors_agree(lazy, eager, u)
+        diff = next((f"values differ at {_env_tag(env)}"
+                     for level in (0, 1) for env in probe_envs(u, f.src, level)
+                     if evaluate(g, _env_along(f, env, u), u)
+                     != evaluate(eager, env, u)), None)
         report.check(f"subst {i}: lazy and eager readings agree", diff)
 
     # splitness and the generic object
@@ -1337,17 +1238,6 @@ def _nat_cross(ccc: FiberCcc, f: NatRep, g: NatRep) -> NatRep:
     return ccc.pair(nat_compose(f, ccc.p1(a, b)), nat_compose(g, ccc.p2(a, b)))
 
 
-def _functors_agree(f: TypeFunctor, g: TypeFunctor, u: ProbeUniverse,
-                    levels: tuple = (0, 1)) -> Optional[str]:
-    if f.arity != g.arity:
-        return "arity mismatch"
-    for level in levels:
-        for env in probe_envs(u, f.arity, level):
-            if evaluate(f, env, u) != evaluate(g, env, u):
-                return f"values differ at {_env_tag(env)}"
-    return None
-
-
 def adhoc_roundtrip_search(u: ProbeUniverse, body: TypeFunctor,
                            cap: int = 4096) -> str:
     """Hunt for componentwise-defined transformations that break the
@@ -1379,13 +1269,9 @@ def adhoc_roundtrip_search(u: ProbeUniverse, body: TypeFunctor,
                     raise ClosureError("off-probe candidate query")
                 return fn(terminal0(), evaluate(body, env, u),
                           lambda _x: combo[u.index0[a]])
-            out = try_rel_mor(evaluate(wunit, env, u),
-                              evaluate(body, env, u),
-                              comp(_face_env(env, "dom")),
-                              comp(_face_env(env, "cod")))
-            if out is None:
-                raise ValueError("not a transformation")
-            return out
+            return _forced_by_faces(comp, env, evaluate(wunit, env, u),
+                                    evaluate(body, env, u),
+                                    ValueError("not a transformation"))
         return NatRep(wunit, body, comp, u, "candidate")
 
     survivors = 0

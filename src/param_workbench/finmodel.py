@@ -296,12 +296,6 @@ def rel_mor_compose(m2: PropRelMor, m1: PropRelMor) -> PropRelMor:
     return PropRelMor(m1.src, m2.tgt, fn_compose(m2.f, m1.f), fn_compose(m2.g, m1.g))
 
 
-def rel_mor_inverse(m: PropRelMor) -> PropRelMor:
-    if not m.is_iso:
-        raise ValueError("not an isomorphism")
-    return PropRelMor(m.tgt, m.src, fn_inverse(m.f), fn_inverse(m.g))
-
-
 def eq_mor(f: FinFn) -> PropRelMor:
     # functorial: sends the witness refl(a) to refl(f a)
     return PropRelMor(eq_rel(f.dom), eq_rel(f.cod), f, f)
@@ -348,6 +342,17 @@ def expo0(a: FinSetObj, b: FinSetObj) -> FinSetObj:
 
 def apply_label(lbl: Label, x):
     return dict(lbl[1])[x]
+
+
+def expo0_action(d: FinFn, c: FinFn) -> FinFn:
+    """The exponential's action: table lbl goes to c∘lbl∘d⁻¹, from
+    (d.dom ⇒ c.dom) to (d.cod ⇒ c.cod); d must be a bijection."""
+    back = fn_inverse(d)
+
+    def go(lbl):
+        return fn_label(fn(d.cod, c.cod, lambda x: c(apply_label(lbl, back(x)))))
+
+    return fn(expo0(d.dom, c.dom), expo0(d.cod, c.cod), go)
 
 
 def eval0(a: FinSetObj, b: FinSetObj) -> FinFn:

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 from . import cubemodel as cm
 from . import fibration as fib
 from . import systemf as sf
-from .finmodel import FinSetObj, PropRel, eq_rel, rel
+from .finmodel import PropRel, eq_rel, rel
 from .fibration import (
     ClosureBound,
     ClosureError,
@@ -139,10 +139,6 @@ def interp_term(tyctx_depth: int, termctx: Sequence[sf.Type], t: sf.Term,
     nat = _interp(tyctx_depth, ctx, t, u)
     pretty = sf.pretty_term(t, tyctx_depth, len(ctx))
     return replace(nat, name=f"interp({pretty})")
-
-
-def interp_closed(t: sf.Term, u: Optional[ProbeUniverse] = None) -> NatRep:
-    return interp_term(0, (), t, u)
 
 
 def _interp(n: int, ctx: tuple, t: sf.Term, u: ProbeUniverse) -> NatRep:
@@ -317,8 +313,8 @@ def abstraction_check(t: sf.Term, rel_env: Sequence[PropRel] = (),
     if not res.ok:
         # Closure-exceeded is a refusal to interpret, not a refutation;
         # record it as a skip and leave the term to the erased checker.
-        report.add("universe closure for the term", True,
-                   f"skipped: {res.reason or 'closure exceeded'}")
+        report.skip("universe closure for the term",
+                    res.reason or "closure exceeded")
         return report
     uu = res.universe
     nat = interp_term(0, (), t, uu)
@@ -445,9 +441,8 @@ def _check_related(ty: sf.Type, rho: list, lhs, rhs, fuel,
         case sf.ArrowT(d, c):
             args = _enumerate_related(d, rho)
             if args is None:
-                skips.append(f"skipped: argument type "
-                             f"{sf.pretty_type(d, len(rho))} is not finitely "
-                             "enumerable from the instances")
+                skips.append(f"argument type {sf.pretty_type(d, len(rho))} "
+                             "is not finitely enumerable from the instances")
                 return None
             for ua, ub in args:
                 la = sf.unormalize(sf.UApp(lhs, ua), fuel)
@@ -457,7 +452,7 @@ def _check_related(ty: sf.Type, rho: list, lhs, rhs, fuel,
                     return f"at arguments ({ua!r}, {ub!r}): {why}"
             return None
         case sf.ForallT(_):
-            skips.append("skipped: nested quantifier is not instantiated "
+            skips.append("nested quantifier is not instantiated "
                          "by the erased checker")
             return None
     raise TypeError(f"not a type: {ty!r}")
@@ -550,8 +545,8 @@ def free_theorem_check(t: sf.Term,
         why = _check_related(body, list(combo), er, er, fuel, skips)
         tag = "*".join(inst.tag() for inst in combo)
         report.add(f"related to itself at {tag}", why is None, why or "")
-        for msg in skips:
-            report.add(f"related to itself at {tag}", True, msg)
+        for reason in skips:
+            report.skip(f"related to itself at {tag}", reason)
     return report
 
 

@@ -28,11 +28,17 @@ from typing import Callable, Iterable, Optional
 @dataclass(frozen=True)
 class Finding:
     law: str
-    passed: bool
+    status: str  # "pass", "fail" or "skip"
     detail: str = ""
 
+    @property
+    def passed(self) -> bool:
+        """Not failed: a skip refutes nothing, though it checks nothing."""
+        return self.status != "fail"
+
     def row(self) -> dict:
-        return {"law": self.law, "passed": self.passed, "detail": self.detail}
+        return {"law": self.law, "passed": self.passed, "status": self.status,
+                "detail": self.detail}
 
 
 @dataclass
@@ -40,15 +46,24 @@ class Report:
     findings: list[Finding] = field(default_factory=list)
 
     def add(self, law: str, passed: bool, detail: str = "") -> None:
-        self.findings.append(Finding(law, passed, detail))
+        self.findings.append(Finding(law, "pass" if passed else "fail", detail))
 
     def check(self, law: str, witness: Optional[str]) -> None:
         """witness is None when the law holds, else a counterexample."""
-        self.findings.append(Finding(law, witness is None, witness or ""))
+        self.add(law, witness is None, witness or "")
+
+    def skip(self, law: str, reason: str) -> None:
+        """Record an obligation left unchecked, and why."""
+        self.findings.append(Finding(law, "skip", f"skipped: {reason}"))
 
     @property
     def ok(self) -> bool:
+        """No failures; skips do not count against a report."""
         return all(f.passed for f in self.findings)
+
+    @property
+    def skips(self) -> list[Finding]:
+        return [f for f in self.findings if f.status == "skip"]
 
     @property
     def failures(self) -> list[Finding]:
@@ -634,10 +649,6 @@ def nats_equal(a: RgNatTab, b: RgNatTab, probes: Probes) -> Optional[str]:
 
 
 # -- constructors -----------------------------------------------------------
-
-def _tuple_id0(rg: RgCategory, t: tuple) -> tuple:
-    return tuple(rg.level0.id_of[o] for o in t)
-
 
 def id_functor(rg: RgCategory, arity: int) -> RgFunctorTab:
     return RgFunctorTab(
