@@ -1,8 +1,8 @@
 """Squares of witnessed relations: faces, degeneracies, connections.
 
 Relations at this layer may hold between two elements in several
-distinguishable ways, so morphisms carry an explicit witness action
-instead of the forced one of the propositional layer. A square of such
+distinguishable ways, so morphisms carry an explicit witness action,
+where a propositional relation morphism is just its two legs. A square of such
 relations carries a prop-valued filling predicate over boundary
 tuples: witnesses are data on edges but mere conditions one dimension
 up.
@@ -26,7 +26,6 @@ from .finmodel import (
     FinFn,
     FinSetObj,
     Label,
-    PropRel,
     all_functions,
     apply_label,
     atom_objects,
@@ -40,6 +39,7 @@ from .finmodel import (
     fn_inverse,
     fn_label,
     hash_once,
+    is_canonical,
     label_key,
     product0,
     refl,
@@ -61,13 +61,12 @@ class WitRel:
     entries: tuple  # (((a, b), (w, ...)), ...) canonically keyed, sets nonempty
 
     def __post_init__(self):
-        keys = [k for k, _ in self.entries]
-        if keys != sorted(set(keys), key=label_key):
+        if not is_canonical(k for k, _ in self.entries):
             raise ValueError("witness keys must be canonically ordered, one per pair")
         for (a, b), ws in self.entries:
             if a not in self.dom or b not in self.cod:
                 raise ValueError(f"witness key ({a!r}, {b!r}) escapes the boundary")
-            if not ws or ws != canon(ws):
+            if not (ws and isinstance(ws, tuple) and is_canonical(ws)):
                 raise ValueError("witness sets must be nonempty and canonical")
 
     @cached_property
@@ -105,11 +104,6 @@ def weq(a: FinSetObj) -> WitRel:
     return wrel(a, a, {(x, x): (refl(x),) for x in a})
 
 
-def lift_prop(r: PropRel) -> WitRel:
-    """A one-witness-per-pair relation seen with singleton witness sets."""
-    return wrel(r.dom, r.cod, {k: (w,) for k, w in r.entries})
-
-
 @hash_once
 @dataclass(frozen=True)
 class WitRelMor:
@@ -126,7 +120,7 @@ class WitRelMor:
         if self.g.dom != self.src.cod or self.g.cod != self.tgt.cod:
             raise ValueError("right leg boundary mismatch")
         keys = [k for k, _ in self.senders]
-        if keys != sorted(set(keys), key=label_key):
+        if not is_canonical(keys):
             raise ValueError("sender keys must be canonically ordered")
         if set(keys) != set(self.src.triples()):
             raise ValueError("witness action must cover exactly the source triples")
@@ -310,7 +304,7 @@ class TwoRel:
             raise ValueError("left and bottom edges disagree at the third corner")
         if self.bottom.cod != self.right.cod:
             raise ValueError("bottom and right edges disagree at the fourth corner")
-        if self.cells != tuple(sorted(set(self.cells), key=label_key)):
+        if not (isinstance(self.cells, tuple) and is_canonical(self.cells)):
             raise ValueError("cells must be canonically ordered and distinct")
         for (a, b, c, d), (p, q, r, s) in self.cells:
             ok = (p in self.top.wits(a, b) and q in self.left.wits(a, c)

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import itertools
 import json
-import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from . import cubemodel as cm
@@ -47,9 +47,6 @@ from .finmodel import (
     expo0,
     expo0_action,
     expo1,
-    eta_expo,
-    eta_prod,
-    eta_unit,
     fin_set,
     fn,
     fn_compose,
@@ -63,7 +60,6 @@ from .finmodel import (
     pair0,
     pair1,
     prod_fn,
-    prod_mor,
     product0,
     product1,
     rel,
@@ -245,8 +241,6 @@ class ProbeUniverse:
     objs1: tuple
     objs2: tuple = ()
     _cache: dict = field(default_factory=dict, repr=False)
-    # reentrant: memoized builders recurse into other memoized entries
-    _lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
 
     def __post_init__(self):
         seen0 = set(self.objs0)
@@ -257,51 +251,27 @@ class ProbeUniverse:
             if eq_rel(a) not in self.objs1:
                 raise ValueError(f"missing equality probe for {a.elements!r}")
 
-    @property
+    @cached_property
     def index0(self) -> dict:
-        return self._memo("index0", lambda: {a: i for i, a in enumerate(self.objs0)})
+        return {a: i for i, a in enumerate(self.objs0)}
 
-    @property
+    @cached_property
     def index1(self) -> dict:
-        return self._memo("index1", lambda: {r: i for i, r in enumerate(self.objs1)})
+        return {r: i for i, r in enumerate(self.objs1)}
 
-    @property
+    @cached_property
     def isos0(self) -> tuple:
-        def build():
-            if self.policy is IsoPolicy.CREY:
-                return tuple(f for a in self.objs0 for b in self.objs0
-                             for f in all_functions(a, b) if f.is_bijection)
-            return tuple(fn_id(a) for a in self.objs0)
-        return self._memo("isos0", build)
-
-    @property
-    def isos1(self) -> tuple:
-        def build():
-            if self.policy is IsoPolicy.STRICT:
-                return tuple(rel_mor_id(r) for r in self.objs1)
-            out = []
-            for r in self.objs1:
-                for s in self.objs1:
-                    for f in self.isos0:
-                        if f.dom != r.dom or f.cod != s.dom:
-                            continue
-                        for g in self.isos0:
-                            if g.dom != r.cod or g.cod != s.cod:
-                                continue
-                            m = try_rel_mor(r, s, f, g)
-                            if m is not None and m.is_iso:
-                                out.append(m)
-            return tuple(out)
-        return self._memo("isos1", build)
-
-    def _memo(self, key, build: Callable):
-        with self._lock:
-            if key not in self._cache:
-                self._cache[key] = build()
-            return self._cache[key]
+        # lazy: under crey this enumerates every function between probes
+        if self.policy is IsoPolicy.CREY:
+            return tuple(f for a in self.objs0 for b in self.objs0
+                         for f in all_functions(a, b) if f.is_bijection)
+        return tuple(fn_id(a) for a in self.objs0)
 
     def memo_eval(self, key, build: Callable):
-        return self._memo(key, build)
+        """build(), cached under key; builders may recurse into other keys."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
 
 def make_universe(policy: IsoPolicy, objs0, objs1, objs2=()) -> ProbeUniverse:
@@ -314,7 +284,7 @@ def make_universe(policy: IsoPolicy, objs0, objs1, objs2=()) -> ProbeUniverse:
         return tuple(out)
 
     # Probes are positional (family labels index them), so duplicates,
-    # including relabeled spellings of one relation, must collapse.
+    # including a relation built twice (graph(id) is equality), must collapse.
     return ProbeUniverse(policy, uniq(objs0), uniq(objs1), tuple(objs2))
 
 
@@ -354,22 +324,28 @@ def universe_to_data(u: ProbeUniverse) -> dict:
         "objects": [cm.obj_to_data(a) for a in u.objs0],
         "relations": [
             {"dom": cm.obj_to_data(r.dom), "cod": cm.obj_to_data(r.cod),
-             "pairs": [[cm._label_data(a), cm._label_data(b), cm._label_data(w)]
-                       for (a, b), w in r.entries]}
+             "pairs": [[cm._label_data(a), cm._label_data(b)]
+                       for a, b in r.entries]}
             for r in u.objs1
         ],
     }
+
+
+def relation_from_data(d: dict) -> PropRel:
+    """A relation from its JSON shape {dom, cod, pairs}, each pair [a, b]."""
+    pairs = []
+    for p in d["pairs"]:
+        if not isinstance(p, list) or len(p) != 2:
+            raise ValueError(f"a related pair must be [a, b], not {p!r}")
+        pairs.append((cm._label_back(p[0]), cm._label_back(p[1])))
+    return rel(cm.obj_from_data(d["dom"]), cm.obj_from_data(d["cod"]), pairs)
 
 
 def universe_from_data(d: dict) -> ProbeUniverse:
     try:
         policy = IsoPolicy[d["policy"].upper()]
         objs0 = tuple(cm.obj_from_data(o) for o in d["objects"])
-        objs1 = tuple(
-            rel(cm.obj_from_data(r["dom"]), cm.obj_from_data(r["cod"]),
-                {(cm._label_back(a), cm._label_back(b)): cm._label_back(w)
-                 for a, b, w in r["pairs"]})
-            for r in d["relations"])
+        objs1 = tuple(relation_from_data(r) for r in d["relations"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed universe data: {exc}") from exc
     return make_universe(policy, objs0, objs1)
@@ -441,15 +417,6 @@ def _evaluate(f: TypeFunctor, env: EnvL, u: Optional[ProbeUniverse]):
     raise TypeError(f"not a type functor: {f!r}")
 
 
-def _expo1_action(m: PropRelMor, n: PropRelMor) -> PropRelMor:
-    """(m ⇒ n) on relation morphisms; m runs against the arrow, so it
-    must be an isomorphism."""
-    if not m.is_iso:
-        raise ValueError("not an isomorphism")
-    return PropRelMor(expo1(m.src, n.src), expo1(m.tgt, n.tgt),
-                      expo0_action(m.f, n.f), expo0_action(m.g, n.g))
-
-
 def evaluate_mor(f: TypeFunctor, isos, u: Optional[ProbeUniverse] = None) -> FinFn:
     """Functorial action on a tuple of level-0 bijections.
 
@@ -485,10 +452,10 @@ def evaluate_mor(f: TypeFunctor, isos, u: Optional[ProbeUniverse] = None) -> Fin
 #
 # A level-0 family record is the label
 #     ("fam", (element per probe object...))
-# ordered positionally by the universe.  Witnesses are not stored: they
-# are forced by the element part (at most one per pair), and keeping
-# them in the label would make it depend on how each probe relation was
-# spelled.  Enumeration therefore just filters element choices; under
+# ordered positionally by the universe.  Relations are proof-irrelevant,
+# so the element part is the whole family: relatedness at each probe
+# relation is a condition on it, not further data.  Enumeration
+# therefore just filters element choices; under
 # the crey policy an extra pass discards families that fail to commute
 # with the universe's bijections.
 
@@ -548,19 +515,12 @@ def forall1_value(body: TypeFunctor, rbar: tuple, u: ProbeUniverse) -> PropRel:
         src = forall0_value(body, tuple(r.dom for r in rbar), u)
         tgt = forall0_value(body, tuple(r.cod for r in rbar), u)
         rels = [evaluate(body, EnvL(1, rbar + (r,)), u) for r in u.objs1]
-        wit = {}
-        for famf in src:
-            for famg in tgt:
-                phi = []
-                for j, r in enumerate(u.objs1):
-                    w = rels[j].wit(famf[1][u.index0[r.dom]],
-                                    famg[1][u.index0[r.cod]])
-                    if w is None:
-                        break
-                    phi.append(w)
-                else:
-                    wit[(famf, famg)] = ("phi", tuple(phi))
-        return rel(src, tgt, wit)
+        # both family sets are canonically ordered, so the pairs are too
+        return PropRel(src, tgt, tuple(
+            (famf, famg) for famf in src for famg in tgt
+            if all(rels[j].holds(famf[1][u.index0[r.dom]],
+                                 famg[1][u.index0[r.cod]])
+                   for j, r in enumerate(u.objs1))))
 
     return u.memo_eval(key, build)
 
@@ -599,44 +559,26 @@ class EpsilonWitness:
 
 def epsilon_of(f: TypeFunctor, env: tuple,
                u: Optional[ProbeUniverse] = None) -> EpsilonWitness:
-    """Synthesize the comparison iso structurally.
+    """The comparison iso, read off its two endpoints.
 
-    Projections and quantifiers contribute identity-legged relabelings;
-    units, pairs and arrows compose their canonical comparison with the
-    transported component isos.  The arrow case runs the domain iso
-    backwards, which is why these must all be isomorphisms.
+    A relation morphism is determined by its legs, so the comparison is
+    the morphism with identity legs from the equality on the level-0
+    value to the level-1 value at the equalities of env.  It exists iff
+    every equal pair is related there; when it does not, the universe
+    is not closed under equalities of its own probes.
     """
     env = tuple(env)
     return EpsilonWitness(f, env, _epsilon_iso(f, env, u))
 
 
 def _epsilon_iso(f: TypeFunctor, env: tuple, u) -> PropRelMor:
-    if isinstance(f, FProj):
-        return rel_mor_id(eq_rel(env[f.index]))
-    if isinstance(f, FUnit):
-        return eta_unit()
-    if isinstance(f, FProd):
-        a = evaluate(f.left, EnvL(0, env), u)
-        b = evaluate(f.right, EnvL(0, env), u)
-        sides = prod_mor(_epsilon_iso(f.left, env, u), _epsilon_iso(f.right, env, u))
-        return rel_mor_compose(sides, eta_prod(a, b))
-    if isinstance(f, FArrow):
-        a = evaluate(f.dom, EnvL(0, env), u)
-        b = evaluate(f.cod, EnvL(0, env), u)
-        action = _expo1_action(_epsilon_iso(f.dom, env, u),
-                               _epsilon_iso(f.cod, env, u))
-        return rel_mor_compose(action, eta_expo(a, b))
-    if isinstance(f, FForall):
-        if u is None:
-            raise ValueError("quantifier comparison needs a probe universe")
-        fam = forall0_value(f.body, env, u)
-        val = forall1_value(f.body, tuple(eq_rel(a) for a in env), u)
-        out = try_rel_mor(eq_rel(fam), val, fn_id(fam), fn_id(fam))
-        if out is None:
-            raise ClosureError("universe is not closed under equalities of "
-                               "its own probes")
-        return out
-    raise TypeError(f"not a type functor: {f!r}")
+    v0 = evaluate(f, EnvL(0, env), u)
+    v1 = evaluate(f, EnvL(1, tuple(eq_rel(a) for a in env)), u)
+    out = try_rel_mor(eq_rel(v0), v1, fn_id(v0), fn_id(v0))
+    if out is None:
+        raise ClosureError("universe is not closed under equalities of "
+                           "its own probes")
+    return out
 
 
 # ---------------------------------------------------------------------------

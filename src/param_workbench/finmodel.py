@@ -1,14 +1,15 @@
-"""Finite sets and witnessed propositional relations.
+"""Finite sets, functions and propositional relations between them.
 
-Element and witness labels are structured values (atoms, pairs,
-function tables, refl marks), so constructions that agree only up to
-isomorphism really do produce distinct labels here. That makes the
-canonical comparison maps between, say, the equality relation on a
-product and the product of equality relations genuinely non-identity
-isomorphisms, which is the phenomenon the iso policies select on.
+This is the proof-irrelevant (Reynolds) model: a relation is its set of
+related pairs, and a relation morphism is a pair of functions that
+carries related pairs to related pairs, so it is determined by its two
+legs.  Element labels are structured values (atoms, pairs, function
+tables), canonically ordered by label_key.
 
-Relations keep at most one witness per pair, so every relation
-morphism's witness action is forced and equality stays decidable.
+Because relations are extensional, the comparison map from the equality
+on a product or exponential to the product or exponential of
+equalities is an identity: both sides are the same set of pairs.  The
+witnessed relations of the proof-relevant model live in cubemodel.
 """
 
 from __future__ import annotations
@@ -49,6 +50,13 @@ def canon(labels) -> tuple:
     return tuple(sorted(set(labels), key=label_key))
 
 
+def is_canonical(labels) -> bool:
+    """Strictly increasing in label_key: what canon returns, checked in
+    linear time."""
+    keys = [label_key(x) for x in labels]
+    return all(map(operator.lt, keys, keys[1:]))
+
+
 def hash_once(cls):
     """Cache each record's hash in its instance dict on first use.
 
@@ -81,9 +89,7 @@ class FinSetObj:
     elements: tuple
 
     def __post_init__(self):
-        # strictly increasing keys: canonically ordered and distinct
-        keys = [label_key(x) for x in self.elements]
-        if not all(map(operator.lt, keys, keys[1:])):
+        if not is_canonical(self.elements):
             raise ValueError("elements must be canonically ordered and distinct")
 
     def __contains__(self, x) -> bool:
@@ -166,68 +172,48 @@ def all_functions(a: FinSetObj, b: FinSetObj) -> Iterator[FinFn]:
 
 
 # ---------------------------------------------------------------------------
-# level 1: propositional relations with structured witnesses
+# level 1: propositional relations
 # ---------------------------------------------------------------------------
 
 @hash_once
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PropRel:
-    """Relation with at most one witness label per pair.
+    """A relation between two finite sets: exactly its related pairs.
 
-    Identity is extensional: same boundary, same related pairs, same
-    relation.  Witness labels ride along for reports and comparison
-    bookkeeping but carry no identity, which is what lets substituted
-    types match their instantiations on the nose instead of only up to
-    a relabeling iso.
+    The model is proof-irrelevant, so two elements are related or not
+    and a relation is its boundary plus its set of pairs.  Identity is
+    therefore extensional, which is what lets substituted types match
+    their instantiations on the nose instead of only up to an iso.
 
-    Invariant: the keys of entries are strictly increasing in label_key
-    order, which is exactly "canonically ordered and one witness per
-    pair".  Constructors that already emit keys in that order (expo1)
-    build the record directly; others go through rel(), which sorts.
+    Invariant: entries are strictly increasing in label_key order, which
+    is exactly "canonically ordered and distinct".  Constructors that
+    already emit pairs in that order (eq_rel, graph_rel, expo1) build
+    the record directly; others go through rel(), which sorts.
     """
     dom: FinSetObj
     cod: FinSetObj
-    entries: tuple  # (((a, b), w), ...) canonically keyed
+    entries: tuple  # ((a, b), ...) canonically ordered
 
     def __post_init__(self):
-        # a pair key orders as its label_key does: by a, then by b
-        keys = [(label_key(a), label_key(b)) for (a, b), _ in self.entries]
+        # a pair orders as its label_key does: by a, then by b
+        keys = [(label_key(a), label_key(b)) for a, b in self.entries]
         if not all(map(operator.lt, keys, keys[1:])):
-            raise ValueError("witness keys must be canonically ordered, one per pair")
+            raise ValueError("pairs must be canonically ordered and distinct")
         dom, cod = set(self.dom.elements), set(self.cod.elements)
-        for (a, b), _ in self.entries:
+        for a, b in self.entries:
             if a not in dom or b not in cod:
-                raise ValueError(f"witness key ({a!r}, {b!r}) escapes the boundary")
+                raise ValueError(f"pair ({a!r}, {b!r}) escapes the boundary")
 
     @cached_property
-    def _ident(self) -> tuple:
-        return (self.dom, self.cod, tuple(k for k, _ in self.entries))
-
-    def __eq__(self, other):
-        if not isinstance(other, PropRel):
-            return NotImplemented
-        return self._ident == other._ident
-
-    def __hash__(self) -> int:
-        return hash(self._ident)
-
-    @cached_property
-    def witness(self) -> dict:
-        return dict(self.entries)
-
-    def wit(self, a, b) -> Optional[Label]:
-        return self.witness.get((a, b))
+    def pair_set(self) -> frozenset:
+        return frozenset(self.entries)
 
     def holds(self, a, b) -> bool:
-        return (a, b) in self.witness
-
-    def pairs(self) -> Iterator[tuple]:
-        return iter(self.entries)
+        return (a, b) in self.pair_set
 
 
-def rel(dom: FinSetObj, cod: FinSetObj, witness) -> PropRel:
-    items = witness.items() if hasattr(witness, "items") else witness
-    return PropRel(dom, cod, tuple(sorted(items, key=lambda e: label_key(e[0]))))
+def rel(dom: FinSetObj, cod: FinSetObj, pairs) -> PropRel:
+    return PropRel(dom, cod, canon(pairs))
 
 
 def refl(a) -> Label:
@@ -235,13 +221,13 @@ def refl(a) -> Label:
 
 
 def eq_rel(a: FinSetObj) -> PropRel:
-    return rel(a, a, {(x, x): refl(x) for x in a})
+    return PropRel(a, a, tuple((x, x) for x in a))
 
 
 @hash_once
 @dataclass(frozen=True)
 class PropRelMor:
-    """Relation morphism; the witness action is forced by propositionality."""
+    """Relation morphism: two legs that carry related pairs to related pairs."""
     src: PropRel
     tgt: PropRel
     f: FinFn
@@ -252,16 +238,11 @@ class PropRelMor:
             raise ValueError("left leg boundary mismatch")
         if self.g.dom != self.src.cod or self.g.cod != self.tgt.cod:
             raise ValueError("right leg boundary mismatch")
-        for (a, b), _ in self.src.entries:
+        for a, b in self.src.entries:
             if not self.tgt.holds(self.f(a), self.g(b)):
                 raise ValueError(
-                    f"witness at ({a!r}, {b!r}) has no image at "
-               f"({self.f(a)!r}, {self.g(b)!r})")
-
-    @cached_property
-    def action(self) -> dict:
-        return {((a, b), w): self.tgt.wit(self.f(a), self.g(b))
-                for (a, b), w in self.src.entries}
+                    f"pair ({a!r}, {b!r}) has no image at "
+                    f"({self.f(a)!r}, {self.g(b)!r})")
 
     @cached_property
     def is_iso(self) -> bool:
@@ -297,7 +278,6 @@ def rel_mor_compose(m2: PropRelMor, m1: PropRelMor) -> PropRelMor:
 
 
 def eq_mor(f: FinFn) -> PropRelMor:
-    # functorial: sends the witness refl(a) to refl(f a)
     return PropRelMor(eq_rel(f.dom), eq_rel(f.cod), f, f)
 
 
@@ -376,7 +356,7 @@ WUNIT = ("wunit",)
 
 def terminal1() -> PropRel:
     t = terminal0()
-    return rel(t, t, {(STAR, STAR): WUNIT})
+    return PropRel(t, t, ((STAR, STAR),))
 
 
 def bang1(r: PropRel) -> PropRelMor:
@@ -384,11 +364,9 @@ def bang1(r: PropRel) -> PropRelMor:
 
 
 def product1(r: PropRel, s: PropRel) -> PropRel:
-    wit = {}
-    for (a, b), w1 in r.entries:
-        for (c, d), w2 in s.entries:
-            wit[(("pr", a, c), ("pr", b, d))] = ("wpair", w1, w2)
-    return rel(product0(r.dom, s.dom), product0(r.cod, s.cod), wit)
+    return rel(product0(r.dom, s.dom), product0(r.cod, s.cod),
+               [(("pr", a, c), ("pr", b, d))
+                for a, b in r.entries for c, d in s.entries])
 
 
 def fst1(r: PropRel, s: PropRel) -> PropRelMor:
@@ -407,9 +385,7 @@ def pair1(m1: PropRelMor, m2: PropRelMor) -> PropRelMor:
 
 
 def expo1(r: PropRel, s: PropRel) -> PropRel:
-    """Relates (f, g) iff they carry every witness of r to one of s.
-
-    The witness is the forced dependent table, keyed by source pairs.
+    """Relates (f, g) iff they carry every pair of r to a pair of s.
 
     Only related pairs are enumerated: each constraint s(f a, g b)
     touches one image of g, so for a fixed f the related g are the
@@ -421,46 +397,39 @@ def expo1(r: PropRel, s: PropRel) -> PropRel:
     """
     fspace = _fn_space(r.dom, s.dom)
     gspace = _fn_space(r.cod, s.cod)
-    sw = s.witness
     dpos = {a: i for i, a in enumerate(r.dom)}
     bpos = {b: j for j, b in enumerate(r.cod)}
     # g's index in gspace is the mixed-radix number of its image positions
     weight = [len(s.cod) ** (len(r.cod) - 1 - j) for j in range(len(r.cod))]
-    rkeys = [key for key, _ in r.entries]
-    ra = [dpos[a] for a, _ in rkeys]
-    rb = [bpos[b] for _, b in rkeys]
     partners = [[] for _ in r.cod]        # r-partners of each b, as dom positions
-    for i, j in zip(ra, rb):
-        partners[j].append(i)
-    # s-partners of each c as (cod position, d); s's keys are sorted by c
+    for a, b in r.entries:
+        partners[bpos[b]].append(dpos[a])
+    # s-partners of each c as cod positions; s's pairs are sorted by c
     # and then d, so each list comes out in canonical order of d
     cpos = {d: p for p, d in enumerate(s.cod)}
     spart = {c: [] for c in s.dom}
-    for (c, d), _ in s.entries:
-        spart[c].append((cpos[d], d))
-    free = list(enumerate(s.cod))
+    for c, d in s.entries:
+        spart[c].append(cpos[d])
+    free = range(len(s.cod))
+    sset = s.pair_set
+    scod = s.cod.elements
 
     entries = []
     for f in fspace:
         fimg = [y for _, y in f.table]
-        offsets, images = [], []
+        offsets = []
         for j, ps in enumerate(partners):
             opts = spart[fimg[ps[0]]] if ps else free
             for i in ps[1:]:
                 c = fimg[i]
-                opts = [(p, d) for p, d in opts if (c, d) in sw]
+                opts = [p for p in opts if (c, scod[p]) in sset]
             if not opts:
                 break
-            offsets.append([p * weight[j] for p, _ in opts])
-            images.append([d for _, d in opts])
+            offsets.append([p * weight[j] for p in opts])
         else:
             flab = fn_label(f)
-            fa = [fimg[i] for i in ra]
-            for k, gimg in zip(map(sum, itertools.product(*offsets)),
-                               itertools.product(*images)):
-                ws = map(sw.__getitem__, zip(fa, map(gimg.__getitem__, rb)))
-                entries.append(((flab, fn_label(gspace[k])),
-                                ("wtab", tuple(zip(rkeys, ws)))))
+            for k in map(sum, itertools.product(*offsets)):
+                entries.append((flab, fn_label(gspace[k])))
     return PropRel(expo0(r.dom, s.dom), expo0(r.cod, s.cod), tuple(entries))
 
 
@@ -473,29 +442,6 @@ def lambda1(m: PropRelMor, c: PropRel, r: PropRel) -> PropRelMor:
     """Curry m : C x R -> S into C -> (R => S)."""
     return PropRelMor(c, expo1(r, m.tgt),
                       lambda0(m.f, c.dom, r.dom), lambda0(m.g, c.cod, r.cod))
-
-
-# ---------------------------------------------------------------------------
-# the canonical comparison isos (identity underlying maps, relabeling only)
-# ---------------------------------------------------------------------------
-
-def eta_unit() -> PropRelMor:
-    return PropRelMor(eq_rel(terminal0()), terminal1(),
-                      fn_id(terminal0()), fn_id(terminal0()))
-
-
-def eta_prod(a: FinSetObj, b: FinSetObj) -> PropRelMor:
-    p = product0(a, b)
-    return PropRelMor(eq_rel(p), product1(eq_rel(a), eq_rel(b)), fn_id(p), fn_id(p))
-
-
-def eta_expo(a: FinSetObj, b: FinSetObj) -> PropRelMor:
-    e = expo0(a, b)
-    return PropRelMor(eq_rel(e), expo1(eq_rel(a), eq_rel(b)), fn_id(e), fn_id(e))
-
-
-def eta_witnesses(a: FinSetObj, b: FinSetObj):
-    return eta_unit(), eta_prod(a, b), eta_expo(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +460,7 @@ def prod_mor(m: PropRelMor, n: PropRelMor) -> PropRelMor:
 
 
 def all_rel_mors(r: PropRel, s: PropRel) -> Iterator[PropRelMor]:
-    """Every witness-preserving square from r to s."""
+    """Every relation-preserving square from r to s."""
     for f in all_functions(r.dom, s.dom):
         for g in all_functions(r.cod, s.cod):
             m = try_rel_mor(r, s, f, g)
@@ -658,7 +604,7 @@ def rename_label(sigma: dict, x: Label) -> Label:
         if x and isinstance(x[0], str):
             tag = x[0]
             body = tuple(rename_label(sigma, c) for c in x[1:])
-            if tag in ("fn", "wtab"):
+            if tag == "fn":
                 # tabulated labels keep their key order canonical
                 body = (tuple(sorted(body[0], key=lambda e: label_key(e[0]))),)
             return (tag,) + body
@@ -676,9 +622,9 @@ def rename_fn(sigma: dict, f: FinFn) -> FinFn:
 
 
 def rename_rel(sigma: dict, r: PropRel) -> PropRel:
-    wit = {(rename_label(sigma, a), rename_label(sigma, b)): rename_label(sigma, w)
-           for (a, b), w in r.entries}
-    return rel(rename_obj(sigma, r.dom), rename_obj(sigma, r.cod), wit)
+    return rel(rename_obj(sigma, r.dom), rename_obj(sigma, r.cod),
+               [(rename_label(sigma, a), rename_label(sigma, b))
+                for a, b in r.entries])
 
 
 # ---------------------------------------------------------------------------
@@ -686,8 +632,8 @@ def rename_rel(sigma: dict, r: PropRel) -> PropRel:
 # ---------------------------------------------------------------------------
 
 def graph_rel(f: FinFn) -> PropRel:
-    """The graph of a function, witnessed by its argument."""
-    return rel(f.dom, f.cod, {(x, f(x)): ("gr", x) for x in f.dom})
+    """The graph of a function."""
+    return PropRel(f.dom, f.cod, f.table)
 
 
 def atom_objects(bound: int) -> list[FinSetObj]:
@@ -704,7 +650,7 @@ def build_instance(policy: IsoPolicy, carrier_bound: int):
 
     Level 0 is every subset of the atoms with all functions; level 1
     takes the equality relations and all function graphs, with every
-    boundary-compatible witness-preserving square as a morphism.
+    boundary-compatible relation-preserving square as a morphism.
     Returns the structure together with the policy's selection.
     """
     objs0 = atom_objects(carrier_bound)
@@ -787,8 +733,8 @@ def const_eq(rg, c: FinSetObj):
 
 
 def const_diag(rg, c: FinSetObj):
-    # graph(id) is equality with differently shaped witnesses; the
-    # mediating iso is the pure relabeling
+    # graph(id) is the equality relation itself, so the mediating
+    # morphism is its identity
     target = graph_rel(fn_id(c))
     return constant_functor(rg, target,
                             PropRelMor(eq_rel(c), target, fn_id(c), fn_id(c)))

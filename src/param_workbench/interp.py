@@ -28,10 +28,9 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from . import cubemodel as cm
 from . import fibration as fib
 from . import systemf as sf
-from .finmodel import PropRel, eq_rel, rel
+from .finmodel import PropRel, eq_rel
 from .fibration import (
     ClosureBound,
     ClosureError,
@@ -243,12 +242,15 @@ def closure_for_term(t: sf.Term, seed: Optional[ProbeUniverse] = None,
 
 def iel_check(ty: sf.Type, u: Optional[ProbeUniverse] = None,
               report: Optional[Report] = None) -> Report:
-    """Equality environments land on equality, witnessed by an iso.
+    """Equality environments land on equality: the identity extension lemma.
 
     At every probe object environment, the comparison from the
     equality on the level-0 value to the level-1 value at equalities
-    must have identity element maps (hence identity faces) and a
-    bijective witness action; findings record the witness-set sizes.
+    must exist (every equal pair is related there), have identity legs
+    and be an iso, i.e. relate nothing but equal pairs.  The law names
+    keep the paper's witness vocabulary: "witness action is a
+    bijection" is that iso, and "witness sets match" compares the
+    numbers of related pairs on the two sides.
     """
     u = u or default_universe()
     report = report or Report()
@@ -333,7 +335,7 @@ def abstraction_check(t: sf.Term, rel_env: Sequence[PropRel] = (),
 
 
 def _rel_tag(r: PropRel) -> str:
-    pairs = ",".join(f"({a},{b})" for (a, b), _ in r.entries)
+    pairs = ",".join(f"({a},{b})" for a, b in r.entries)
     dom = ",".join(map(str, r.dom.elements))
     cod = ",".join(map(str, r.cod.elements))
     return f"{{{pairs}}} on {{{dom}}}->{{{cod}}}"
@@ -369,8 +371,7 @@ class RelInstance:
 
     @staticmethod
     def from_rel(r: PropRel) -> "RelInstance":
-        return RelInstance.of(r.dom.elements, r.cod.elements,
-                              [p for p, _ in r.entries])
+        return RelInstance.of(r.dom.elements, r.cod.elements, r.entries)
 
     def tag(self) -> str:
         return "{" + ",".join(f"({a},{b})" for a, b in self.pairs) + "}"
@@ -556,18 +557,5 @@ def free_theorem_check(t: sf.Term,
 
 def relations_from_data(items) -> list[PropRel]:
     """Relations from the universe JSON shape: a list of {dom, cod,
-    pairs} objects, each pair [a, b] or [a, b, witness]."""
-    out = []
-    for d in items:
-        dom = cm.obj_from_data(d["dom"])
-        cod = cm.obj_from_data(d["cod"])
-        wit = {}
-        for p in d["pairs"]:
-            if len(p) == 2:
-                a, b = (cm._label_back(x) for x in p)
-                wit[(a, b)] = ("pr", a, b)
-            else:
-                a, b, w = (cm._label_back(x) for x in p)
-                wit[(a, b)] = w
-        out.append(rel(dom, cod, wit))
-    return out
+    pairs} objects, each pair [a, b]."""
+    return [fib.relation_from_data(d) for d in items]

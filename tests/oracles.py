@@ -178,22 +178,14 @@ def brute_expo1(r, s):
     """The level-1 exponential by exhaustive search.
 
     Tries every pair of functions between the carriers and keeps the
-    pairs that carry each witness of r to one of s; rel() sorts the
+    pairs that carry each pair of r to a pair of s; rel() sorts the
     result, so nothing here depends on enumeration order.
     """
-    wit = {}
-    sw = s.witness
-    for f in all_functions(r.dom, s.dom):
-        for g in all_functions(r.cod, s.cod):
-            entries = []
-            for (a, b), _ in r.entries:
-                w = sw.get((f(a), g(b)))
-                if w is None:
-                    break
-                entries.append(((a, b), w))
-            else:
-                wit[(fn_label(f), fn_label(g))] = ("wtab", tuple(entries))
-    return rel(expo0(r.dom, s.dom), expo0(r.cod, s.cod), wit)
+    related = [(fn_label(f), fn_label(g))
+               for f in all_functions(r.dom, s.dom)
+               for g in all_functions(r.cod, s.cod)
+               if all(s.holds(f(a), g(b)) for a, b in r.entries)]
+    return rel(expo0(r.dom, s.dom), expo0(r.cod, s.cod), related)
 
 
 def erases_to(t, u) -> bool:

@@ -21,7 +21,6 @@ from param_workbench.finmodel import (
     fn_label,
     label_key,
     refl,
-    rel,
 )
 
 A1 = fin_set([0])
@@ -66,10 +65,6 @@ class TestWitRel:
 
     def test_weq_table(self):
         assert cm.weq(A2).entries == (((0, 0), (refl(0),)), ((1, 1), (refl(1),)))
-
-    def test_lift_prop_keeps_the_single_witness(self):
-        r = rel(A2, BX, {(0, "x"): ("gr", 0)})
-        assert cm.lift_prop(r).wits(0, "x") == (("gr", 0),)
 
 
 class TestWitRelMor:

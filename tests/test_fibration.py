@@ -1,8 +1,11 @@
 """The λ2-fibration's law suite and its reports."""
 
+import json
+
 import pytest
 
 from param_workbench import fibration as fib
+from param_workbench import interp
 from param_workbench.finmodel import (
     IsoPolicy,
     apply_label,
@@ -57,3 +60,20 @@ class TestCreyArrowAction:
     def test_level_one_transports_are_rejected(self):
         with pytest.raises(ValueError):
             fib.evaluate_mor(self.endo, (rel_mor_id(eq_rel(self.a3)),), self.u)
+
+
+class TestUniverseData:
+    def test_round_trip_through_json(self):
+        u = fib.default_universe(IsoPolicy.CREY)
+        back = fib.universe_from_data(
+            json.loads(json.dumps(fib.universe_to_data(u))))
+        assert (back.policy, back.objs0, back.objs1) == (u.policy, u.objs0, u.objs1)
+
+    def test_a_related_pair_is_two_labels(self):
+        data = fib.universe_to_data(fib.default_universe())
+        assert data["relations"][0]["pairs"][0] == [0, 0]
+        data["relations"][0]["pairs"][0].append(["refl", 0])
+        with pytest.raises(ValueError, match=r"must be \[a, b\]"):
+            fib.universe_from_data(data)
+        with pytest.raises(ValueError, match=r"must be \[a, b\]"):
+            interp.relations_from_data(data["relations"])

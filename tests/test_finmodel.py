@@ -11,7 +11,6 @@ from param_workbench import cubemodel as cm
 from param_workbench import rgalg
 from param_workbench.finmodel import (
     STAR,
-    WUNIT,
     FinFn,
     FinSetObj,
     IsoPolicy,
@@ -24,10 +23,6 @@ from param_workbench.finmodel import (
     check_ccc,
     eq_mor,
     eq_rel,
-    eta_expo,
-    eta_prod,
-    eta_unit,
-    eta_witnesses,
     eval0,
     expo0,
     expo1,
@@ -64,13 +59,13 @@ def small_rels(draw, min_size=1):
     cod = fin_set(range(draw(st.integers(min_size, 2))))
     pairs = [(a, b) for a in dom for b in cod]
     chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else ()
-    return rel(dom, cod, {p: ("w", p[0], p[1]) for p in chosen})
+    return rel(dom, cod, chosen)
 
 
 class TestEq:
     def test_two_atom_witness_table(self):
         r = eq_rel(A2)
-        assert r.entries == (((0, 0), ("refl", 0)), ((1, 1), ("refl", 1)))
+        assert r.entries == ((0, 0), (1, 1))
         assert not r.holds(0, 1)
 
     def test_preserves_identity(self):
@@ -114,63 +109,58 @@ class TestCccLevel1:
 
     def test_product_witnesses_pair_the_components(self):
         r = product1(eq_rel(A2), eq_rel(A1))
-        key = (("pr", 1, 0), ("pr", 1, 0))
-        assert r.wit(*key) == ("wpair", ("refl", 1), ("refl", 0))
-        assert len(r.entries) == 2
+        assert r.entries == ((("pr", 0, 0), ("pr", 0, 0)),
+                             (("pr", 1, 0), ("pr", 1, 0)))
 
     def test_terminal_has_one_witness(self):
         t = terminal1()
-        assert t.entries == (((STAR, STAR), WUNIT),)
+        assert t.entries == ((STAR, STAR),)
 
     def test_universal_properties_on_demand(self):
         relations = [eq_rel(A1), eq_rel(A2),
                      graph_rel(fn(A2, A2, lambda x: 1 - x)),
-                     rel(A2, A2, {(0, 0): ("gr", 0)})]
+                     rel(A2, A2, [(0, 0)])]
         rep = rgalg.Report()
         check_ccc(SIZES, relations, rep)
         assert rep.ok, [f.row() for f in rep.failures]
 
 
+def comparison(v1: PropRel) -> PropRelMor:
+    """The identity-legged morphism from the equality on v1's carrier."""
+    v0 = v1.dom
+    return PropRelMor(eq_rel(v0), v1, fn_id(v0), fn_id(v0))
+
+
 class TestComparisonIsos:
     def test_prod_on_two_and_one_atom_carriers(self):
         b = fin_set([2])
-        m = eta_prod(A2, b)
+        m = comparison(product1(eq_rel(A2), eq_rel(b)))
         assert m.f.is_identity and m.g.is_identity
-        assert len(m.src.entries) == 2
-        got = set(m.action.values())
-        assert got == {("wpair", ("refl", 0), ("refl", 2)),
-                       ("wpair", ("refl", 1), ("refl", 2))}
+        assert m.src.entries == ((("pr", 0, 2), ("pr", 0, 2)),
+                                 (("pr", 1, 2), ("pr", 1, 2)))
+        assert m.is_identity
 
     def test_expo_on_singletons(self):
-        m = eta_expo(A1, A1)
-        assert len(m.src.entries) == 1 == len(m.tgt.entries)
-        ((key, w),) = m.action.items()
-        assert key[1] == ("refl", fn_label(fn_id(A1)))
-        assert w[0] == "wtab"
-
-    def test_unit_sends_refl_to_the_terminal_witness(self):
-        m = eta_unit()
-        assert list(m.action.values()) == [WUNIT]
+        m = comparison(expo1(eq_rel(A1), eq_rel(A1)))
+        ident = fn_label(fn_id(A1))
+        assert m.src.entries == m.tgt.entries == ((ident, ident),)
 
     def test_all_three_are_relabeling_isos(self):
         # Relations are extensional, so each comparison is an identity
-        # in the category; the witness relabeling lives in its action.
+        # in the category: Eq of a former is the former of the Eqs.
         for a, b in itertools.product(SIZES, repeat=2):
-            for m in eta_witnesses(a, b):
+            for v1 in (terminal1(), product1(eq_rel(a), eq_rel(b)),
+                       expo1(eq_rel(a), eq_rel(b))):
+                m = comparison(v1)
                 assert m.is_iso
                 assert m.has_identity_faces
                 assert m.is_identity
-                assert m.src.entries == m.tgt.entries or m.action
 
     def test_prod_naturality_square_exhaustive(self):
         for a, b, a2, b2 in itertools.product(SIZES, repeat=4):
             for f in all_functions(a, a2):
                 for g in all_functions(b, b2):
-                    lhs = rel_mor_compose(eta_prod(a2, b2),
-                                          eq_mor(prod_fn(f, g)))
-                    rhs = rel_mor_compose(prod_mor(eq_mor(f), eq_mor(g)),
-                                          eta_prod(a, b))
-                    assert lhs == rhs
+                    assert eq_mor(prod_fn(f, g)) == prod_mor(eq_mor(f), eq_mor(g))
 
 
 class TestPolicies:
@@ -180,9 +170,10 @@ class TestPolicies:
             assert relevant_iso_check(policy, rel_mor_id(eq_rel(A2)))
 
     def test_relabeling_isos_are_identities_extensionally(self):
-        # Witness labels carry no identity, so a pure relabeling passes
+        # Relations are their pairs, so the comparison between the
+        # equality on a product and the product of equalities passes
         # even the strict policy; only moving faces can break it.
-        m = eta_prod(A2, A2)
+        m = comparison(product1(eq_rel(A2), eq_rel(A2)))
         assert m.is_identity
         for policy in IsoPolicy:
             assert relevant_iso_check(policy, m)
@@ -206,7 +197,7 @@ class TestPolicies:
 @settings(max_examples=60, deadline=None)
 @given(small_rels(), small_rels())
 def test_constructors_stay_propositional_and_face_stable(r, s):
-    """Products and exponentials keep one witness per pair, and their
+    """Products and exponentials list each related pair once, and their
     boundaries are exactly the set-level constructs, as table equality."""
     built = [
         (product1(r, s), product0(r.dom, s.dom), product0(r.cod, s.cod)),
@@ -214,8 +205,7 @@ def test_constructors_stay_propositional_and_face_stable(r, s):
         (terminal1(), terminal0(), terminal0()),
     ]
     for out, dom, cod in built:
-        keys = [k for k, _ in out.entries]
-        assert len(keys) == len(set(keys))
+        assert len(out.entries) == len(set(out.entries))
         assert out.dom == dom
         assert out.cod == cod
 
@@ -234,7 +224,7 @@ def test_expo1_matches_brute_force(r, s):
 def test_expo1_matches_brute_force_on_nested_labels():
     inner = expo1(eq_rel(A2), eq_rel(A2))
     swap = graph_rel(fn(A2, A2, lambda x: 1 - x))
-    half = rel(A2, A1, {(1, 0): ("w",)})
+    half = rel(A2, A1, [(1, 0)])
     for r, s in [(swap, inner), (inner, swap), (half, inner), (inner, half)]:
         assert expo1(r, s).entries == oracles.brute_expo1(r, s).entries
 
@@ -251,14 +241,13 @@ class TestValidators:
         [(0, 1), (1, 0), (0, 0)],
     ])
     def test_relation_keys_must_be_canonical_and_distinct(self, keys):
-        entries = tuple((k, ("w", i)) for i, k in enumerate(keys))
         with pytest.raises(ValueError, match="canonically ordered"):
-            PropRel(A2, A2, entries)
+            PropRel(A2, A2, tuple(keys))
 
     @pytest.mark.parametrize("key", [(1, 0), (0, 1), ("x", 0)])
     def test_relation_keys_stay_inside_the_boundary(self, key):
         with pytest.raises(ValueError, match="escapes the boundary"):
-            PropRel(A1, A1, ((key, "w"),))
+            PropRel(A1, A1, (key,))
 
     def test_function_images_stay_inside_the_codomain(self):
         with pytest.raises(ValueError, match="escapes the codomain"):
@@ -332,11 +321,3 @@ class TestHashOnce:
         # a fresh equal record computes its hash only now
         y = build()
         assert y in s and d[y] == name
-
-    def test_witness_labels_do_not_change_a_relations_hash(self):
-        r = rel(A2, A1, {(0, 0): ("w", 0), (1, 0): ("w", 1)})
-        s = rel(A2, A1, {(0, 0): "x", (1, 0): ("y", ("z",))})
-        assert r.entries != s.entries
-        assert r == s
-        assert hash(r) == hash(s)
-        assert {r: 1}[s] == 1

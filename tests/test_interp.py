@@ -9,7 +9,7 @@ from param_workbench import fibration as fib
 from param_workbench import interp
 from param_workbench import systemf as sf
 from param_workbench.fibration import EnvL, FArrow, FProd, FProj, FUnit, NatRep
-from param_workbench.finmodel import fin_set, fn, fn_label
+from param_workbench.finmodel import PropRel, fin_set, fn, fn_id, fn_label, rel
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 DEFS = {d.name: d for path in sorted(CORPUS.glob("*.sysf"))
@@ -32,9 +32,6 @@ VERDICTS = {
     "idid": "identity",
 }
 
-# abstraction_check(swap_units) takes seconds; the rest take well under
-SLOW_ABSTRACTION = {"swap_units"}
-
 
 def _verdicts(rep):
     return [f.detail for f in rep.findings if f.law == "verdict"]
@@ -47,7 +44,7 @@ class TestCorpusVerdicts:
         assert rep.ok, [f.row() for f in rep.failures]
         assert _verdicts(rep) == [VERDICTS[name]]
 
-    @pytest.mark.parametrize("name", sorted(set(DEFS) - SLOW_ABSTRACTION))
+    @pytest.mark.parametrize("name", sorted(DEFS))
     def test_abstraction_check_passes(self, name):
         rep = interp.abstraction_check(DEFS[name].term, u=fib.default_universe())
         assert rep.ok, [f.row() for f in rep.failures]
@@ -106,6 +103,43 @@ class TestMutation:
         assert "bad: degeneracy at ({0,1})" in laws
         assert any(law.startswith("bad: faces at") for law in laws)
         assert all("{0,1}" in law for law in laws)
+
+    @staticmethod
+    def _iel_with_expo1(monkeypatch, change):
+        """iel_check(a → a) with fibration's exponential of relations
+        passed through change at the equality on {0,1}."""
+        real = fib.expo1
+
+        def expo1(r, s):
+            out = real(r, s)
+            return change(out) if r.dom == A2 == s.dom else out
+
+        monkeypatch.setattr(fib, "expo1", expo1)
+        endo = sf.ArrowT(sf.TVar(0), sf.TVar(0))
+        return interp.iel_check(endo, u=fib.default_universe())
+
+    def test_comparison_missing_a_pair_does_not_exist(self, monkeypatch):
+        ident = fn_label(fn_id(A2))
+
+        def drop(out: PropRel) -> PropRel:
+            return rel(out.dom, out.cod,
+                       [p for p in out.entries if p != (ident, ident)])
+
+        rep = self._iel_with_expo1(monkeypatch, drop)
+        laws = [f.law for f in rep.failures]
+        assert laws == ["iel a -> a at ({0,1}): comparison exists"]
+
+    def test_comparison_with_an_extra_pair_is_not_an_iso(self, monkeypatch):
+        const0 = fn_label(fn(A2, A2, lambda _: 0))
+
+        def add(out: PropRel) -> PropRel:
+            return rel(out.dom, out.cod,
+                       out.entries + ((const0, fn_label(fn_id(A2))),))
+
+        rep = self._iel_with_expo1(monkeypatch, add)
+        laws = [f.law for f in rep.failures]
+        assert "iel a -> a at ({0,1}): witness action is a bijection" in laws
+        assert all("({0,1})" in law for law in laws)
 
 
 class TestEvaluateRows:
