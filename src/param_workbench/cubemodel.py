@@ -1,4 +1,4 @@
-"""Squares of witnessed relations: faces, degeneracies, connections.
+"""Witnessed relations and their squares: faces, degeneracies, connections.
 
 Relations at this layer may hold between two elements in several
 distinguishable ways, so morphisms carry an explicit witness action,
@@ -6,6 +6,13 @@ where a propositional relation morphism is just its two legs. A square of such
 relations carries a prop-valued filling predicate over boundary
 tuples: witnesses are data on edges but mere conditions one dimension
 up.
+
+Both dimensions have a unit, products and exponentials, and the
+comparison isos weta_* relate equalities to them.  equality_suite
+checks the face laws of replications and connections over a finite
+stock.  No type is interpreted here: fibration evaluates type trees
+over finite sets and propositional relations only, so quantifiers have
+no witnessed or square-level reading.
 
 Edge geometry is fixed throughout. A square has corners a, b, c, d
 with top : a <-> b, left : a <-> c, bottom : c <-> d, right : b <-> d,
@@ -17,8 +24,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Iterator, Optional
+from functools import cached_property, lru_cache
+from typing import Iterator, Optional
 
 from .finmodel import (
     STAR,
@@ -33,7 +40,6 @@ from .finmodel import (
     canon,
     expo0,
     expo0_action,
-    fin_set,
     fn_compose,
     fn_id,
     fn_inverse,
@@ -100,7 +106,10 @@ def wrel(dom: FinSetObj, cod: FinSetObj, witness) -> WitRel:
     return WitRel(dom, cod, tuple(sorted(entries, key=lambda e: label_key(e[0]))))
 
 
+@lru_cache(maxsize=None)
 def weq(a: FinSetObj) -> WitRel:
+    """The equality on a, one refl witness per element; cached per
+    carrier, since the square constructions rebuild it for every edge."""
     return wrel(a, a, {(x, x): (refl(x),) for x in a})
 
 
@@ -313,28 +322,6 @@ class TwoRel:
                 raise ValueError(
                     f"cell at ({a!r}, {b!r}, {c!r}, {d!r}) is not boundary-typed")
 
-    @property
-    def corner_a(self) -> FinSetObj:
-        return self.top.dom
-
-    @property
-    def corner_b(self) -> FinSetObj:
-        return self.top.cod
-
-    @property
-    def corner_c(self) -> FinSetObj:
-        return self.left.cod
-
-    @property
-    def corner_d(self) -> FinSetObj:
-        return self.bottom.cod
-
-    def corners(self) -> tuple:
-        return (self.corner_a, self.corner_b, self.corner_c, self.corner_d)
-
-    def edges(self) -> tuple:
-        return (self.top, self.left, self.bottom, self.right)
-
     @cached_property
     def cell_set(self) -> frozenset:
         return frozenset(self.cells)
@@ -425,19 +412,6 @@ def two_mor_compose(m2: TwoRelMor, m1: TwoRelMor) -> TwoRelMor:
     return TwoRelMor(m1.src, m2.tgt,
                      *(wit_mor_compose(getattr(m2, n), getattr(m1, n))
                        for n in _FACES))
-
-
-def two_mor_inverse(m: TwoRelMor) -> TwoRelMor:
-    if not m.is_iso:
-        raise ValueError("not an isomorphism")
-    return TwoRelMor(m.tgt, m.src,
-                     *(wit_mor_inverse(getattr(m, n)) for n in _FACES))
-
-
-def face2_mor(which: str, m: TwoRelMor) -> WitRelMor:
-    if which not in _FACES:
-        raise ValueError(f"unknown face {which!r}")
-    return getattr(m, which)
 
 
 # ---------------------------------------------------------------------------
@@ -722,303 +696,3 @@ def equality_suite(universe: CubeUniverse, report: Optional[Report] = None) -> R
             break
     rep.check("replications and connections preserve composition", bad)
     return rep
-
-
-# ---------------------------------------------------------------------------
-# quantifier membership at all three levels
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class BodyEval:
-    """A type body as the membership checker sees it.
-
-    Each evaluator receives the fixed environment tuple (at the level
-    the evaluator works at) plus the bound argument. The probe lists
-    are the range of the bound argument; fn_mors and rel_mors drive the
-    transport clauses and are expected to connect probes to probes.
-    """
-    objects: tuple
-    relations: tuple
-    squares: tuple
-    fn_mors: tuple
-    rel_mors: tuple
-    ob0: Callable
-    ob1: Callable
-    ob2: Callable
-    mor0: Callable
-    mor1: Callable
-
-
-def _family_value(family, key, what: str):
-    try:
-        return family[key]
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValueError(f"ill-shaped candidate: no {what} at {key!r}") from exc
-
-
-def _level0_parts(candidate) -> tuple:
-    if not isinstance(candidate, tuple) or len(candidate) not in (2, 3):
-        raise ValueError(
-            "ill-shaped candidate: expected (elements, witnesses) "
-            "with an optional prop-level filler entry")
-    return candidate[0], candidate[1]
-
-
-def _edge_family(candidate):
-    # prop-level components carry no data, so the edge family may come
-    # alone or padded to the full five-slot shape
-    if isinstance(candidate, tuple):
-        if len(candidate) not in (1, 5):
-            raise ValueError(
-                "ill-shaped candidate: expected the edge family alone "
-                "or padded with four placeholder fillers")
-        return candidate[0]
-    return candidate
-
-
-def _square_layout() -> dict:
-    """Which family feeds each corner and edge of the four clause squares.
-
-    Read off from the constructions themselves on a marker relation
-    with distinguishable endpoints; boundary typing forces the
-    placement, so nothing here is a free choice.
-    """
-    d, c = fin_set(["edge_dom"]), fin_set(["edge_cod"])
-    marker = wrel(d, c, {("edge_dom", "edge_cod"): (("mark",),)})
-    corner_name = {d: "f", c: "g"}
-    edge_name = {marker: "phi", weq(d): "f1", weq(c): "g1"}
-    out = {}
-    for tag in SQUARE_TAGS:
-        sq = square_on(tag, marker)
-        out[tag] = (tuple(corner_name[x] for x in sq.corners()),
-                    tuple(edge_name[e] for e in sq.edges()))
-    return out
-
-
-_SQUARE_LAYOUT = _square_layout()
-
-
-def forall2_membership(level: int, body: BodyEval, env, candidate):
-    """Check one quantifier-membership condition over the probe stock.
-
-    Returns (ok, violations); violations lists every failed obligation
-    in check order, each naming the probe it failed at.
-    """
-    if level == 0:
-        return _membership0(body, env, candidate)
-    if level == 1:
-        return _membership1(body, env, candidate)
-    if level == 2:
-        return _membership2(body, env, candidate)
-    raise ValueError(f"unknown level {level!r}")
-
-
-def _membership0(body: BodyEval, env, candidate):
-    f0, f1 = _level0_parts(candidate)
-    missing = []
-    for a in body.objects:
-        if _family_value(f0, a, "element") not in body.ob0(env, a):
-            missing.append(f"element at object probe {a!r} escapes the value set")
-    eq_env = tuple(weq(x) for x in env)
-    for r in body.relations:
-        val = body.ob1(eq_env, r)
-        w = _family_value(f1, r, "witness")
-        if w not in val.wits(_family_value(f0, r.dom, "element"),
-                             _family_value(f0, r.cod, "element")):
-            missing.append(f"witness clause fails at relation probe {r!r}")
-    sq_env = tuple(degen2("horizontal", weq(x)) for x in env)
-    for q in body.squares:
-        corners = tuple(_family_value(f0, x, "element") for x in q.corners())
-        wits = tuple(_family_value(f1, e, "witness") for e in q.edges())
-        if not body.ob2(sq_env, q).holds(corners, wits):
-            missing.append(f"filling clause fails at square probe {q!r}")
-    id_env0 = tuple(fn_id(x) for x in env)
-    for i in body.fn_mors:
-        act = body.mor0(id_env0, i)
-        if act.mapping.get(_family_value(f0, i.dom, "element")) != \
-                _family_value(f0, i.cod, "element"):
-            missing.append(f"element transport fails along {i!r}")
-    id_env1 = tuple(wit_mor_id(weq(x)) for x in env)
-    for j in body.rel_mors:
-        act = body.mor1(id_env1, j)
-        got = act.action.get((_family_value(f0, j.src.dom, "element"),
-                              _family_value(f0, j.src.cod, "element"),
-                              _family_value(f1, j.src, "witness")))
-        if got != _family_value(f1, j.tgt, "witness"):
-            missing.append(f"witness transport fails along {j!r}")
-    return not missing, tuple(missing)
-
-
-def _membership1(body: BodyEval, env, candidate):
-    if not isinstance(env, tuple) or len(env) != 3:
-        raise ValueError(
-            "ill-shaped environment: expected (relations, left family, right family)")
-    rbar, fcand, gcand = env
-    f0, f1 = _level0_parts(fcand)
-    g0, g1 = _level0_parts(gcand)
-    phi = _edge_family(candidate)
-    missing = []
-    for r in body.relations:
-        val = body.ob1(rbar, r)
-        w = _family_value(phi, r, "edge witness")
-        if w not in val.wits(_family_value(f0, r.dom, "element"),
-                             _family_value(g0, r.cod, "element")):
-            missing.append(f"edge witness clause fails at relation probe {r!r}")
-    corner_pick = {"f": f0, "g": g0}
-    edge_pick = {"phi": phi, "f1": f1, "g1": g1}
-    for tag in SQUARE_TAGS:
-        corner_names, edge_names = _SQUARE_LAYOUT[tag]
-        env_sq = tuple(square_on(tag, rb) for rb in rbar)
-        for q in body.squares:
-            corners = tuple(
-                _family_value(corner_pick[nm], x, "element")
-                for nm, x in zip(corner_names, q.corners()))
-            wits = tuple(
-                _family_value(edge_pick[nm], e, "witness")
-                for nm, e in zip(edge_names, q.edges()))
-            if not body.ob2(env_sq, q).holds(corners, wits):
-                missing.append(f"{tag} square clause fails at probe {q!r}")
-    id_env = tuple(wit_mor_id(rb) for rb in rbar)
-    for j in body.rel_mors:
-        act = body.mor1(id_env, j)
-        got = act.action.get((_family_value(f0, j.src.dom, "element"),
-                              _family_value(g0, j.src.cod, "element"),
-                              _family_value(phi, j.src, "edge witness")))
-        if got != _family_value(phi, j.tgt, "edge witness"):
-            missing.append(f"edge transport fails along {j!r}")
-    return not missing, tuple(missing)
-
-
-def _membership2(body: BodyEval, env, candidate):
-    if not isinstance(env, tuple) or len(env) != 5:
-        raise ValueError(
-            "ill-shaped environment: expected (squares, four corner families)")
-    qbar = env[0]
-    corner_fams = tuple(_level0_parts(x)[0] for x in env[1:])
-    if not isinstance(candidate, tuple) or len(candidate) != 4:
-        raise ValueError("ill-shaped candidate: expected four edge families")
-    phis = tuple(_edge_family(x) for x in candidate)
-    missing = []
-    for q in body.squares:
-        corners = tuple(_family_value(fam, x, "element")
-                        for fam, x in zip(corner_fams, q.corners()))
-        wits = tuple(_family_value(ph, e, "edge witness")
-                     for ph, e in zip(phis, q.edges()))
-        if not body.ob2(qbar, q).holds(corners, wits):
-            missing.append(f"filling clause fails at square probe {q!r}")
-    return not missing, tuple(missing)
-
-
-# ---------------------------------------------------------------------------
-# the forced square-level component of a two-level transformation
-# ---------------------------------------------------------------------------
-
-def eta2_extension(eta0, eta1, eps_src_sq: TwoRelMor, eps_tgt_sq: TwoRelMor) -> TwoRelMor:
-    """Solve for the square-level component forced by the two eps isos.
-
-    eta0 is the pair of element maps at the two endpoint environments;
-    eta1 the triple of edge components (at the relation environment
-    itself and at the two endpoint-equality environments). The eps
-    squares mediate between the replicated edge value and the square
-    value, for source and target respectively. The result is the
-    unique solution of
-
-        result . eps_src_sq = eps_tgt_sq . replicate(edge component)
-
-    and is verified to restrict to the given components on all four
-    faces; incoherent inputs are rejected rather than patched.
-    """
-    h_dom, h_cod = eta0
-    m_rel, m_eqd, m_eqc = eta1
-    if m_rel.f != h_dom or m_rel.g != h_cod:
-        raise ValueError("the relation component does not sit over the element maps")
-    if m_eqd.f != h_dom or m_eqd.g != h_dom:
-        raise ValueError("the domain equality component does not sit over the element maps")
-    if m_eqc.f != h_cod or m_eqc.g != h_cod:
-        raise ValueError("the codomain equality component does not sit over the element maps")
-    for eps, side, who in ((eps_src_sq, m_rel.src, "source"),
-                           (eps_tgt_sq, m_rel.tgt, "target")):
-        if eps.src != degen2("horizontal", side):
-            raise ValueError(f"{who} eps square does not start at the replicated edge value")
-        if not eps.is_iso:
-            raise ValueError(f"{who} eps square is not an isomorphism")
-    out = two_mor_compose(
-        eps_tgt_sq,
-        two_mor_compose(degen2_mor("horizontal", m_rel),
-                        two_mor_inverse(eps_src_sq)))
-    expected = {"top": m_rel, "bottom": m_rel, "left": m_eqd, "right": m_eqc}
-    for name, want in expected.items():
-        if face2_mor(name, out) != want:
-            raise ValueError(
-                f"no face-respecting solution: the {name} face of the solved "
-                "component is not the given edge component")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def _label_data(x):
-    if isinstance(x, tuple):
-        return [_label_data(c) for c in x]
-    if isinstance(x, (int, str)):
-        return x
-    raise ValueError(f"unsupported label for serialization: {x!r}")
-
-
-def _label_back(d):
-    if isinstance(d, list):
-        return tuple(_label_back(c) for c in d)
-    if isinstance(d, (int, str)):
-        return d
-    raise ValueError(f"unsupported serialized label: {d!r}")
-
-
-def obj_to_data(a: FinSetObj) -> list:
-    return [_label_data(x) for x in a]
-
-
-def obj_from_data(d) -> FinSetObj:
-    return fin_set(_label_back(x) for x in d)
-
-
-def wit_rel_to_data(r: WitRel) -> dict:
-    return {"dom": obj_to_data(r.dom), "cod": obj_to_data(r.cod),
-            "witness": [[_label_data(a), _label_data(b),
-                         [_label_data(w) for w in ws]]
-                        for (a, b), ws in r.entries]}
-
-
-def wit_rel_from_data(d) -> WitRel:
-    try:
-        dom, cod = obj_from_data(d["dom"]), obj_from_data(d["cod"])
-        wit = {(_label_back(a), _label_back(b)): tuple(_label_back(w) for w in ws)
-               for a, b, ws in d["witness"]}
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed relation data: {exc}") from exc
-    return wrel(dom, cod, wit)
-
-
-def two_rel_to_data(q: TwoRel) -> dict:
-    return {"corners": [obj_to_data(x) for x in q.corners()],
-            "top": wit_rel_to_data(q.top), "left": wit_rel_to_data(q.left),
-            "bottom": wit_rel_to_data(q.bottom), "right": wit_rel_to_data(q.right),
-            "cells": [[[_label_data(x) for x in corners],
-                       [_label_data(w) for w in wits]]
-                      for corners, wits in q.cells]}
-
-
-def two_rel_from_data(d) -> TwoRel:
-    try:
-        edges = {name: wit_rel_from_data(d[name]) for name in _FACES}
-        cells = [(tuple(_label_back(x) for x in corners),
-                  tuple(_label_back(w) for w in wits))
-                 for corners, wits in d["cells"]]
-        declared = [obj_from_data(x) for x in d["corners"]]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed square data: {exc}") from exc
-    q = two_rel(edges["top"], edges["left"], edges["bottom"], edges["right"], cells)
-    if declared != list(q.corners()):
-        raise ValueError("declared corners disagree with the edges")
-    return q

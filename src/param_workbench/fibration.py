@@ -1,8 +1,8 @@
 """Type constructors as data, and the indexed structure built over them.
 
 A TypeFunctor is a closed syntax tree with n parameter slots.  Evaluated
-at level 0 it produces a finite set, at level 1 a relation (plain or
-witnessed), at level 2 a relation square.  Natural numbers form the base
+at level 0 it produces a finite set, at level 1 a propositional
+relation; these are the only two levels.  Natural numbers form the base
 category: a morphism n -> m is an m-tuple of arity-n trees, composition
 is substitution, and the fiber over n is the CCC of arity-n trees.  All
 of that substitution machinery is structural, which is what makes the
@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-from . import cubemodel as cm
 from . import rgalg
 from .finmodel import (
     FinFn,
@@ -188,26 +187,19 @@ def weaken(f: TypeFunctor) -> TypeFunctor:
 class EnvL:
     """A tuple of same-level semantic objects to feed a tree's slots.
 
-    Level 0 entries are finite sets, level 1 entries are relations
-    (propositional or witnessed, uniformly), level 2 entries are squares.
+    Level 0 entries are finite sets, level 1 entries are propositional
+    relations.
     """
     level: int
     entries: tuple
 
     def __post_init__(self):
-        wanted = {0: (FinSetObj,), 1: (PropRel, cm.WitRel), 2: (cm.TwoRel,)}
+        wanted = {0: FinSetObj, 1: PropRel}
         if self.level not in wanted:
-            raise ValueError("level must be 0, 1 or 2")
-        kinds = wanted[self.level]
+            raise ValueError("level must be 0 or 1")
         for e in self.entries:
-            if not isinstance(e, kinds):
+            if not isinstance(e, wanted[self.level]):
                 raise ValueError(f"level-{self.level} environment cannot hold {e!r}")
-        if self.level == 1 and len({isinstance(e, cm.WitRel) for e in self.entries}) > 1:
-            raise ValueError("cannot mix propositional and witnessed entries")
-
-    @property
-    def witnessed(self) -> bool:
-        return any(isinstance(e, (cm.WitRel, cm.TwoRel)) for e in self.entries)
 
 
 def eq_env(e: EnvL) -> EnvL:
@@ -239,7 +231,6 @@ class ProbeUniverse:
     policy: IsoPolicy
     objs0: tuple
     objs1: tuple
-    objs2: tuple = ()
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -274,7 +265,7 @@ class ProbeUniverse:
         return self._cache[key]
 
 
-def make_universe(policy: IsoPolicy, objs0, objs1, objs2=()) -> ProbeUniverse:
+def make_universe(policy: IsoPolicy, objs0, objs1) -> ProbeUniverse:
     def uniq(xs):
         seen, out = set(), []
         for x in xs:
@@ -285,7 +276,7 @@ def make_universe(policy: IsoPolicy, objs0, objs1, objs2=()) -> ProbeUniverse:
 
     # Probes are positional (family labels index them), so duplicates,
     # including a relation built twice (graph(id) is equality), must collapse.
-    return ProbeUniverse(policy, uniq(objs0), uniq(objs1), tuple(objs2))
+    return ProbeUniverse(policy, uniq(objs0), uniq(objs1))
 
 
 def graph_universe(sizes: Sequence[int] = (1, 2),
@@ -316,16 +307,39 @@ def probe_envs(u: ProbeUniverse, arity: int, level: int):
         yield EnvL(level, combo)
 
 
-# -- JSON loading (shares the label encoding with the square layer) --------
+# -- JSON loading: a label is an int, a string or a list of labels ---------
+
+def _label_data(x):
+    if isinstance(x, tuple):
+        return [_label_data(c) for c in x]
+    if isinstance(x, (int, str)):
+        return x
+    raise ValueError(f"unsupported label for serialization: {x!r}")
+
+
+def _label_back(d):
+    if isinstance(d, list):
+        return tuple(_label_back(c) for c in d)
+    if isinstance(d, (int, str)):
+        return d
+    raise ValueError(f"unsupported serialized label: {d!r}")
+
+
+def obj_to_data(a: FinSetObj) -> list:
+    return [_label_data(x) for x in a]
+
+
+def obj_from_data(d) -> FinSetObj:
+    return fin_set(_label_back(x) for x in d)
+
 
 def universe_to_data(u: ProbeUniverse) -> dict:
     return {
         "policy": u.policy.name.lower(),
-        "objects": [cm.obj_to_data(a) for a in u.objs0],
+        "objects": [obj_to_data(a) for a in u.objs0],
         "relations": [
-            {"dom": cm.obj_to_data(r.dom), "cod": cm.obj_to_data(r.cod),
-             "pairs": [[cm._label_data(a), cm._label_data(b)]
-                       for a, b in r.entries]}
+            {"dom": obj_to_data(r.dom), "cod": obj_to_data(r.cod),
+             "pairs": [[_label_data(a), _label_data(b)] for a, b in r.entries]}
             for r in u.objs1
         ],
     }
@@ -337,14 +351,14 @@ def relation_from_data(d: dict) -> PropRel:
     for p in d["pairs"]:
         if not isinstance(p, list) or len(p) != 2:
             raise ValueError(f"a related pair must be [a, b], not {p!r}")
-        pairs.append((cm._label_back(p[0]), cm._label_back(p[1])))
-    return rel(cm.obj_from_data(d["dom"]), cm.obj_from_data(d["cod"]), pairs)
+        pairs.append((_label_back(p[0]), _label_back(p[1])))
+    return rel(obj_from_data(d["dom"]), obj_from_data(d["cod"]), pairs)
 
 
 def universe_from_data(d: dict) -> ProbeUniverse:
     try:
         policy = IsoPolicy[d["policy"].upper()]
-        objs0 = tuple(cm.obj_from_data(o) for o in d["objects"])
+        objs0 = tuple(obj_from_data(o) for o in d["objects"])
         objs1 = tuple(relation_from_data(r) for r in d["relations"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed universe data: {exc}") from exc
@@ -368,10 +382,9 @@ def _check_arity(f: TypeFunctor, env: EnvL) -> None:
 def evaluate(f: TypeFunctor, env: EnvL, u: Optional[ProbeUniverse] = None):
     """Read the tree at the environment's level.
 
-    Levels 0 and 1 over plain relations follow the finite-set CCC; a
-    witnessed level-1 or level-2 environment routes through the square
-    layer's constructors instead.  Quantifier nodes demand a universe.
-    Values are pure data, so given a universe they are cached on it;
+    Both levels follow the finite-set CCC: level 0 over finite sets,
+    level 1 over propositional relations.  Quantifier nodes demand a
+    universe.  Values are pure data, so given a universe they are cached on it;
     exponentials at level 1 are expensive enough to make that matter.
     """
     if u is not None:
@@ -387,10 +400,6 @@ def _formers(env: EnvL) -> tuple:
     """
     if env.level == 0:
         return terminal0, product0, expo0
-    if env.level == 2:
-        return cm.squnit, cm.sqprod, cm.sqexpo
-    if env.witnessed:
-        return cm.wunit_rel, cm.wprod, cm.wexpo
     return terminal1, product1, expo1
 
 
@@ -403,10 +412,7 @@ def _evaluate(f: TypeFunctor, env: EnvL, u: Optional[ProbeUniverse]):
             raise ValueError("quantifier evaluation needs a probe universe")
         if env.level == 0:
             return forall0_value(f.body, env.entries, u)
-        if env.level == 1 and not env.witnessed:
-            return forall1_value(f.body, env.entries, u)
-        raise ValueError("quantifiers evaluate over plain relations only; "
-                         "use the square layer's membership checker instead")
+        return forall1_value(f.body, env.entries, u)
     unit, prod, expo = _formers(env)
     if isinstance(f, FUnit):
         return unit()
@@ -615,13 +621,7 @@ def nat_id(f: TypeFunctor, u: Optional[ProbeUniverse] = None,
            name: str = "id") -> NatRep:
     def comp(env: EnvL):
         val = evaluate(f, env, u)
-        if env.level == 0:
-            return fn_id(val)
-        if isinstance(val, PropRel):
-            return rel_mor_id(val)
-        if isinstance(val, cm.WitRel):
-            return cm.wit_mor_id(val)
-        return cm.two_mor_id(val)
+        return fn_id(val) if env.level == 0 else rel_mor_id(val)
     return NatRep(f, f, comp, u, name)
 
 
@@ -631,13 +631,7 @@ def nat_compose(n2: NatRep, n1: NatRep, name: Optional[str] = None) -> NatRep:
 
     def comp(env: EnvL):
         a, b = n2.at(env), n1.at(env)
-        if isinstance(a, FinFn):
-            return fn_compose(a, b)
-        if isinstance(a, PropRelMor):
-            return rel_mor_compose(a, b)
-        if isinstance(a, cm.WitRelMor):
-            return cm.wit_mor_compose(a, b)
-        return cm.two_mor_compose(a, b)
+        return fn_compose(a, b) if env.level == 0 else rel_mor_compose(a, b)
 
     return NatRep(n1.source, n2.target, comp, n1.universe or n2.universe,
                   name or f"{n2.name}.{n1.name}")
@@ -780,12 +774,6 @@ def theta_inv(x: TypeFunctor) -> CtxMor:
 # fiberwise cartesian closed structure
 # ---------------------------------------------------------------------------
 
-def _fiber_levels(env: EnvL) -> None:
-    if env.level > 1 or env.witnessed:
-        raise ValueError("fiber combinators are defined over plain "
-                         "relational environments")
-
-
 @dataclass(frozen=True, eq=False)
 class FiberCcc:
     """CCC structure on the fiber of arity-n trees.
@@ -803,7 +791,6 @@ class FiberCcc:
         u = self.universe
 
         def comp(env: EnvL):
-            _fiber_levels(env)
             vals = [evaluate(p, env, u) for p in parts]
             return at0(*vals) if env.level == 0 else at1(*vals)
 
@@ -829,7 +816,6 @@ class FiberCcc:
             raise ValueError("pairing needs a common source")
 
         def comp(env: EnvL):
-            _fiber_levels(env)
             a, b = f.at(env), g.at(env)
             return pair0(a, b) if env.level == 0 else pair1(a, b)
 
@@ -851,7 +837,6 @@ class FiberCcc:
         u = f.universe or self.universe
 
         def comp(env: EnvL):
-            _fiber_levels(env)
             zv, xv = evaluate(z, env, u), evaluate(x, env, u)
             if env.level == 0:
                 return lambda0(f.at(env), zv, xv)
@@ -902,8 +887,6 @@ def counit(g: TypeFunctor, u: ProbeUniverse) -> NatRep:
     def comp(env: EnvL):
         if env.level == 0:
             return comp0(env)
-        if env.level != 1 or env.witnessed:
-            raise ValueError("counit components live at levels 0/1")
         r = env.entries[-1]
         if r not in u.index1:
             raise ClosureError("relation entry is not a probe")
@@ -942,8 +925,6 @@ def transpose(f: TypeFunctor, g: TypeFunctor, eta: NatRep,
     def comp(env: EnvL):
         if env.level == 0:
             return comp0(env)
-        if env.level != 1 or env.witnessed:
-            raise ValueError("transposed components live at levels 0/1")
         return _forced_by_faces(
             comp0, env, evaluate(f, env, u), forall1_value(g, env.entries, u),
             ValueError("packaged families fail to stay related"))
@@ -1169,9 +1150,7 @@ def fibration_suite(policy: IsoPolicy = IsoPolicy.REY, bound: int = 2,
 
     # informational: hunt for non-uniform transformations breaking the
     # round trip; outcome is recorded either way, never asserted
-    found = adhoc_roundtrip_search(u, g)
-    report.add("adjunction: non-uniform counterexample search", True, found)
-    return report
+    return adhoc_roundtrip_search(u, g, report)
 
 
 def _nat_cross(ccc: FiberCcc, f: NatRep, g: NatRep) -> NatRep:
@@ -1181,7 +1160,8 @@ def _nat_cross(ccc: FiberCcc, f: NatRep, g: NatRep) -> NatRep:
 
 
 def adhoc_roundtrip_search(u: ProbeUniverse, body: TypeFunctor,
-                           cap: int = 4096) -> str:
+                           report: Optional[Report] = None,
+                           cap: int = 4096) -> Report:
     """Hunt for componentwise-defined transformations that break the
     instantiation round trip.
 
@@ -1190,10 +1170,14 @@ def adhoc_roundtrip_search(u: ProbeUniverse, body: TypeFunctor,
     transformation when every level-1 component exists and it commutes
     with the policy's isomorphisms.  Whether non-uniform survivors can
     break the round trip over a finite universe is an open matter, so
-    the outcome is reported, never asserted.
+    the outcome is reported, never asserted.  A search that would try
+    more than cap candidates is recorded as a skip.
     """
+    report = report or Report()
+    law = "adjunction: non-uniform counterexample search"
     if body.arity != 1:
-        return "search restricted to one-slot bodies"
+        report.skip(law, "search restricted to one-slot bodies")
+        return report
     unit = FUnit(0)
     wunit = weaken(unit)
     choices = [evaluate(body, EnvL(0, (a,)), u).elements for a in u.objs0]
@@ -1201,7 +1185,8 @@ def adhoc_roundtrip_search(u: ProbeUniverse, body: TypeFunctor,
     for c in choices:
         total *= len(c)
     if total > cap:
-        return f"skipped: {total} candidates exceed the cap"
+        report.skip(law, f"{total} candidates exceed the cap of {cap}")
+        return report
 
     def candidate(combo) -> NatRep:
         def comp(env: EnvL):
@@ -1235,7 +1220,10 @@ def adhoc_roundtrip_search(u: ProbeUniverse, body: TypeFunctor,
         if nats_agree(back, eta, u) is not None:
             broken += 1
     if broken:
-        return (f"{broken} of {survivors} componentwise transformations "
-                f"break the round trip")
-    return (f"no counterexample: all {survivors} componentwise "
-            f"transformations (of {total} candidates) round-trip")
+        found = (f"{broken} of {survivors} componentwise transformations "
+                 f"break the round trip")
+    else:
+        found = (f"no counterexample: all {survivors} componentwise "
+                 f"transformations (of {total} candidates) round-trip")
+    report.add(law, True, found)
+    return report

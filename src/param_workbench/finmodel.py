@@ -571,6 +571,16 @@ def check_ccc(carriers, relations, report) -> None:
 # ---------------------------------------------------------------------------
 
 class IsoPolicy(Enum):
+    """Which isomorphisms a structure selects as its relevant ones.
+
+    STRICT selects identities, REY the isos with identity legs, CREY
+    every iso.  Over propositional relations a morphism is its two legs,
+    so an iso with identity legs is an identity and STRICT and REY
+    select the same isos: 4 at level 0 and 18 at level 1 in
+    build_instance(·, 2).  Comparison isos that are not identities occur
+    only among witnessed relations (cubemodel's weta_unit, weta_prod and
+    weta_expo relabel witnesses over identity legs).
+    """
     STRICT = "strict"
     REY = "rey"
     CREY = "crey"

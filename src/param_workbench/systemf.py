@@ -570,27 +570,41 @@ def _normal_form(t, fuel: Optional[int], typed: bool):
 
 
 def erase(t: Term) -> UntypedTerm:
-    """Forget types: TyLam/TyApp vanish, the term skeleton remains."""
-    match t:
-        case Var(i):
-            return UVar(i)
-        case Lam(_, b):
-            return ULam(erase(b))
-        case App(f, x):
-            return UApp(erase(f), erase(x))
-        case Pair(l, r):
-            return UPair(erase(l), erase(r))
-        case Fst(b):
-            return UFst(erase(b))
-        case Snd(b):
-            return USnd(erase(b))
-        case UnitV():
-            return UUnit()
-        case TyLam(b):
-            return erase(b)
-        case TyApp(f, _):
-            return erase(f)
-    raise TypeError(f"not a term: {t!r}")
+    """Forget types: TyLam/TyApp vanish, the term skeleton remains.
+
+    Post-order over an explicit stack, as in iter_subterms: an untyped
+    constructor waits on the stack under its children and is applied
+    to their erasures once they are done.
+    """
+    todo: list = [t]
+    done: list = []
+    while todo:
+        t = todo.pop()
+        match t:
+            case Var(i):
+                done.append(UVar(i))
+            case UnitV():
+                done.append(UUnit())
+            case TyLam(b) | TyApp(b, _):
+                todo.append(b)
+            case Lam(_, b):
+                todo += (ULam, b)
+            case Fst(b):
+                todo += (UFst, b)
+            case Snd(b):
+                todo += (USnd, b)
+            case App(f, x):
+                todo += (UApp, x, f)
+            case Pair(l, r):
+                todo += (UPair, r, l)
+            case type() if t in (UApp, UPair):
+                right = done.pop()
+                done.append(t(done.pop(), right))
+            case type():
+                done.append(t(done.pop()))
+            case _:
+                raise TypeError(f"not a term: {t!r}")
+    return done.pop()
 
 
 def term_size(t: Union[Term, UntypedTerm]) -> int:

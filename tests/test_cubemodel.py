@@ -1,5 +1,6 @@
-"""Witnessed relations and squares: faces, degeneracies, connections,
-quantifier membership, and the forced square-level component."""
+"""Witnessed relations and squares: morphisms, faces, degeneracies,
+connections, units, products and exponentials, and the face-equation
+suite over a finite stock."""
 
 import itertools
 
@@ -288,15 +289,6 @@ class TestSquareMorphisms:
         with pytest.raises(ValueError, match="corner"):
             cm.TwoRelMor(sq, sq, i, other, i, cm.wit_mor_id(sq.right))
 
-    def test_two_mor_inverse_round_trip(self):
-        r1, _ = self.stock()
-        swap = cm.wit_mor(r1, r1, fn_id(A2), fn_id(A2),
-                          lambda a, b, w: (W1 if w == W0 else W0)
-                          if (a, b) == (0, 1) else w)
-        sq = cm.degen2_mor("vertical", swap)
-        inv = cm.two_mor_inverse(sq)
-        assert cm.two_mor_compose(inv, sq) == cm.two_mor_id(sq.src)
-
 
 class TestSquareProductsAndExponentials:
     def test_squnit_has_one_cell(self):
@@ -362,271 +354,3 @@ class TestEqualitySuite:
         bad = cm.CubeUniverse((A1,), (cm.wrel(A1, A1, {}),), ())
         rep = cm.equality_suite(bad)
         assert rep.ok  # empty relation still satisfies every family
-
-
-def identity_body(objects, relations, squares, fn_mors, rel_mors):
-    """The bound variable itself: every evaluator returns its argument."""
-    return cm.BodyEval(
-        objects=tuple(objects), relations=tuple(relations),
-        squares=tuple(squares), fn_mors=tuple(fn_mors), rel_mors=tuple(rel_mors),
-        ob0=lambda env, a: a, ob1=lambda env, r: r, ob2=lambda env, q: q,
-        mor0=lambda env, i: i, mor1=lambda env, j: j)
-
-
-class TestMembership:
-    def loop_stock(self):
-        wa, wb = ("w", "a"), ("w", "b")
-        r_loop = cm.wrel(A2, A2, {(0, 0): (wa, wb)})
-        squares = tuple(cm.square_on(tag, r_loop) for tag in cm.SQUARE_TAGS)
-        return r_loop, (wa, wb), squares
-
-    def test_level0_passes_on_a_singleton_stock(self):
-        e = cm.weq(A1)
-        body = identity_body((A1,), (e,), (cm.degen2("horizontal", e),),
-                             (fn_id(A1),), (cm.wit_mor_id(e),))
-        ok, missing = cm.forall2_membership(
-            0, body, (), ({A1: 0}, {e: refl(0)}))
-        assert ok and missing == ()
-
-    def test_level0_mismatched_witness_names_the_probe(self):
-        r_swap = cm.wrel(A2, A2, {(0, 1): (W0,), (1, 0): (W0,)})
-        body = identity_body((A2,), (r_swap,), (), (), ())
-        ok, missing = cm.forall2_membership(
-            0, body, (), ({A2: 0}, {r_swap: W0}))
-        assert not ok
-        assert any("witness clause" in v and repr(r_swap) in v for v in missing)
-
-    def test_level0_accepts_the_padded_shape(self):
-        e = cm.weq(A1)
-        body = identity_body((A1,), (e,), (), (), ())
-        ok, _ = cm.forall2_membership(0, body, (), ({A1: 0}, {e: refl(0)}, None))
-        assert ok
-
-    def test_level1_connection_clauses_pin_the_family_to_the_endpoints(self):
-        # across replication probes, the connection clauses force
-        # phi[r] to match the endpoint families' choice
-        r_loop, (wa, wb), squares = self.loop_stock()
-        e = cm.weq(A2)
-        body = identity_body((A2,), (r_loop, e), squares,
-                             (), (cm.wit_mor_id(r_loop),))
-        f = ({A2: 0}, {r_loop: wa, e: refl(0)})
-        ok, missing = cm.forall2_membership(
-            1, body, ((), f, f), ({r_loop: wa, e: refl(0)},))
-        assert ok, missing
-        ok, missing = cm.forall2_membership(
-            1, body, ((), f, f), ({r_loop: wb, e: refl(0)},))
-        assert not ok
-        assert any("square clause" in v for v in missing)
-
-    def test_level1_automorphism_probe_kills_every_candidate(self):
-        # the witness swap is an automorphism, so no equivariant family exists
-        r_loop, (wa, wb), squares = self.loop_stock()
-        e = cm.weq(A2)
-        swap = cm.wit_mor(r_loop, r_loop, fn_id(A2), fn_id(A2),
-                          lambda a, b, w: wb if w == wa else wa)
-        body = identity_body((A2,), (r_loop, e), squares, (), (swap,))
-        f = ({A2: 0}, {r_loop: wa, e: refl(0)})
-        for choice in (wa, wb):
-            ok, missing = cm.forall2_membership(
-                1, body, ((), f, f), ({r_loop: choice, e: refl(0)},))
-            assert not ok
-            assert any("transport" in v for v in missing)
-
-    def test_level1_accepts_the_five_slot_shape(self):
-        r_loop, (wa, _), squares = self.loop_stock()
-        e = cm.weq(A2)
-        body = identity_body((A2,), (r_loop, e), (), (), ())
-        f = ({A2: 0}, {r_loop: wa, e: refl(0)})
-        phi5 = ({r_loop: wa, e: refl(0)}, None, None, None, None)
-        ok, _ = cm.forall2_membership(1, body, ((), f, f), phi5)
-        assert ok
-
-    def test_level2_all_refl_over_the_replicated_equality(self):
-        sq = cm.degen2("horizontal", cm.weq(A2))
-        body = identity_body((A2,), (cm.weq(A2),), (sq,), (), ())
-        corner = ({A2: 0}, {cm.weq(A2): refl(0)})
-        phi = {cm.weq(A2): refl(0)}
-        ok, missing = cm.forall2_membership(
-            2, body, ((), corner, corner, corner, corner),
-            (phi, phi, phi, phi))
-        assert ok and missing == ()
-
-    def test_ill_shaped_inputs_are_rejected(self):
-        body = identity_body((), (), (), (), ())
-        with pytest.raises(ValueError):
-            cm.forall2_membership(3, body, (), ())
-        with pytest.raises(ValueError):
-            cm.forall2_membership(0, body, (), ("just-one",))
-        with pytest.raises(ValueError):
-            cm.forall2_membership(1, body, (), ({},))
-        with pytest.raises(ValueError):
-            cm.forall2_membership(2, body, ((), None, None, None, None), ({},))
-
-    def test_missing_family_entries_are_reported_as_shape_errors(self):
-        e = cm.weq(A1)
-        body = identity_body((A1,), (e,), (), (), ())
-        with pytest.raises(ValueError, match="ill-shaped candidate"):
-            cm.forall2_membership(0, body, (), ({}, {}))
-
-
-def renamed_eps(r, tag):
-    """A square value isomorphic to the replicated edge value, with the
-    endpoint equalities renamed; the iso's sides are the renamings."""
-    d = cm.wrel(r.dom, r.dom, {(x, x): ((tag, "d", x),) for x in r.dom})
-    c = cm.wrel(r.cod, r.cod, {(y, y): ((tag, "c", y),) for y in r.cod})
-    eps_d = cm.wit_mor(cm.weq(r.dom), d, fn_id(r.dom), fn_id(r.dom),
-                       lambda a, b, w: (tag, "d", a))
-    eps_c = cm.wit_mor(cm.weq(r.cod), c, fn_id(r.cod), fn_id(r.cod),
-                       lambda a, b, w: (tag, "c", a))
-    sq = cm.two_rel(r, d, r, c,
-                    [((a, b, a, b), (w, (tag, "d", a), w, (tag, "c", b)))
-                     for a, b, w in r.triples()])
-    base = cm.degen2("horizontal", r)
-    eps_sq = cm.TwoRelMor(base, sq, cm.wit_mor_id(r), eps_d,
-                          cm.wit_mor_id(r), eps_c)
-    return sq, eps_sq, eps_d, eps_c
-
-
-def forced_component(eps_out, leg, eps_in):
-    return cm.wit_mor_compose(
-        eps_out, cm.wit_mor_compose(cm.eq_wmor(leg), cm.wit_mor_inverse(eps_in)))
-
-
-class TestEtaSquareExtension:
-    def sample_rels(self):
-        r_f = cm.wrel(A2, A2, {(0, 1): (W0, W1)})
-        r_g = cm.wrel(A2, A2, {(0, 1): (W0, W1), (1, 0): (("w", 2),)})
-        return r_f, r_g
-
-    def test_identity_inputs_give_the_identity(self):
-        r = cm.wrel(A2, A2, {(0, 1): (W0, W1)})
-        e = cm.two_mor_id(cm.degen2("horizontal", r))
-        out = cm.eta2_extension(
-            (fn_id(A2), fn_id(A2)),
-            (cm.wit_mor_id(r), cm.wit_mor_id(cm.weq(A2)), cm.wit_mor_id(cm.weq(A2))),
-            e, e)
-        assert out.is_identity
-
-    def test_every_sampled_transformation_extends_uniquely(self):
-        # exhaustive search over all square morphisms is the uniqueness oracle
-        r_f, r_g = self.sample_rels()
-        q_f, eps_f, eps_fd, eps_fc = renamed_eps(r_f, "F")
-        q_g, eps_g, eps_gd, eps_gc = renamed_eps(r_g, "G")
-        samples = oracles.all_wit_mors(r_f, r_g)
-        assert len(samples) >= 4
-        candidates = oracles.all_two_mors(q_f, q_g)
-        for m_rel in samples:
-            m_eqd = forced_component(eps_gd, m_rel.f, eps_fd)
-            m_eqc = forced_component(eps_gc, m_rel.g, eps_fc)
-            out = cm.eta2_extension((m_rel.f, m_rel.g), (m_rel, m_eqd, m_eqc),
-                                    eps_f, eps_g)
-            assert (out.top, out.bottom, out.left, out.right) == \
-                (m_rel, m_rel, m_eqd, m_eqc)
-            matching = [c for c in candidates
-                        if (c.top, c.bottom, c.left, c.right)
-                        == (m_rel, m_rel, m_eqd, m_eqc)]
-            assert matching == [out]
-
-    def test_solution_satisfies_the_defining_equation(self):
-        r_f, r_g = self.sample_rels()
-        _, eps_f, eps_fd, eps_fc = renamed_eps(r_f, "F")
-        _, eps_g, eps_gd, eps_gc = renamed_eps(r_g, "G")
-        m_rel = oracles.all_wit_mors(r_f, r_g)[0]
-        m_eqd = forced_component(eps_gd, m_rel.f, eps_fd)
-        m_eqc = forced_component(eps_gc, m_rel.g, eps_fc)
-        out = cm.eta2_extension((m_rel.f, m_rel.g), (m_rel, m_eqd, m_eqc),
-                                eps_f, eps_g)
-        lhs = cm.two_mor_compose(out, eps_f)
-        rhs = cm.two_mor_compose(eps_g, cm.degen2_mor("horizontal", m_rel))
-        assert lhs == rhs
-
-    def test_components_off_the_element_maps_are_rejected(self):
-        r_f, r_g = self.sample_rels()
-        _, eps_f, eps_fd, eps_fc = renamed_eps(r_f, "F")
-        _, eps_g, eps_gd, eps_gc = renamed_eps(r_g, "G")
-        m_rel = oracles.all_wit_mors(r_f, r_g)[0]
-        twist = fn(A2, A2, {0: 1, 1: 0})
-        bad_eqd = forced_component(eps_gd, fn_compose(twist, m_rel.f), eps_fd)
-        m_eqc = forced_component(eps_gc, m_rel.g, eps_fc)
-        with pytest.raises(ValueError, match="element maps"):
-            cm.eta2_extension((m_rel.f, m_rel.g), (m_rel, bad_eqd, m_eqc),
-                              eps_f, eps_g)
-
-    def test_non_iso_eps_is_rejected(self):
-        r = cm.wrel(A2, A2, {(0, 1): (W0, W1)})
-        base = cm.degen2("horizontal", r)
-        collapse = cm.wit_mor(r, r, fn_id(A2), fn_id(A2), lambda a, b, w: W0)
-        eps_bad = cm.TwoRelMor(base, base, collapse, cm.wit_mor_id(base.left),
-                               collapse, cm.wit_mor_id(base.right))
-        good = cm.two_mor_id(base)
-        with pytest.raises(ValueError, match="isomorphism"):
-            cm.eta2_extension(
-                (fn_id(A2), fn_id(A2)),
-                (cm.wit_mor_id(r), cm.wit_mor_id(cm.weq(A2)),
-                 cm.wit_mor_id(cm.weq(A2))),
-                eps_bad, good)
-
-    def test_incoherent_top_face_has_no_solution(self):
-        # an eps whose target square renames the top edge cannot restrict
-        # to the given relation component on faces
-        r = cm.wrel(A2, A2, {(0, 1): (W0,)})
-        renamed_top = cm.wrel(A2, A2, {(0, 1): (("v", 0),)})
-        t = cm.wit_mor(r, renamed_top, fn_id(A2), fn_id(A2),
-                       lambda a, b, w: ("v", 0))
-        sq = cm.two_rel(renamed_top, cm.weq(A2), r, cm.weq(A2),
-                        [((0, 1, 0, 1), (("v", 0), refl(0), W0, refl(1)))])
-        eps_src = cm.TwoRelMor(cm.degen2("horizontal", r), sq,
-                               t, cm.wit_mor_id(cm.weq(A2)),
-                               cm.wit_mor_id(r), cm.wit_mor_id(cm.weq(A2)))
-        eps_tgt = cm.two_mor_id(cm.degen2("horizontal", r))
-        with pytest.raises(ValueError, match="no face-respecting solution"):
-            cm.eta2_extension(
-                (fn_id(A2), fn_id(A2)),
-                (cm.wit_mor_id(r), cm.wit_mor_id(cm.weq(A2)),
-                 cm.wit_mor_id(cm.weq(A2))),
-                eps_src, eps_tgt)
-
-
-class TestSerialization:
-    def test_wit_rel_golden_shape(self):
-        r = cm.wrel(A2, BX, {(0, "x"): (W0,)})
-        assert cm.wit_rel_to_data(r) == {
-            "dom": [0, 1], "cod": ["x"],
-            "witness": [[0, "x", [["w", 0]]]]}
-
-    def test_wit_rel_round_trip(self):
-        r = cm.wrel(A2, A2, {(0, 1): (W0, W1), (1, 1): (refl(1),)})
-        assert cm.wit_rel_from_data(cm.wit_rel_to_data(r)) == r
-
-    def test_two_rel_golden_shape(self):
-        sq = cm.degen2("horizontal", cm.weq(A1))
-        eq_data = {"dom": [0], "cod": [0], "witness": [[0, 0, [["refl", 0]]]]}
-        assert cm.two_rel_to_data(sq) == {
-            "corners": [[0], [0], [0], [0]],
-            "top": eq_data, "left": eq_data, "bottom": eq_data, "right": eq_data,
-            "cells": [[[0, 0, 0, 0],
-                       [["refl", 0], ["refl", 0], ["refl", 0], ["refl", 0]]]]}
-
-    def test_two_rel_round_trip(self):
-        r = cm.wrel(A2, BX, {(0, "x"): (W0, W1), (1, "x"): (W0,)})
-        for tag in cm.SQUARE_TAGS:
-            sq = cm.square_on(tag, r)
-            assert cm.two_rel_from_data(cm.two_rel_to_data(sq)) == sq
-
-    def test_malformed_data_is_rejected(self):
-        with pytest.raises(ValueError):
-            cm.wit_rel_from_data({"dom": [0]})
-        with pytest.raises(ValueError):
-            cm.two_rel_from_data({"corners": []})
-
-    def test_disagreeing_corners_are_rejected(self):
-        sq = cm.degen2("horizontal", cm.weq(A1))
-        data = cm.two_rel_to_data(sq)
-        data["corners"][0] = [0, 1]
-        with pytest.raises(ValueError, match="corners"):
-            cm.two_rel_from_data(data)
-
-    @settings(max_examples=40, deadline=None)
-    @given(small_wit_rels())
-    def test_round_trip_is_identity_on_random_relations(self, r):
-        assert cm.wit_rel_from_data(cm.wit_rel_to_data(r)) == r

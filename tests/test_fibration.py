@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from param_workbench import cubemodel as cm
 from param_workbench import fibration as fib
 from param_workbench import interp
 from param_workbench.finmodel import (
@@ -77,3 +78,31 @@ class TestUniverseData:
             fib.universe_from_data(data)
         with pytest.raises(ValueError, match=r"must be \[a, b\]"):
             interp.relations_from_data(data["relations"])
+
+
+class TestEnvL:
+    def test_witnessed_relations_are_rejected(self):
+        with pytest.raises(ValueError, match="cannot hold"):
+            fib.EnvL(1, (cm.weq(fin_set([0])),))
+
+    def test_level_two_is_rejected(self):
+        with pytest.raises(ValueError, match="level must be 0 or 1"):
+            fib.EnvL(2, ())
+
+
+class TestRoundtripSearch:
+    u = fib.default_universe()
+    endo = fib.FArrow(fib.FProj(1, 0), fib.FProj(1, 0))
+    law = "adjunction: non-uniform counterexample search"
+
+    def test_a_capped_search_is_a_skip(self):
+        # one endomorphism of {0} times four of {0,1}: four candidates
+        rep = fib.adhoc_roundtrip_search(self.u, self.endo, cap=3)
+        assert [f.row() for f in rep.findings] == [{
+            "law": self.law, "passed": True, "status": "skip",
+            "detail": "skipped: 4 candidates exceed the cap of 3"}]
+
+    def test_a_search_within_the_cap_is_a_pass(self):
+        rep = fib.adhoc_roundtrip_search(self.u, self.endo, cap=4)
+        assert [(f.law, f.status) for f in rep.findings] == [(self.law, "pass")]
+        assert rep.findings[0].detail.startswith("no counterexample")

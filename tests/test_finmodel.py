@@ -39,6 +39,7 @@ from param_workbench.finmodel import (
     prod_mor,
     product0,
     product1,
+    refl,
     rel,
     rel_mor_compose,
     rel_mor_id,
@@ -293,7 +294,8 @@ RECORD_BUILDERS = {
     "FinFn": _swap,
     "PropRel": lambda: graph_rel(_swap()),
     "PropRelMor": lambda: eq_mor(_swap()),
-    "WitRel": lambda: cm.weq(A2),
+    # not cm.weq(A2): weq is cached per carrier, so it returns one record
+    "WitRel": lambda: cm.wrel(A2, A2, {(x, x): (refl(x),) for x in A2}),
     "WitRelMor": lambda: cm.eq_wmor(_swap()),
     "TwoRel": lambda: cm.degen2("horizontal", cm.weq(A2)),
     "TwoRelMor": lambda: cm.degen2_mor("vertical", cm.eq_wmor(_swap())),

@@ -4,20 +4,17 @@ import pathlib
 
 import pytest
 
-from param_workbench import cubemodel as cm
 from param_workbench import fibration as fib
 from param_workbench import interp
 from param_workbench import systemf as sf
-from param_workbench.fibration import EnvL, FArrow, FProd, FProj, FUnit, NatRep
+from param_workbench.fibration import EnvL, NatRep
 from param_workbench.finmodel import PropRel, fin_set, fn, fn_id, fn_label, rel
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 DEFS = {d.name: d for path in sorted(CORPUS.glob("*.sysf"))
         for d in sf.parse_program(path.read_text())}
 
-A1 = fin_set([0])
 A2 = fin_set([0, 1])
-W0, W1 = ("w", 0), ("w", 1)
 
 # the free-theorem classification of the two flagship shapes: the
 # Church booleans are the two projections, and every spelling of the
@@ -141,29 +138,3 @@ class TestMutation:
         assert "iel a -> a at ({0,1}): witness action is a bijection" in laws
         assert all("({0,1})" in law for law in laws)
 
-
-class TestEvaluateRows:
-    """The witnessed level-1 and the level-2 rows of evaluate."""
-
-    r = cm.wrel(A1, A2, {(0, 0): (W0,), (0, 1): (W0, W1)})
-    s = cm.weq(A1)
-
-    def test_witnessed_level_one(self):
-        env = EnvL(1, (self.r, self.s))
-        x, y = FProj(2, 0), FProj(2, 1)
-        assert fib.evaluate(FUnit(2), env) == cm.wunit_rel()
-        assert fib.evaluate(FProd(x, y), env) == cm.wprod(self.r, self.s)
-        assert fib.evaluate(FArrow(x, y), env) == cm.wexpo(self.r, self.s)
-        assert fib.evaluate(FArrow(y, x), env) == cm.wexpo(self.s, self.r)
-
-    def test_level_two(self):
-        q1 = cm.degen2("horizontal", self.s)
-        q2 = cm.degen2("vertical", cm.weq(A2))
-        env = EnvL(2, (q1, q2))
-        x, y = FProj(2, 0), FProj(2, 1)
-        assert fib.evaluate(FUnit(2), env) == cm.squnit()
-        assert fib.evaluate(FProd(x, y), env) == cm.sqprod(q1, q2)
-        assert fib.evaluate(FArrow(x, x), env) == cm.sqexpo(q1, q1)
-
-    def test_empty_level_two_environment_reads_squares(self):
-        assert fib.evaluate(FUnit(0), EnvL(2, ())) == cm.squnit()

@@ -386,6 +386,11 @@ class TestDeepChurch:
         assert church_value(enf, typed=False) == value
         assert sf.term_size(enf) == 2 * value + 3
 
+    def test_erasing_a_deep_normal_form(self):
+        # 2,052 nodes: deeper than the default recursion limit
+        nf = sf.normalize(CHURCH["p1024"])
+        assert church_value(sf.erase(nf), typed=False) == 1024
+
 
 # ---------------------------------------------------------------------------
 # erasure
