@@ -671,14 +671,7 @@ def build_instance(policy: IsoPolicy, carrier_bound: int):
         lambda g, f: fn_compose(g, f))
 
     rels = {eq_rel(a) for a in objs0} | {graph_rel(f) for f in mors0}
-    mors1 = []
-    for r in rels:
-        for s in rels:
-            for f in all_functions(r.dom, s.dom):
-                for g in all_functions(r.cod, s.cod):
-                    m = try_rel_mor(r, s, f, g)
-                    if m is not None:
-                        mors1.append(m)
+    mors1 = [m for r in rels for s in rels for m in all_rel_mors(r, s)]
     level1 = rgalg.category_from_morphisms(
         rels, {m: (m.src, m.tgt) for m in mors1},
         {r: rel_mor_id(r) for r in rels},

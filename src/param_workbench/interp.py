@@ -11,13 +11,15 @@ interpretation sit three checkers:
   components as faces, and a quantified term's single denoted family
   carries every supplied relation;
 * free_theorem_check: the type-erased term satisfies the relational
-  reading of its type, computed purely by normalization, with no
-  universe involved.
+  reading of its type at propositional relations on finite carriers,
+  computed purely by normalization, with no universe involved.
 
-Quantifier instantiation reads family entries at probes only, so a
-type application is interpretable exactly when its argument type
-evaluates inside the universe.  closure_for_term grows a seed universe
-until that holds; when it cannot, interpretation refuses (naming the
+The first two read everything in one ProbeUniverse (default_universe
+unless one is given).  Quantifier instantiation reads family entries at
+probes only, so a type application is interpretable exactly when its
+argument type evaluates inside the universe.  closure_for_term grows a
+seed universe until that holds, through ProbeUniverse.extended like
+every other growth; when it cannot, interpretation refuses (naming the
 offending instantiation) and the erased-term checker remains the
 fallback route.
 """
@@ -25,14 +27,13 @@ fallback route.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from . import fibration as fib
 from . import systemf as sf
-from .finmodel import PropRel, eq_rel
+from .finmodel import PropRel, fin_set, rel
 from .fibration import (
-    ClosureBound,
     ClosureError,
     ClosureResult,
     CtxMor,
@@ -53,7 +54,6 @@ from .fibration import (
     default_universe,
     epsilon_of,
     evaluate,
-    make_universe,
     nat_compose,
     probe_envs,
     reindex,
@@ -228,12 +228,12 @@ def collect_tyapp_args(t: sf.Term) -> list[tuple[int, sf.Type]]:
     return out
 
 
-def closure_for_term(t: sf.Term, seed: Optional[ProbeUniverse] = None,
-                     bound: ClosureBound = ClosureBound()) -> ClosureResult:
+def closure_for_term(t: sf.Term,
+                     seed: Optional[ProbeUniverse] = None) -> ClosureResult:
     """Grow a universe until every instantiation in t reads inside it."""
     seed = seed or default_universe()
     args = [interp_type(d, ty) for d, ty in collect_tyapp_args(t)]
-    return universe_closure(args, seed, bound)
+    return universe_closure(args, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +264,12 @@ def iel_check(ty: sf.Type, u: Optional[ProbeUniverse] = None,
         except ClosureError as exc:
             report.add(f"iel {tag}: comparison exists", False, str(exc))
             continue
-        legs = eps.iso.f.is_identity and eps.iso.g.is_identity
+        legs = eps.f.is_identity and eps.g.is_identity
         report.add(f"iel {tag}: element and face maps are identities", legs,
-                   "" if legs else f"legs {eps.iso.f.table} / {eps.iso.g.table}")
-        report.add(f"iel {tag}: witness action is a bijection", eps.iso.is_iso,
-                   "" if eps.iso.is_iso else "comparison is not invertible")
-        ns, nt = len(eps.iso.src.entries), len(eps.iso.tgt.entries)
+                   "" if legs else f"legs {eps.f.table} / {eps.g.table}")
+        report.add(f"iel {tag}: witness action is a bijection", eps.is_iso,
+                   "" if eps.is_iso else "comparison is not invertible")
+        ns, nt = len(eps.src.entries), len(eps.tgt.entries)
         report.add(f"iel {tag}: witness sets match", ns == nt,
                    f"|Eq| = {ns}, |value at Eq| = {nt}")
     return report
@@ -278,21 +278,6 @@ def iel_check(ty: sf.Type, u: Optional[ProbeUniverse] = None,
 # ---------------------------------------------------------------------------
 # relatedness of interpreted terms
 # ---------------------------------------------------------------------------
-
-def extend_universe(u: ProbeUniverse, rels: Sequence[PropRel]) -> ProbeUniverse:
-    """Add probe relations, pulling in missing carriers and equalities."""
-    objs0 = list(u.objs0)
-    objs1 = list(u.objs1)
-    for r in rels:
-        for side in (r.dom, r.cod):
-            if side not in objs0:
-                objs0.append(side)
-                objs1.append(eq_rel(side))
-    for r in rels:
-        if r not in objs1:
-            objs1.append(r)
-    return make_universe(u.policy, tuple(objs0), tuple(objs1))
-
 
 def abstraction_check(t: sf.Term, rel_env: Sequence[PropRel] = (),
                       u: Optional[ProbeUniverse] = None,
@@ -310,7 +295,7 @@ def abstraction_check(t: sf.Term, rel_env: Sequence[PropRel] = (),
     relation pins down.
     """
     report = report or Report()
-    base = extend_universe(u or default_universe(), tuple(rel_env))
+    base = (u or default_universe()).extended(relations=rel_env)
     res = closure_for_term(t, base)
     if not res.ok:
         # Closure-exceeded is a refusal to interpret, not a refutation;
@@ -334,11 +319,17 @@ def abstraction_check(t: sf.Term, rel_env: Sequence[PropRel] = (),
     return report
 
 
+def _pairs_tag(r: PropRel) -> str:
+    return "{" + ",".join(f"({a},{b})" for a, b in r.entries) + "}"
+
+
+def _carrier_tag(a: tuple) -> str:
+    return "{" + ",".join(map(str, a)) + "}"
+
+
 def _rel_tag(r: PropRel) -> str:
-    pairs = ",".join(f"({a},{b})" for a, b in r.entries)
-    dom = ",".join(map(str, r.dom.elements))
-    cod = ",".join(map(str, r.cod.elements))
-    return f"{{{pairs}}} on {{{dom}}}->{{{cod}}}"
+    return (f"{_pairs_tag(r)} on {_carrier_tag(r.dom.elements)}"
+            f"->{_carrier_tag(r.cod.elements)}")
 
 
 # ---------------------------------------------------------------------------
@@ -357,26 +348,6 @@ _SLOT_STRIDE = 1024
 _STUCK = object()
 
 
-@dataclass(frozen=True)
-class RelInstance:
-    """One relation instance for a quantifier slot, over raw elements."""
-    left: tuple
-    right: tuple
-    pairs: tuple
-
-    @staticmethod
-    def of(left, right, pairs) -> "RelInstance":
-        return RelInstance(tuple(left), tuple(right),
-                           tuple(sorted(set(pairs), key=repr)))
-
-    @staticmethod
-    def from_rel(r: PropRel) -> "RelInstance":
-        return RelInstance.of(r.dom.elements, r.cod.elements, r.entries)
-
-    def tag(self) -> str:
-        return "{" + ",".join(f"({a},{b})" for a, b in self.pairs) + "}"
-
-
 def _atom(slot: int, k: int) -> sf.UVar:
     return sf.UVar(ATOM_BASE + _SLOT_STRIDE * slot + k)
 
@@ -390,20 +361,20 @@ def _atom_value(t, slot: int, side: tuple):
     return _STUCK
 
 
-def _enumerate_related(ty: sf.Type, rho: Sequence[RelInstance]):
+def _enumerate_related(ty: sf.Type, rho: Sequence[PropRel]):
     """All related argument pairs at a type, already encoded.
 
-    None means the position is not finitely enumerable from the
-    instances (arrow or quantified arguments).
+    rho holds one relation per quantifier slot.  None means the position
+    is not finitely enumerable from them (arrow or quantified arguments).
     """
     match ty:
         case sf.TVar(i):
             slot = len(rho) - 1 - i
-            inst = rho[slot]
-            li = {a: k for k, a in enumerate(inst.left)}
-            ri = {b: k for k, b in enumerate(inst.right)}
+            slot_rel = rho[slot]
+            li = {a: k for k, a in enumerate(slot_rel.dom.elements)}
+            ri = {b: k for k, b in enumerate(slot_rel.cod.elements)}
             return [(_atom(slot, li[a]), _atom(slot, ri[b]))
-                    for a, b in inst.pairs]
+                    for a, b in slot_rel.entries]
         case sf.UnitT():
             return [(sf.UUnit(), sf.UUnit())]
         case sf.ProdT(l, r):
@@ -418,18 +389,18 @@ def _enumerate_related(ty: sf.Type, rho: Sequence[RelInstance]):
     raise TypeError(f"not a type: {ty!r}")
 
 
-def _check_related(ty: sf.Type, rho: list, lhs, rhs, fuel,
+def _check_related(ty: sf.Type, rho: Sequence[PropRel], lhs, rhs, fuel,
                    skips: list) -> Optional[str]:
     """None when the two normal forms are related; else a counterexample."""
     match ty:
         case sf.TVar(i):
             slot = len(rho) - 1 - i
-            inst = rho[slot]
-            a = _atom_value(lhs, slot, inst.left)
-            b = _atom_value(rhs, slot, inst.right)
+            slot_rel = rho[slot]
+            a = _atom_value(lhs, slot, slot_rel.dom.elements)
+            b = _atom_value(rhs, slot, slot_rel.cod.elements)
             if a is _STUCK or b is _STUCK:
                 return f"values are not carrier atoms: {lhs!r} / {rhs!r}"
-            if (a, b) not in inst.pairs:
+            if not slot_rel.holds(a, b):
                 return f"({a!r}, {b!r}) is not in the relation"
             return None
         case sf.UnitT():
@@ -462,10 +433,6 @@ def _check_related(ty: sf.Type, rho: list, lhs, rhs, fuel,
 _ID_SHAPE = sf.ForallT(sf.ArrowT(sf.TVar(0), sf.TVar(0)))
 _CHOOSE_SHAPE = sf.ForallT(sf.ArrowT(sf.TVar(0),
                                      sf.ArrowT(sf.TVar(0), sf.TVar(0))))
-
-
-def _carrier_tag(a: tuple) -> str:
-    return "{" + ",".join(map(str, a)) + "}"
 
 
 def free_theorem_check(t: sf.Term,
@@ -538,13 +505,12 @@ def free_theorem_check(t: sf.Term,
         body = body.body
         slots += 1
     if relations is None:
-        insts = [RelInstance.of(a, a, [(x, x)]) for a in sets for x in a]
-    else:
-        insts = [RelInstance.from_rel(r) for r in relations]
-    for combo in itertools.product(insts, repeat=slots):
+        relations = [rel(fin_set(a), fin_set(a), [(x, x)])
+                     for a in sets for x in a]
+    for combo in itertools.product(relations, repeat=slots):
         skips: list[str] = []
-        why = _check_related(body, list(combo), er, er, fuel, skips)
-        tag = "*".join(inst.tag() for inst in combo)
+        why = _check_related(body, combo, er, er, fuel, skips)
+        tag = "*".join(_pairs_tag(r) for r in combo)
         report.add(f"related to itself at {tag}", why is None, why or "")
         for reason in skips:
             report.skip(f"related to itself at {tag}", reason)

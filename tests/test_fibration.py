@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import verdict_rows
 from param_workbench import cubemodel as cm
 from param_workbench import fibration as fib
 from param_workbench import interp
@@ -18,11 +19,12 @@ from param_workbench.finmodel import (
     fn_id,
     fn_inverse,
     fn_label,
+    graph_rel,
     rel_mor_id,
 )
 
 
-@pytest.mark.parametrize("bound", [1, 2])
+@pytest.mark.parametrize("bound", verdict_rows.FIB_BOUNDS)
 @pytest.mark.parametrize("policy", list(IsoPolicy))
 def test_fibration_suite_passes(policy, bound):
     # at bound 1 every carrier has at most one element, so the two
@@ -33,6 +35,39 @@ def test_fibration_suite_passes(policy, bound):
     assert f"quantifier: {selectors} selector families" in [
         f.law for f in rep.findings]
     assert all(isinstance(f.detail, str) for f in rep.findings)
+    assert verdict_rows.rows(rep) == verdict_rows.frozen(
+        verdict_rows.fib_key(policy, bound))
+
+
+class TestExtended:
+    u = fib.default_universe()
+    a2, a3, b = fin_set([0, 1]), fin_set([0, 1, 2]), fin_set(["x"])
+    cycle = graph_rel(fn(a3, a3, lambda x: (x + 1) % 3))
+    to_b = graph_rel(fn(a3, b, lambda _: "x"))
+
+    def test_carriers_then_endpoints_each_with_its_equality(self):
+        v = self.u.extended([self.a3], [self.to_b])
+        assert v.policy is self.u.policy
+        assert v.objs0 == self.u.objs0 + (self.a3, self.b)
+        assert v.objs1 == self.u.objs1 + (eq_rel(self.a3), eq_rel(self.b),
+                                          self.to_b)
+
+    def test_repeats_are_added_once(self):
+        v = self.u.extended([self.a3, self.a3], [self.cycle, self.cycle])
+        assert v.objs0 == self.u.objs0 + (self.a3,)
+        assert v.objs1 == self.u.objs1 + (eq_rel(self.a3), self.cycle)
+
+    def test_present_probes_keep_their_places(self):
+        # a2 and its graphs are default probes; graph(id) is its equality
+        swap = graph_rel(fn(self.a2, self.a2, lambda x: 1 - x))
+        v = self.u.extended([self.a2], [swap, graph_rel(fn_id(self.a2))])
+        assert (v.objs0, v.objs1) == (self.u.objs0, self.u.objs1)
+
+    def test_a_known_carrier_gets_no_second_equality(self):
+        into = graph_rel(fn(self.a2, self.a3, lambda x: x))
+        v = self.u.extended([self.a2], [into])
+        assert v.objs1.count(eq_rel(self.a2)) == 1
+        assert v.objs1 == self.u.objs1 + (eq_rel(self.a3), into)
 
 
 class TestCreyArrowAction:
@@ -78,6 +113,11 @@ class TestUniverseData:
             fib.universe_from_data(data)
         with pytest.raises(ValueError, match=r"must be \[a, b\]"):
             interp.relations_from_data(data["relations"])
+
+    def test_a_policy_that_is_not_a_name_is_malformed(self):
+        data = dict(fib.universe_to_data(fib.default_universe()), policy=3)
+        with pytest.raises(ValueError, match="malformed universe data"):
+            fib.universe_from_data(data)
 
 
 class TestEnvL:

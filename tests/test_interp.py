@@ -1,20 +1,29 @@
 """The interpretation of System F and the three checkers built on it."""
 
-import pathlib
-
 import pytest
 
+import verdict_rows
 from param_workbench import fibration as fib
 from param_workbench import interp
 from param_workbench import systemf as sf
 from param_workbench.fibration import EnvL, NatRep
-from param_workbench.finmodel import PropRel, fin_set, fn, fn_id, fn_label, rel
+from param_workbench.finmodel import (
+    PropRel,
+    eq_rel,
+    fin_set,
+    fn,
+    fn_id,
+    fn_label,
+    graph_rel,
+    rel,
+)
 
-CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
-DEFS = {d.name: d for path in sorted(CORPUS.glob("*.sysf"))
-        for d in sf.parse_program(path.read_text())}
+DEFS = verdict_rows.corpus_defs()
 
 A2 = fin_set([0, 1])
+A3 = fin_set([0, 1, 2])
+# a non-identity function graph on a carrier no default probe has
+CYCLE3 = graph_rel(fn(A3, A3, lambda x: (x + 1) % 3))
 
 # the free-theorem classification of the two flagship shapes: the
 # Church booleans are the two projections, and every spelling of the
@@ -35,23 +44,58 @@ def _verdicts(rep):
 
 
 class TestCorpusVerdicts:
-    @pytest.mark.parametrize("name", sorted(VERDICTS))
+    """Each report passes, and its rows are the frozen ones."""
+
+    @pytest.mark.parametrize("name", verdict_rows.quantified(DEFS))
     def test_free_theorem_classification(self, name):
         rep = interp.free_theorem_check(DEFS[name].term)
         assert rep.ok, [f.row() for f in rep.failures]
-        assert _verdicts(rep) == [VERDICTS[name]]
+        assert _verdicts(rep) == ([VERDICTS[name]] if name in VERDICTS else [])
+        assert verdict_rows.rows(rep) == verdict_rows.frozen(
+            f"free_theorem_check:{name}")
 
     @pytest.mark.parametrize("name", sorted(DEFS))
     def test_abstraction_check_passes(self, name):
         rep = interp.abstraction_check(DEFS[name].term, u=fib.default_universe())
         assert rep.ok, [f.row() for f in rep.failures]
         assert rep.findings
+        assert verdict_rows.rows(rep) == verdict_rows.frozen(
+            f"abstraction_check:{name}")
 
     @pytest.mark.parametrize("name", sorted(DEFS))
     def test_iel_check_passes(self, name):
         rep = interp.iel_check(DEFS[name].declared, u=fib.default_universe())
         assert rep.ok, [f.row() for f in rep.failures]
         assert rep.findings
+        assert verdict_rows.rows(rep) == verdict_rows.frozen(f"iel_check:{name}")
+
+
+class TestSuppliedRelations:
+    def test_abstraction_check_carries_a_graph_on_a_fresh_carrier(self,
+                                                                 monkeypatch):
+        seeds = []
+        real = interp.closure_for_term
+
+        def spy(t, seed):
+            seeds.append(seed)
+            return real(t, seed)
+
+        monkeypatch.setattr(interp, "closure_for_term", spy)
+        rep = interp.abstraction_check(DEFS["id"].term, rel_env=[CYCLE3],
+                                       u=fib.default_universe())
+        assert rep.ok, [f.row() for f in rep.failures]
+        carries = [f for f in rep.findings if " carries " in f.law]
+        assert [(f.law.split(" carries ")[1], f.status) for f in carries] == [
+            ("{(0,1),(1,2),(2,0)} on {0,1,2}->{0,1,2}", "pass")]
+        u = seeds[0]
+        assert A3 in u.objs0
+        assert eq_rel(A3) in u.objs1 and CYCLE3 in u.objs1
+
+    def test_free_theorem_check_at_a_graph(self):
+        rep = interp.free_theorem_check(DEFS["tru"].term, relations=[CYCLE3])
+        assert rep.ok, [f.row() for f in rep.failures]
+        assert [f.law for f in rep.findings if f.law.startswith("related")] == [
+            "related to itself at {(0,1),(1,2),(2,0)}"]
 
 
 class TestSkips:
@@ -93,7 +137,7 @@ class TestMutation:
                 return fn(out.dom, out.cod, lambda _: swap)
             return out
 
-        bad = NatRep(good.source, good.target, comp, u, "bad")
+        bad = NatRep(good.source, good.target, comp, "bad")
         assert fib.validate_nat(good, u).ok
         rep = fib.validate_nat(bad, u)
         laws = [f.law for f in rep.failures]
@@ -138,3 +182,14 @@ class TestMutation:
         assert "iel a -> a at ({0,1}): witness action is a bijection" in laws
         assert all("({0,1})" in law for law in laws)
 
+
+
+class TestRelationData:
+    @pytest.mark.parametrize("item", [
+        {"dom": [0], "cod": [0]},
+        5,
+        {"dom": [0], "cod": [0], "pairs": 5},
+    ], ids=["no pairs", "not an object", "pairs not a list"])
+    def test_malformed_relations_raise_value_error(self, item):
+        with pytest.raises(ValueError, match="malformed relation data"):
+            interp.relations_from_data([item])

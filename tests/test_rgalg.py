@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import oracles
+import verdict_rows
 import param_workbench
 from param_workbench import finmodel as fm
 from param_workbench import rgalg
@@ -96,6 +97,11 @@ class TestValidate:
         rg, sub = rey_instance
         rep = validate_rg(rg, sub)
         assert rep.ok, [f.row() for f in rep.failures]
+
+    def test_sampled_rows_are_frozen(self, rey_instance):
+        rg, sub = rey_instance
+        rep = validate_rg(rg, sub, assoc_limit=verdict_rows.ASSOC_LIMIT)
+        assert verdict_rows.rows(rep) == verdict_rows.frozen("validate_rg:rey:2")
 
     def test_level0_law_failure_keeps_level1_laws(self):
         # level 0 has an idempotent b with one composite corrupted, so
