@@ -384,16 +384,17 @@ def pair1(m1: PropRelMor, m2: PropRelMor) -> PropRelMor:
                       pair0(m1.f, m2.f), pair0(m1.g, m2.g))
 
 
-def expo1(r: PropRel, s: PropRel) -> PropRel:
-    """Relates (f, g) iff they carry every pair of r to a pair of s.
+def _related_fns(r: PropRel, s: PropRel) -> Iterator[tuple[FinFn, list]]:
+    """Each f : r.dom -> s.dom that some g makes carry r into s, with
+    the list of those g : r.cod -> s.cod, both in canonical order.
 
     Only related pairs are enumerated: each constraint s(f a, g b)
     touches one image of g, so for a fixed f the related g are the
     product, over b, of the s-partners of every f(a) with (a, b) in r.
     The function spaces list their members in canonical label order
     (lexicographic in the images, which are canonically ordered), so
-    walking f, then each image of g, in that order yields the keys
-    already canonically sorted, as PropRel requires.
+    walking f, then each image of g, in that order yields the pairs
+    already canonically sorted.
     """
     fspace = _fn_space(r.dom, s.dom)
     gspace = _fn_space(r.cod, s.cod)
@@ -414,7 +415,6 @@ def expo1(r: PropRel, s: PropRel) -> PropRel:
     sset = s.pair_set
     scod = s.cod.elements
 
-    entries = []
     for f in fspace:
         fimg = [y for _, y in f.table]
         offsets = []
@@ -427,9 +427,15 @@ def expo1(r: PropRel, s: PropRel) -> PropRel:
                 break
             offsets.append([p * weight[j] for p in opts])
         else:
-            flab = fn_label(f)
-            for k in map(sum, itertools.product(*offsets)):
-                entries.append((flab, fn_label(gspace[k])))
+            yield f, [gspace[k] for k in map(sum, itertools.product(*offsets))]
+
+
+def expo1(r: PropRel, s: PropRel) -> PropRel:
+    """Relates (f, g) iff they carry every pair of r to a pair of s."""
+    entries = []
+    for f, gs in _related_fns(r, s):
+        flab = fn_label(f)
+        entries.extend((flab, fn_label(g)) for g in gs)
     return PropRel(expo0(r.dom, s.dom), expo0(r.cod, s.cod), tuple(entries))
 
 
@@ -460,12 +466,8 @@ def prod_mor(m: PropRelMor, n: PropRelMor) -> PropRelMor:
 
 
 def all_rel_mors(r: PropRel, s: PropRel) -> Iterator[PropRelMor]:
-    """Every relation-preserving square from r to s."""
-    for f in all_functions(r.dom, s.dom):
-        for g in all_functions(r.cod, s.cod):
-            m = try_rel_mor(r, s, f, g)
-            if m is not None:
-                yield m
+    """Every relation-preserving square from r to s, by f and then g."""
+    return (PropRelMor(r, s, f, g) for f, gs in _related_fns(r, s) for g in gs)
 
 
 def check_ccc(carriers, relations, report) -> None:
@@ -662,6 +664,11 @@ def build_instance(policy: IsoPolicy, carrier_bound: int):
     takes the equality relations and all function graphs, with every
     boundary-compatible relation-preserving square as a morphism.
     Returns the structure together with the policy's selection.
+
+    A level-1 morphism is its two legs, so level 1 is read off level 0:
+    all_rel_mors enumerates each hom-set from its related legs, and a
+    composite is the listed morphism with the level-0 composites as
+    legs (one not listed is minted, and check_category flags it).
     """
     objs0 = atom_objects(carrier_bound)
     mors0 = [f for a in objs0 for b in objs0 for f in all_functions(a, b)]
@@ -672,10 +679,16 @@ def build_instance(policy: IsoPolicy, carrier_bound: int):
 
     rels = {eq_rel(a) for a in objs0} | {graph_rel(f) for f in mors0}
     mors1 = [m for r in rels for s in rels for m in all_rel_mors(r, s)]
+    listed = {(m.src, m.tgt, m.f, m.g): m for m in mors1}
+    comp0 = level0.comp
+
+    def compose1(g: PropRelMor, f: PropRelMor) -> PropRelMor:
+        legs = (f.src, g.tgt, comp0[(g.f, f.f)], comp0[(g.g, f.g)])
+        return listed.get(legs) or PropRelMor(*legs)
+
     level1 = rgalg.category_from_morphisms(
         rels, {m: (m.src, m.tgt) for m in mors1},
-        {r: rel_mor_id(r) for r in rels},
-        lambda g, f: rel_mor_compose(g, f))
+        {r: rel_mor_id(r) for r in rels}, compose1)
 
     face_top = rgalg.make_cat_functor({r: r.dom for r in rels},
                                       {m: m.f for m in mors1})

@@ -325,13 +325,15 @@ def check_cat_functor(f: CatFunctor, dom: FinCategory, cod: FinCategory,
     if witness:
         return
 
+    on = f.on_mor   # a broken dom may name morphisms the table lacks
     witness = next((f"identity not preserved at {o!r}" for o in dom.objects
-                    if f.on_mor[dom.id_of[o]] != cod.id_of[f.on_obj[o]]), None)
+                    if on.get(dom.id_of.get(o)) != cod.id_of.get(f.on_obj[o])),
+                   None)
     report.check(f"{tag}: preserves identities", witness)
 
     witness = None
     for (g, h), gh in dom.comp.items():
-        if f.on_mor[gh] != cod.comp[(f.on_mor[g], f.on_mor[h])]:
+        if gh not in on or on[gh] != cod.comp.get((on.get(g), on.get(h))):
             witness = f"composition not preserved at ({g!r}, {h!r})"
             break
     report.check(f"{tag}: preserves composition", witness)

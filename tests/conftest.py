@@ -6,8 +6,9 @@ from param_workbench import rgalg
 
 @pytest.fixture(scope="session")
 def rey_instance():
-    """The bound-2 structure with the mixed iso policy; building it is
-    the expensive part, so every suite shares one copy."""
+    """The bound-2 structure with the mixed iso policy, shared by every
+    suite so that its tables' cached lookups (composites, inverses) are
+    filled once."""
     return fm.build_instance(fm.IsoPolicy.REY, 2)
 
 

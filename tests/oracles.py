@@ -13,7 +13,8 @@ import itertools
 
 from param_workbench import cubemodel as cb
 from param_workbench import systemf as sf
-from param_workbench.finmodel import all_functions, expo0, fn_label, rel
+from param_workbench.finmodel import (all_functions, expo0, fn_label, rel,
+                                      try_rel_mor)
 
 # Semantic types are tuples:
 #   ("atom", level) | ("unit",) | ("prod", l, r) | ("arrow", d, c)
@@ -186,6 +187,30 @@ def brute_expo1(r, s):
                for g in all_functions(r.cod, s.cod)
                if all(s.holds(f(a), g(b)) for a, b in r.entries)]
     return rel(expo0(r.dom, s.dom), expo0(r.cod, s.cod), related)
+
+
+def brute_all_rel_mors(r, s):
+    """Every relation morphism r -> s by trying each pair of legs, f
+    then g, both in the function spaces' canonical order."""
+    for f in all_functions(r.dom, s.dom):
+        for g in all_functions(r.cod, s.cod):
+            m = try_rel_mor(r, s, f, g)
+            if m is not None:
+                yield m
+
+
+def graph_mor_count(h, k) -> int:
+    """The number of relation morphisms graph(h) -> graph(k), in closed
+    form over the left leg.
+
+    (f, g) carries graph(h) into graph(k) iff g(h a) = k(f a) for every
+    a.  So f qualifies iff k∘f is constant on each fiber of h; g is then
+    forced on the image of h and free off it.
+    """
+    image = {y for _, y in h.table}
+    free = len(k.cod) ** (len(h.cod) - len(image))
+    return free * sum(len({(h(a), k(f(a))) for a in h.dom}) == len(image)
+                      for f in all_functions(h.dom, k.dom))
 
 
 def erases_to(t, u) -> bool:

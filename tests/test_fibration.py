@@ -39,6 +39,17 @@ def test_fibration_suite_passes(policy, bound):
         verdict_rows.fib_key(policy, bound))
 
 
+@pytest.mark.parametrize("arity", [0, 1, 2])
+def test_identity_extension_over_stock_type_functors(arity):
+    """At every level-0 probe environment the comparison from the
+    equality on the level-0 value to the level-1 value at equalities
+    exists and is an iso."""
+    u = fib.default_universe()
+    for t in fib.stock_type_functors(arity):
+        for env in fib.probe_envs(u, arity, 0):
+            assert fib.epsilon_of(t, env.entries, u).is_iso, (t, env)
+
+
 class TestExtended:
     u = fib.default_universe()
     a2, a3, b = fin_set([0, 1]), fin_set([0, 1, 2]), fin_set(["x"])

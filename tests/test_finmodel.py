@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import verdict_rows
 from param_workbench import cubemodel as cm
+from param_workbench import finmodel as fm
 from param_workbench import rgalg
 from param_workbench.finmodel import (
     STAR,
@@ -18,6 +20,7 @@ from param_workbench.finmodel import (
     PropRelMor,
     all_functions,
     all_rel_mors,
+    atom_objects,
     bang1,
     build_instance,
     check_ccc,
@@ -230,6 +233,31 @@ def test_expo1_matches_brute_force_on_nested_labels():
         assert expo1(r, s).entries == oracles.brute_expo1(r, s).entries
 
 
+@settings(max_examples=150, deadline=None)
+@given(small_rels(0), small_rels(0))
+def test_all_rel_mors_matches_brute_force(r, s):
+    """Enumerating each f's related g gives the squares that trying every
+    pair of legs gives, in the same order."""
+    assert list(all_rel_mors(r, s)) == list(oracles.brute_all_rel_mors(r, s))
+
+
+@pytest.mark.parametrize("bound, total", [(2, 530), (3, 274_694)])
+def test_graph_rel_mor_counts_match_the_closed_form(bound, total):
+    """Between every two function graphs over the atom subsets (the
+    equalities among them), all_rel_mors yields as many squares as the
+    fiber count predicts; at bound 2 these are build_instance's."""
+    objs = atom_objects(bound)
+    fns = [f for a in objs for b in objs for f in all_functions(a, b)]
+    graphs = [graph_rel(h) for h in fns]
+    seen = 0
+    for h, r in zip(fns, graphs):
+        for k, s in zip(fns, graphs):
+            n = oracles.graph_mor_count(h, k)
+            assert sum(1 for _ in all_rel_mors(r, s)) == n, (h, k)
+            seen += n
+    assert seen == total
+
+
 class TestValidators:
     @pytest.mark.parametrize("elements", [(1, 0), (0, 0), ("a", 0)])
     def test_set_elements_must_be_canonical_and_distinct(self, elements):
@@ -275,6 +303,27 @@ class TestBuildInstance:
         # and the identity-faced isos
         assert sub.selected1 == frozenset(
             rg.level1.id_of[o] for o in rg.level1.objects)
+
+    @pytest.mark.parametrize("bound", verdict_rows.INSTANCE_BOUNDS)
+    @pytest.mark.parametrize("policy", list(IsoPolicy))
+    def test_tables_are_frozen(self, policy, bound):
+        rows = verdict_rows.instance_rows(*build_instance(policy, bound))
+        assert rows == verdict_rows.frozen(
+            verdict_rows.instance_key(policy, bound))
+
+    def test_unlisted_composite_fails_validation_without_raising(
+            self, monkeypatch):
+        # eq_mor(const0) = eq_mor(const0) . eq_mor(swap) on {0, 1}; with it
+        # dropped, that composite is minted from its legs as a stray
+        dropped = eq_mor(fn(A2, A2, lambda _: 0))
+        real = fm.all_rel_mors
+        monkeypatch.setattr(fm, "all_rel_mors", lambda r, s: (
+            m for m in real(r, s) if m != dropped))
+        rg, sub = build_instance(IsoPolicy.REY, 2)
+        assert dropped not in rg.level1.src
+        failed = [f.law for f in rgalg.validate_rg(rg, sub).failures]
+        assert "level1: compose boundaries" in failed
+        assert "face_top: preserves composition" in failed
 
     def test_crey_selection_is_inverse_closed(self):
         rg, sub = build_instance(IsoPolicy.CREY, 2)

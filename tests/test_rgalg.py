@@ -136,6 +136,17 @@ class TestValidate:
         rgalg.check_category(broken, rep, "x")
         assert "x: compose boundaries" in [f.law for f in rep.failures]
 
+    def test_object_without_identity_fails_the_functor_checks(self):
+        # S has no identity, so no functor out of level 1 can preserve it
+        rg = one_object_instance()
+        l1 = make_category(["R", "S"], {"r": ("R", "R")}, {"R": "r"},
+                           {("r", "r"): "r"})
+        down = lambda: make_cat_functor({"R": "A", "S": "A"}, {"r": "a"})
+        rep = validate_rg(RgCategory(rg.level0, l1, down(), down(), rg.degen))
+        failed = [f.law for f in rep.failures]
+        assert "level1: identity total" in failed
+        assert "face_top: preserves identities" in failed
+
     def test_identity_for_an_unknown_object_is_a_finding(self):
         broken = make_category(["A"], {"a": ("A", "A")},
                                {"A": "a", "Z": "a"}, {("a", "a"): "a"})

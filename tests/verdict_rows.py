@@ -5,7 +5,9 @@ verdict_rows.json holds every (law, status, detail) row of:
 * abstraction_check and iel_check on each corpus definition, and
   free_theorem_check on each quantified one;
 * fibration_suite(policy, bound, rounds=1) for every policy at bounds 1-2;
-* validate_rg on the REY bound-2 instance, associativity sampled.
+* validate_rg on the REY bound-2 instance, associativity sampled;
+* build_instance(policy, bound) for every policy at bounds 1-2, as a
+  sha256 of its tables and selection plus each level's sizes.
 
 The tests that run these reports compare them with the file, so a
 refactor that moves a single row fails tier-1.  Regenerate the file only
@@ -17,6 +19,7 @@ when a verdict is meant to change, and say why in the change:
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import pathlib
 
@@ -26,6 +29,7 @@ HERE = pathlib.Path(__file__).resolve().parent
 PATH = HERE / "verdict_rows.json"
 CORPUS = HERE.parent / "corpus"
 FIB_BOUNDS = (1, 2)
+INSTANCE_BOUNDS = (1, 2)
 ASSOC_LIMIT = 20_000
 
 
@@ -55,6 +59,27 @@ def fib_key(policy, bound: int) -> str:
     return f"fibration_suite:{policy.name.lower()}:{bound}"
 
 
+def instance_key(policy, bound: int) -> str:
+    return f"build_instance:{policy.name.lower()}:{bound}"
+
+
+def instance_rows(rg, sub) -> list:
+    """A sha256 over the repr of both levels' (objects, morphisms,
+    identity, compose), the face and degeneracy maps and the repr-sorted
+    selections, then one [level, objects, morphisms, composites] row per
+    level.  The tables are canonically ordered, so the digest depends
+    neither on construction order nor on the hash seed."""
+    levels = (rg.level0, rg.level1)
+    parts = [(c.objects, c.morphisms, c.identity, c.compose) for c in levels]
+    parts += [(f.obj_map, f.mor_map)
+              for f in (rg.face_top, rg.face_bot, rg.degen)]
+    parts += [sorted(map(repr, sel)) for sel in (sub.selected0, sub.selected1)]
+    digest = hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()
+    return [["sha256", digest]] + [
+        [f"level{i}", len(c.objects), len(c.morphisms), len(c.compose)]
+        for i, c in enumerate(levels)]
+
+
 def generate() -> dict:
     from param_workbench import fibration as fib
     from param_workbench import finmodel as fm
@@ -78,6 +103,10 @@ def generate() -> dict:
     rg, sub = fm.build_instance(fm.IsoPolicy.REY, 2)
     out["validate_rg:rey:2"] = rows(
         rgalg.validate_rg(rg, sub, assoc_limit=ASSOC_LIMIT))
+    for policy in fm.IsoPolicy:
+        for bound in INSTANCE_BOUNDS:
+            out[instance_key(policy, bound)] = instance_rows(
+                *fm.build_instance(policy, bound))
     return out
 
 
