@@ -195,14 +195,18 @@ class PropRel:
     entries: tuple  # ((a, b), ...) canonically ordered
 
     def __post_init__(self):
-        # a pair orders as its label_key does: by a, then by b
-        keys = [(label_key(a), label_key(b)) for a, b in self.entries]
+        # a pair orders as its label_key does: by a, then by b; a carrier
+        # lists its elements in label_key order, so positions order alike
+        dpos = {a: i for i, a in enumerate(self.dom.elements)}
+        cpos = {b: j for j, b in enumerate(self.cod.elements)}
+        try:
+            keys = [(dpos[a], cpos[b]) for a, b in self.entries]
+        except KeyError:
+            a, b = next((a, b) for a, b in self.entries
+                        if a not in dpos or b not in cpos)
+            raise ValueError(f"pair ({a!r}, {b!r}) escapes the boundary") from None
         if not all(map(operator.lt, keys, keys[1:])):
             raise ValueError("pairs must be canonically ordered and distinct")
-        dom, cod = set(self.dom.elements), set(self.cod.elements)
-        for a, b in self.entries:
-            if a not in dom or b not in cod:
-                raise ValueError(f"pair ({a!r}, {b!r}) escapes the boundary")
 
     @cached_property
     def pair_set(self) -> frozenset:
@@ -293,6 +297,7 @@ def bang0(a: FinSetObj) -> FinFn:
     return fn(a, terminal0(), lambda _: STAR)
 
 
+@lru_cache(maxsize=4096)
 def product0(a: FinSetObj, b: FinSetObj) -> FinSetObj:
     return fin_set([("pr", x, y) for x in a for y in b])
 
@@ -315,8 +320,10 @@ def fn_label(f: FinFn) -> Label:
     return ("fn", f.table)
 
 
+@lru_cache(maxsize=4096)
 def expo0(a: FinSetObj, b: FinSetObj) -> FinSetObj:
-    # the function space is already in canonical label order
+    # the function space is already in canonical label order, so its
+    # labels sit at the positions of _fn_space's functions
     return FinSetObj(tuple(fn_label(f) for f in _fn_space(a, b)))
 
 
@@ -384,9 +391,11 @@ def pair1(m1: PropRelMor, m2: PropRelMor) -> PropRelMor:
                       pair0(m1.f, m2.f), pair0(m1.g, m2.g))
 
 
-def _related_fns(r: PropRel, s: PropRel) -> Iterator[tuple[FinFn, list]]:
+def _related_fns(r: PropRel, s: PropRel) -> Iterator[tuple[int, list]]:
     """Each f : r.dom -> s.dom that some g makes carry r into s, with
-    the list of those g : r.cod -> s.cod, both in canonical order.
+    the list of those g : r.cod -> s.cod, both in canonical order and
+    both as positions: f's in _fn_space(r.dom, s.dom), the g's in
+    _fn_space(r.cod, s.cod).
 
     Only related pairs are enumerated: each constraint s(f a, g b)
     touches one image of g, so for a fixed f the related g are the
@@ -396,11 +405,10 @@ def _related_fns(r: PropRel, s: PropRel) -> Iterator[tuple[FinFn, list]]:
     walking f, then each image of g, in that order yields the pairs
     already canonically sorted.
     """
-    fspace = _fn_space(r.dom, s.dom)
-    gspace = _fn_space(r.cod, s.cod)
     dpos = {a: i for i, a in enumerate(r.dom)}
     bpos = {b: j for j, b in enumerate(r.cod)}
-    # g's index in gspace is the mixed-radix number of its image positions
+    # g's position in its function space is the mixed-radix number of
+    # its image positions
     weight = [len(s.cod) ** (len(r.cod) - 1 - j) for j in range(len(r.cod))]
     partners = [[] for _ in r.cod]        # r-partners of each b, as dom positions
     for a, b in r.entries:
@@ -415,7 +423,7 @@ def _related_fns(r: PropRel, s: PropRel) -> Iterator[tuple[FinFn, list]]:
     sset = s.pair_set
     scod = s.cod.elements
 
-    for f in fspace:
+    for fi, f in enumerate(_fn_space(r.dom, s.dom)):
         fimg = [y for _, y in f.table]
         offsets = []
         for j, ps in enumerate(partners):
@@ -427,16 +435,18 @@ def _related_fns(r: PropRel, s: PropRel) -> Iterator[tuple[FinFn, list]]:
                 break
             offsets.append([p * weight[j] for p in opts])
         else:
-            yield f, [gspace[k] for k in map(sum, itertools.product(*offsets))]
+            yield fi, list(map(sum, itertools.product(*offsets)))
 
 
 def expo1(r: PropRel, s: PropRel) -> PropRel:
     """Relates (f, g) iff they carry every pair of r to a pair of s."""
+    dom, cod = expo0(r.dom, s.dom), expo0(r.cod, s.cod)
+    flabs, glabs = dom.elements, cod.elements
     entries = []
-    for f, gs in _related_fns(r, s):
-        flab = fn_label(f)
-        entries.extend((flab, fn_label(g)) for g in gs)
-    return PropRel(expo0(r.dom, s.dom), expo0(r.cod, s.cod), tuple(entries))
+    for i, ks in _related_fns(r, s):
+        flab = flabs[i]
+        entries.extend((flab, glabs[k]) for k in ks)
+    return PropRel(dom, cod, tuple(entries))
 
 
 def eval1(r: PropRel, s: PropRel) -> PropRelMor:
@@ -467,7 +477,9 @@ def prod_mor(m: PropRelMor, n: PropRelMor) -> PropRelMor:
 
 def all_rel_mors(r: PropRel, s: PropRel) -> Iterator[PropRelMor]:
     """Every relation-preserving square from r to s, by f and then g."""
-    return (PropRelMor(r, s, f, g) for f, gs in _related_fns(r, s) for g in gs)
+    fspace, gspace = _fn_space(r.dom, s.dom), _fn_space(r.cod, s.cod)
+    return (PropRelMor(r, s, fspace[i], gspace[k])
+            for i, ks in _related_fns(r, s) for k in ks)
 
 
 def check_ccc(carriers, relations, report) -> None:

@@ -2,8 +2,8 @@
 
 Terms are Church-style (lambdas carry full domain annotations), so
 typechecking is syntax-directed. Both binder kinds use de Bruijn
-indices; the pretty-printer regenerates fresh names. `step` is the
-reference semantics; `normalize` and `unormalize` share one NbE core.
+indices; the pretty-printer regenerates fresh names. `normalize` and
+`unormalize` share one NbE core.
 """
 
 from __future__ import annotations
@@ -230,102 +230,6 @@ def subst_type(ty: Type, replacement: Type, target: int = 0) -> Type:
     raise TypeError(f"not a type: {ty!r}")
 
 
-def shift_term(t: Term, amount: int, cutoff: int = 0) -> Term:
-    """Shift term variables only."""
-    match t:
-        case Var(i):
-            return Var(i + amount) if i >= cutoff else t
-        case Lam(a, b):
-            return Lam(a, shift_term(b, amount, cutoff + 1))
-        case App(f, x):
-            return App(shift_term(f, amount, cutoff), shift_term(x, amount, cutoff))
-        case Pair(l, r):
-            return Pair(shift_term(l, amount, cutoff), shift_term(r, amount, cutoff))
-        case Fst(b):
-            return Fst(shift_term(b, amount, cutoff))
-        case Snd(b):
-            return Snd(shift_term(b, amount, cutoff))
-        case UnitV():
-            return t
-        case TyLam(b):
-            return TyLam(shift_term(b, amount, cutoff))
-        case TyApp(f, ty):
-            return TyApp(shift_term(f, amount, cutoff), ty)
-    raise TypeError(f"not a term: {t!r}")
-
-
-def shift_term_types(t: Term, amount: int, cutoff: int = 0) -> Term:
-    """Shift type variables occurring in a term's annotations."""
-    match t:
-        case Var(_) | UnitV():
-            return t
-        case Lam(a, b):
-            return Lam(shift_type(a, amount, cutoff), shift_term_types(b, amount, cutoff))
-        case App(f, x):
-            return App(shift_term_types(f, amount, cutoff), shift_term_types(x, amount, cutoff))
-        case Pair(l, r):
-            return Pair(shift_term_types(l, amount, cutoff), shift_term_types(r, amount, cutoff))
-        case Fst(b):
-            return Fst(shift_term_types(b, amount, cutoff))
-        case Snd(b):
-            return Snd(shift_term_types(b, amount, cutoff))
-        case TyLam(b):
-            return TyLam(shift_term_types(b, amount, cutoff + 1))
-        case TyApp(f, ty):
-            return TyApp(shift_term_types(f, amount, cutoff), shift_type(ty, amount, cutoff))
-    raise TypeError(f"not a term: {t!r}")
-
-
-def subst_term(t: Term, replacement: Term, target: int = 0) -> Term:
-    match t:
-        case Var(i):
-            if i == target:
-                return shift_term(replacement, target)
-            return Var(i - 1) if i > target else t
-        case Lam(a, b):
-            return Lam(a, subst_term(b, replacement, target + 1))
-        case App(f, x):
-            return App(subst_term(f, replacement, target), subst_term(x, replacement, target))
-        case Pair(l, r):
-            return Pair(subst_term(l, replacement, target), subst_term(r, replacement, target))
-        case Fst(b):
-            return Fst(subst_term(b, replacement, target))
-        case Snd(b):
-            return Snd(subst_term(b, replacement, target))
-        case UnitV():
-            return t
-        case TyLam(b):
-            return TyLam(subst_term(b, shift_term_types(replacement, 1), target))
-        case TyApp(f, ty):
-            return TyApp(subst_term(f, replacement, target), ty)
-    raise TypeError(f"not a term: {t!r}")
-
-
-def subst_type_in_term(t: Term, replacement: Type, target: int = 0) -> Term:
-    match t:
-        case Var(_) | UnitV():
-            return t
-        case Lam(a, b):
-            return Lam(subst_type(a, replacement, target),
-                       subst_type_in_term(b, replacement, target))
-        case App(f, x):
-            return App(subst_type_in_term(f, replacement, target),
-                       subst_type_in_term(x, replacement, target))
-        case Pair(l, r):
-            return Pair(subst_type_in_term(l, replacement, target),
-                        subst_type_in_term(r, replacement, target))
-        case Fst(b):
-            return Fst(subst_type_in_term(b, replacement, target))
-        case Snd(b):
-            return Snd(subst_type_in_term(b, replacement, target))
-        case TyLam(b):
-            return TyLam(subst_type_in_term(b, replacement, target + 1))
-        case TyApp(f, ty):
-            return TyApp(subst_type_in_term(f, replacement, target),
-                         subst_type(ty, replacement, target))
-    raise TypeError(f"not a term: {t!r}")
-
-
 # ---------------------------------------------------------------------------
 # Typechecking
 # ---------------------------------------------------------------------------
@@ -392,49 +296,6 @@ def typecheck(tyctx_depth: int, termctx: tuple[Type, ...], t: Term) -> Type:
 # ---------------------------------------------------------------------------
 # Normalization
 # ---------------------------------------------------------------------------
-
-def step(t: Term) -> Optional[Term]:
-    """One normal-order (leftmost-outermost) reduction step, or None."""
-    match t:
-        case App(Lam(_, body), arg):
-            return subst_term(body, arg)
-        case TyApp(TyLam(body), ty):
-            return subst_type_in_term(body, ty)
-        case Fst(Pair(l, _)):
-            return l
-        case Snd(Pair(_, r)):
-            return r
-        case App(f, x):
-            s = step(f)
-            if s is not None:
-                return App(s, x)
-            s = step(x)
-            return None if s is None else App(f, s)
-        case TyApp(f, ty):
-            s = step(f)
-            return None if s is None else TyApp(s, ty)
-        case Lam(a, b):
-            s = step(b)
-            return None if s is None else Lam(a, s)
-        case TyLam(b):
-            s = step(b)
-            return None if s is None else TyLam(s)
-        case Pair(l, r):
-            s = step(l)
-            if s is not None:
-                return Pair(s, r)
-            s = step(r)
-            return None if s is None else Pair(l, s)
-        case Fst(b):
-            s = step(b)
-            return None if s is None else Fst(s)
-        case Snd(b):
-            s = step(b)
-            return None if s is None else Snd(s)
-        case Var(_) | UnitV():
-            return None
-    raise TypeError(f"not a term: {t!r}")
-
 
 def normalize(t: Term, fuel: Optional[int] = None) -> Term:
     """Full beta-normal form. Reduces under binders; idempotent."""
@@ -627,61 +488,72 @@ def _tm_name(i: int) -> str:
     return letter if i < 3 else f"{letter}{i // 3}"
 
 
+def _render(task: tuple, parts) -> str:
+    """Concatenate the pieces that parts(*task) splits a task into,
+    depth first over an explicit stack: a piece is a string or a
+    further task."""
+    out: list = []
+    todo: list = [task]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            todo += reversed(parts(*item))
+    return "".join(out)
+
+
+def _paren(wrap: bool, *parts) -> tuple:
+    return ("(", *parts, ")") if wrap else parts
+
+
 def pretty_type(ty: Type, depth: int = 0) -> str:
-    def go(ty: Type, d: int, prec: int) -> str:
+    def parts(ty: Type, d: int, prec: int) -> tuple:
         # prec: 0 = forall/arrow position, 1 = product, 2 = atom
         match ty:
             case TVar(i):
-                return _ty_name(d - 1 - i) if i < d else f"?{i}"
+                return (_ty_name(d - 1 - i) if i < d else f"?{i}",)
             case UnitT():
-                return "unit"
+                return ("unit",)
             case ArrowT(dom, c):
-                s = f"{go(dom, d, 1)} -> {go(c, d, 0)}"
-                return f"({s})" if prec > 0 else s
+                return _paren(prec > 0, (dom, d, 1), " -> ", (c, d, 0))
             case ProdT(l, r):
-                s = f"{go(l, d, 2)} * {go(r, d, 1)}"
-                return f"({s})" if prec > 1 else s
+                return _paren(prec > 1, (l, d, 2), " * ", (r, d, 1))
             case ForallT(b):
-                s = f"forall {_ty_name(d)}. {go(b, d + 1, 0)}"
-                return f"({s})" if prec > 0 else s
+                return _paren(prec > 0, f"forall {_ty_name(d)}. ", (b, d + 1, 0))
         raise TypeError(f"not a type: {ty!r}")
 
-    return go(ty, depth, 0)
+    return _render((ty, depth, 0), parts)
 
 
 def pretty_term(t: Term, ty_depth: int = 0, tm_depth: int = 0) -> str:
-    def go(t: Term, tyd: int, tmd: int, prec: int) -> str:
+    def parts(t: Term, tyd: int, tmd: int, prec: int) -> tuple:
         # prec: 0 = binder position, 1 = application, 2 = atom
         match t:
             case Var(i):
-                return _tm_name(tmd - 1 - i) if i < tmd else f"?v{i}"
+                return (_tm_name(tmd - 1 - i) if i < tmd else f"?v{i}",)
             case UnitV():
-                return "()"
+                return ("()",)
             case Lam(a, b):
-                name = _tm_name(tmd)
-                s = f"\\{name}:{pretty_type(a, tyd)}. {go(b, tyd, tmd + 1, 0)}"
-                return f"({s})" if prec > 0 else s
+                head = f"\\{_tm_name(tmd)}:{pretty_type(a, tyd)}. "
+                return _paren(prec > 0, head, (b, tyd, tmd + 1, 0))
             case TyLam(b):
-                name = _ty_name(tyd)
-                s = f"/\\{name}. {go(b, tyd + 1, tmd, 0)}"
-                return f"({s})" if prec > 0 else s
+                head = f"/\\{_ty_name(tyd)}. "
+                return _paren(prec > 0, head, (b, tyd + 1, tmd, 0))
             case App(f, x):
-                s = f"{go(f, tyd, tmd, 1)} {go(x, tyd, tmd, 2)}"
-                return f"({s})" if prec > 1 else s
+                return _paren(prec > 1, (f, tyd, tmd, 1), " ", (x, tyd, tmd, 2))
             case TyApp(f, ty):
-                s = f"{go(f, tyd, tmd, 1)} [{pretty_type(ty, tyd)}]"
-                return f"({s})" if prec > 1 else s
+                arg = f" [{pretty_type(ty, tyd)}]"
+                return _paren(prec > 1, (f, tyd, tmd, 1), arg)
             case Pair(l, r):
-                return f"({go(l, tyd, tmd, 0)}, {go(r, tyd, tmd, 0)})"
+                return ("(", (l, tyd, tmd, 0), ", ", (r, tyd, tmd, 0), ")")
             case Fst(b):
-                s = f"fst {go(b, tyd, tmd, 2)}"
-                return f"({s})" if prec > 1 else s
+                return _paren(prec > 1, "fst ", (b, tyd, tmd, 2))
             case Snd(b):
-                s = f"snd {go(b, tyd, tmd, 2)}"
-                return f"({s})" if prec > 1 else s
+                return _paren(prec > 1, "snd ", (b, tyd, tmd, 2))
         raise TypeError(f"not a term: {t!r}")
 
-    return go(t, ty_depth, tm_depth, 0)
+    return _render((t, ty_depth, tm_depth, 0), parts)
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,217 @@ def erases_to(t, u) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# the printers with one recursive call per node: the library's
+# explicit-stack printers must print what these print
+# ---------------------------------------------------------------------------
+
+def recursive_pretty_type(ty, depth=0):
+    def go(ty, d, prec):
+        # prec: 0 = forall/arrow position, 1 = product, 2 = atom
+        match ty:
+            case sf.TVar(i):
+                return sf._ty_name(d - 1 - i) if i < d else f"?{i}"
+            case sf.UnitT():
+                return "unit"
+            case sf.ArrowT(dom, c):
+                s = f"{go(dom, d, 1)} -> {go(c, d, 0)}"
+                return f"({s})" if prec > 0 else s
+            case sf.ProdT(l, r):
+                s = f"{go(l, d, 2)} * {go(r, d, 1)}"
+                return f"({s})" if prec > 1 else s
+            case sf.ForallT(b):
+                s = f"forall {sf._ty_name(d)}. {go(b, d + 1, 0)}"
+                return f"({s})" if prec > 0 else s
+        raise TypeError(f"not a type: {ty!r}")
+
+    return go(ty, depth, 0)
+
+
+def recursive_pretty_term(t, ty_depth=0, tm_depth=0):
+    def go(t, tyd, tmd, prec):
+        # prec: 0 = binder position, 1 = application, 2 = atom
+        match t:
+            case sf.Var(i):
+                return sf._tm_name(tmd - 1 - i) if i < tmd else f"?v{i}"
+            case sf.UnitV():
+                return "()"
+            case sf.Lam(a, b):
+                name, ann = sf._tm_name(tmd), recursive_pretty_type(a, tyd)
+                s = f"\\{name}:{ann}. {go(b, tyd, tmd + 1, 0)}"
+                return f"({s})" if prec > 0 else s
+            case sf.TyLam(b):
+                name = sf._ty_name(tyd)
+                s = f"/\\{name}. {go(b, tyd + 1, tmd, 0)}"
+                return f"({s})" if prec > 0 else s
+            case sf.App(f, x):
+                s = f"{go(f, tyd, tmd, 1)} {go(x, tyd, tmd, 2)}"
+                return f"({s})" if prec > 1 else s
+            case sf.TyApp(f, ty):
+                s = f"{go(f, tyd, tmd, 1)} [{recursive_pretty_type(ty, tyd)}]"
+                return f"({s})" if prec > 1 else s
+            case sf.Pair(l, r):
+                return f"({go(l, tyd, tmd, 0)}, {go(r, tyd, tmd, 0)})"
+            case sf.Fst(b):
+                s = f"fst {go(b, tyd, tmd, 2)}"
+                return f"({s})" if prec > 1 else s
+            case sf.Snd(b):
+                s = f"snd {go(b, tyd, tmd, 2)}"
+                return f"({s})" if prec > 1 else s
+        raise TypeError(f"not a term: {t!r}")
+
+    return go(t, ty_depth, tm_depth, 0)
+
+
+# ---------------------------------------------------------------------------
+# the typed small-step reference, with the substitutions it needs
+# ---------------------------------------------------------------------------
+
+def step(t):
+    """One normal-order (leftmost-outermost) reduction step, or None."""
+    match t:
+        case sf.App(sf.Lam(_, body), arg):
+            return subst_term(body, arg)
+        case sf.TyApp(sf.TyLam(body), ty):
+            return subst_type_in_term(body, ty)
+        case sf.Fst(sf.Pair(l, _)):
+            return l
+        case sf.Snd(sf.Pair(_, r)):
+            return r
+        case sf.App(f, x):
+            s = step(f)
+            if s is not None:
+                return sf.App(s, x)
+            s = step(x)
+            return None if s is None else sf.App(f, s)
+        case sf.TyApp(f, ty):
+            s = step(f)
+            return None if s is None else sf.TyApp(s, ty)
+        case sf.Lam(a, b):
+            s = step(b)
+            return None if s is None else sf.Lam(a, s)
+        case sf.TyLam(b):
+            s = step(b)
+            return None if s is None else sf.TyLam(s)
+        case sf.Pair(l, r):
+            s = step(l)
+            if s is not None:
+                return sf.Pair(s, r)
+            s = step(r)
+            return None if s is None else sf.Pair(l, s)
+        case sf.Fst(b):
+            s = step(b)
+            return None if s is None else sf.Fst(s)
+        case sf.Snd(b):
+            s = step(b)
+            return None if s is None else sf.Snd(s)
+        case sf.Var(_) | sf.UnitV():
+            return None
+    raise TypeError(f"not a term: {t!r}")
+
+
+def shift_term(t, amount, cutoff=0):
+    """Shift term variables only."""
+    match t:
+        case sf.Var(i):
+            return sf.Var(i + amount) if i >= cutoff else t
+        case sf.Lam(a, b):
+            return sf.Lam(a, shift_term(b, amount, cutoff + 1))
+        case sf.App(f, x):
+            return sf.App(shift_term(f, amount, cutoff), shift_term(x, amount, cutoff))
+        case sf.Pair(l, r):
+            return sf.Pair(shift_term(l, amount, cutoff), shift_term(r, amount, cutoff))
+        case sf.Fst(b):
+            return sf.Fst(shift_term(b, amount, cutoff))
+        case sf.Snd(b):
+            return sf.Snd(shift_term(b, amount, cutoff))
+        case sf.UnitV():
+            return t
+        case sf.TyLam(b):
+            return sf.TyLam(shift_term(b, amount, cutoff))
+        case sf.TyApp(f, ty):
+            return sf.TyApp(shift_term(f, amount, cutoff), ty)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def shift_term_types(t, amount, cutoff=0):
+    """Shift type variables occurring in a term's annotations."""
+    match t:
+        case sf.Var(_) | sf.UnitV():
+            return t
+        case sf.Lam(a, b):
+            return sf.Lam(sf.shift_type(a, amount, cutoff),
+                          shift_term_types(b, amount, cutoff))
+        case sf.App(f, x):
+            return sf.App(shift_term_types(f, amount, cutoff),
+                          shift_term_types(x, amount, cutoff))
+        case sf.Pair(l, r):
+            return sf.Pair(shift_term_types(l, amount, cutoff),
+                           shift_term_types(r, amount, cutoff))
+        case sf.Fst(b):
+            return sf.Fst(shift_term_types(b, amount, cutoff))
+        case sf.Snd(b):
+            return sf.Snd(shift_term_types(b, amount, cutoff))
+        case sf.TyLam(b):
+            return sf.TyLam(shift_term_types(b, amount, cutoff + 1))
+        case sf.TyApp(f, ty):
+            return sf.TyApp(shift_term_types(f, amount, cutoff),
+                            sf.shift_type(ty, amount, cutoff))
+    raise TypeError(f"not a term: {t!r}")
+
+
+def subst_term(t, replacement, target=0):
+    match t:
+        case sf.Var(i):
+            if i == target:
+                return shift_term(replacement, target)
+            return sf.Var(i - 1) if i > target else t
+        case sf.Lam(a, b):
+            return sf.Lam(a, subst_term(b, replacement, target + 1))
+        case sf.App(f, x):
+            return sf.App(subst_term(f, replacement, target),
+                          subst_term(x, replacement, target))
+        case sf.Pair(l, r):
+            return sf.Pair(subst_term(l, replacement, target),
+                           subst_term(r, replacement, target))
+        case sf.Fst(b):
+            return sf.Fst(subst_term(b, replacement, target))
+        case sf.Snd(b):
+            return sf.Snd(subst_term(b, replacement, target))
+        case sf.UnitV():
+            return t
+        case sf.TyLam(b):
+            return sf.TyLam(subst_term(b, shift_term_types(replacement, 1), target))
+        case sf.TyApp(f, ty):
+            return sf.TyApp(subst_term(f, replacement, target), ty)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def subst_type_in_term(t, replacement, target=0):
+    match t:
+        case sf.Var(_) | sf.UnitV():
+            return t
+        case sf.Lam(a, b):
+            return sf.Lam(sf.subst_type(a, replacement, target),
+                          subst_type_in_term(b, replacement, target))
+        case sf.App(f, x):
+            return sf.App(subst_type_in_term(f, replacement, target),
+                          subst_type_in_term(x, replacement, target))
+        case sf.Pair(l, r):
+            return sf.Pair(subst_type_in_term(l, replacement, target),
+                           subst_type_in_term(r, replacement, target))
+        case sf.Fst(b):
+            return sf.Fst(subst_type_in_term(b, replacement, target))
+        case sf.Snd(b):
+            return sf.Snd(subst_type_in_term(b, replacement, target))
+        case sf.TyLam(b):
+            return sf.TyLam(subst_type_in_term(b, replacement, target + 1))
+        case sf.TyApp(f, ty):
+            return sf.TyApp(subst_type_in_term(f, replacement, target),
+                            sf.subst_type(ty, replacement, target))
+    raise TypeError(f"not a term: {t!r}")
+
+
+# ---------------------------------------------------------------------------
 # the untyped small-step reference: one normal-order step at a time
 # ---------------------------------------------------------------------------
 

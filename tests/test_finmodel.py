@@ -23,6 +23,7 @@ from param_workbench.finmodel import (
     atom_objects,
     bang1,
     build_instance,
+    canon,
     check_ccc,
     eq_mor,
     eq_rel,
@@ -281,6 +282,78 @@ class TestValidators:
     def test_function_images_stay_inside_the_codomain(self):
         with pytest.raises(ValueError, match="escapes the codomain"):
             FinFn(A2, A1, ((0, 0), (1, 1)))
+
+
+# nested and mixed labels: on MIXED, Python orders the tuples (0, 5) <
+# (1,), but label_key puts the shorter tuple first
+MIXED = fin_set([0, 3, "s", (1,), (0, 5)])
+LABELLED = [A2, product0(A2, A1), expo0(A1, A2), expo0(A2, A2), MIXED]
+OUTSIDE = ["t", (2,), ("pr", 9, 9)]  # in none of LABELLED
+
+
+def _outside_pairs(dom, cod):
+    return ([(x, b) for x in OUTSIDE for b in cod]
+            + [(a, x) for a in dom for x in OUTSIDE])
+
+
+def _accepts(dom, cod, entries) -> bool:
+    try:
+        PropRel(dom, cod, tuple(entries))
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_relation_check_by_position_is_the_label_key_definition(data):
+    """PropRel compares carrier positions; it accepts exactly the entries
+    that lie inside the boundary and are their own canonical form."""
+    dom = data.draw(st.sampled_from(LABELLED))
+    cod = data.draw(st.sampled_from(LABELLED))
+    inside = [(a, b) for a in dom for b in cod]
+    pairs = st.sampled_from(inside + _outside_pairs(dom, cod))
+    entries = data.draw(st.one_of(
+        st.lists(pairs, max_size=5),
+        st.sets(st.sampled_from(inside), max_size=6).map(canon)))
+    want = (all(a in dom and b in cod for a, b in entries)
+            and tuple(entries) == canon(entries))
+    assert _accepts(dom, cod, entries) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_relation_check_names_each_fault(data):
+    dom = data.draw(st.sampled_from(LABELLED))
+    cod = data.draw(st.sampled_from(LABELLED))
+    inside = [(a, b) for a in dom for b in cod]
+    entries = list(canon(data.draw(
+        st.sets(st.sampled_from(inside), min_size=2, max_size=6))))
+    assert _accepts(dom, cod, entries)
+    i = data.draw(st.integers(0, len(entries) - 2))
+    swapped = entries[:i] + [entries[i + 1], entries[i]] + entries[i + 2:]
+    doubled = entries[:i + 1] + entries[i:]
+    for bad in (swapped, doubled):
+        with pytest.raises(ValueError, match="canonically ordered and distinct"):
+            PropRel(dom, cod, tuple(bad))
+    # in canonical position, so only the boundary can reject it
+    out = data.draw(st.sampled_from(_outside_pairs(dom, cod)))
+    with pytest.raises(ValueError, match="escapes the boundary"):
+        PropRel(dom, cod, canon(entries + [out]))
+
+
+@pytest.mark.parametrize("a, b", [
+    *itertools.product(atom_objects(2), repeat=2),
+    (product0(A2, A1), expo0(A1, A2)),
+])
+def test_memoized_carriers_match_their_definitions(a, b):
+    assert product0(a, b) == fin_set([("pr", x, y) for x in a for y in b])
+    assert expo0(a, b) == fin_set(fn_label(f) for f in all_functions(a, b))
+    # an equal carrier built separately gets an equal result
+    a2, b2 = FinSetObj(tuple(a)), FinSetObj(tuple(b))
+    assert a2 is not a and b2 is not b
+    assert product0(a2, b2) == product0(a, b)
+    assert expo0(a2, b2) == expo0(a, b)
 
 
 def test_every_square_into_the_terminal_is_unique():

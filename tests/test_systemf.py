@@ -170,6 +170,27 @@ class TestPrettyRoundTrip:
         assert sf.parse_term_str(sf.pretty_term(t)) == t
 
 
+class TestPrettyUnchanged:
+    """The explicit-stack printers print what one recursive call per
+    node prints."""
+
+    def test_corpus(self):
+        for d in DEFS:
+            assert sf.pretty_term(d.term) == oracles.recursive_pretty_term(d.term)
+            assert sf.pretty_type(d.declared) == \
+                oracles.recursive_pretty_type(d.declared)
+            nf = sf.normalize(d.term)
+            assert sf.pretty_term(nf) == oracles.recursive_pretty_term(nf)
+
+    @given(scoped_terms(tydepth=1, tmdepth=1))
+    def test_random_open_terms(self, t):
+        assert sf.pretty_term(t, 1, 1) == oracles.recursive_pretty_term(t, 1, 1)
+
+    @given(scoped_types(depth=1))
+    def test_random_open_types(self, ty):
+        assert sf.pretty_type(ty, 1) == oracles.recursive_pretty_type(ty, 1)
+
+
 # ---------------------------------------------------------------------------
 # typechecking
 # ---------------------------------------------------------------------------
@@ -253,13 +274,13 @@ class TestNormalize:
         w = Lam(UnitT(), UnitV())
         t0 = App(App(TyApp(true, T), u), w)
 
-        t1 = sf.step(t0)
+        t1 = oracles.step(t0)
         assert t1 == App(App(Lam(T, Lam(T, Var(1))), u), w)
-        t2 = sf.step(t1)
+        t2 = oracles.step(t1)
         assert t2 == App(Lam(T, u), w)
-        t3 = sf.step(t2)
+        t3 = oracles.step(t2)
         assert t3 == u
-        assert sf.step(t3) is None
+        assert oracles.step(t3) is None
         assert sf.normalize(t0) == u
 
     def test_idempotent_on_corpus(self):
@@ -320,7 +341,8 @@ REFERENCE_FUEL = 100  # random draws needing more reference steps are skipped
 class TestAgainstSmallStep:
     def test_typed_corpus(self):
         for d in DEFS:
-            assert sf.normalize(d.term) == oracles.iterate_steps(sf.step, d.term, 10**4)
+            ref = oracles.iterate_steps(oracles.step, d.term, 10**4)
+            assert sf.normalize(d.term) == ref
 
     def test_erased_corpus(self):
         for d in DEFS:
@@ -332,7 +354,7 @@ class TestAgainstSmallStep:
     def test_typed_random(self, t):
         # ill-typed draws included: stuck redexes such as App(UnitV(), x)
         # stay in the normal form exactly as step leaves them
-        ref = oracles.iterate_steps(sf.step, t, REFERENCE_FUEL)
+        ref = oracles.iterate_steps(oracles.step, t, REFERENCE_FUEL)
         assume(ref is not None)
         assert sf.normalize(t) == ref
 
@@ -390,6 +412,11 @@ class TestDeepChurch:
         # 2,052 nodes: deeper than the default recursion limit
         nf = sf.normalize(CHURCH["p1024"])
         assert church_value(sf.erase(nf), typed=False) == 1024
+
+    def test_printing_a_deep_normal_form(self):
+        nf = sf.normalize(CHURCH["p1024"])
+        spine = "x (" * 1023 + "x y" + ")" * 1023
+        assert sf.pretty_term(nf) == f"/\\a. \\x:a -> a. \\y:a. {spine}"
 
 
 # ---------------------------------------------------------------------------
