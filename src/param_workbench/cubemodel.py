@@ -7,12 +7,13 @@ relations carries a prop-valued filling predicate over boundary
 tuples: witnesses are data on edges but mere conditions one dimension
 up.
 
-Both dimensions have a unit, products and exponentials, and the
-comparison isos weta_* relate equalities to them.  equality_suite
-checks the face laws of replications and connections over a finite
-stock.  No type is interpreted here: fibration evaluates type trees
-over finite sets and propositional relations only, so quantifiers have
-no witnessed or square-level reading.
+Relations replicate and connect into squares, and equality_suite
+checks the face laws of those constructions over a finite stock.  The
+witnessed exponential wexpo has no caller in the package; it stays
+because perfbench's tracer names it.  No type is interpreted here:
+fibration evaluates type trees over finite sets and propositional
+relations only, so quantifiers have no witnessed or square-level
+reading.
 
 Edge geometry is fixed throughout. A square has corners a, b, c, d
 with top : a <-> b, left : a <-> c, bottom : c <-> d, right : b <-> d,
@@ -28,28 +29,20 @@ from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
 from .finmodel import (
-    STAR,
-    WUNIT,
     FinFn,
     FinSetObj,
     Label,
     all_functions,
-    apply_label,
     atom_objects,
-    bang0,
     canon,
     expo0,
-    expo0_action,
     fn_compose,
     fn_id,
-    fn_inverse,
     fn_label,
     hash_once,
     is_canonical,
     label_key,
-    product0,
     refl,
-    terminal0,
 )
 from .rgalg import Report
 
@@ -186,41 +179,14 @@ def wit_mor_compose(m2: WitRelMor, m1: WitRelMor) -> WitRelMor:
                    lambda a, b, w: m2.send(m1.f(a), m1.g(b), m1.send(a, b, w)))
 
 
-def wit_mor_inverse(m: WitRelMor) -> WitRelMor:
-    if not m.is_iso:
-        raise ValueError("not an isomorphism")
-    back = {(m.f(a), m.g(b), w2): w for (a, b, w), w2 in m.senders}
-    return wit_mor(m.tgt, m.src, fn_inverse(m.f), fn_inverse(m.g),
-                   lambda a, b, w: back[(a, b, w)])
-
-
 def eq_wmor(f: FinFn) -> WitRelMor:
     # functorial: refl(a) goes to refl(f a)
     return wit_mor(weq(f.dom), weq(f.cod), f, f, lambda a, b, w: refl(f(a)))
 
 
 # ---------------------------------------------------------------------------
-# cartesian structure on witnessed relations
+# the witnessed exponential
 # ---------------------------------------------------------------------------
-
-def wunit_rel() -> WitRel:
-    t = terminal0()
-    return wrel(t, t, {(STAR, STAR): (WUNIT,)})
-
-
-def wbang(r: WitRel) -> WitRelMor:
-    return wit_mor(r, wunit_rel(), bang0(r.dom), bang0(r.cod),
-                   lambda a, b, w: WUNIT)
-
-
-def wprod(r: WitRel, s: WitRel) -> WitRel:
-    wit = {}
-    for (a, b), ws1 in r.entries:
-        for (c, d), ws2 in s.entries:
-            wit[(("pr", a, c), ("pr", b, d))] = tuple(
-                ("wpair", w1, w2) for w1 in ws1 for w2 in ws2)
-    return wrel(product0(r.dom, s.dom), product0(r.cod, s.cod), wit)
-
 
 def _wtab(entries) -> Label:
     return ("wtab", tuple(sorted(entries, key=lambda e: label_key(e[0]))))
@@ -247,44 +213,6 @@ def wexpo(r: WitRel, s: WitRel) -> WitRel:
                 _wtab(zip(keys, chosen))
                 for chosen in itertools.product(*choices))
     return wrel(expo0(r.dom, s.dom), expo0(r.cod, s.cod), wit)
-
-
-def wexpo_mor(m: WitRelMor, n: WitRelMor) -> WitRelMor:
-    """Action of the exponential: m must be invertible (contravariant slot)."""
-    mi = wit_mor_inverse(m)
-    fleg = expo0_action(m.f, n.f)
-    gleg = expo0_action(m.g, n.g)
-
-    def send(lf, lg, tab):
-        entries = []
-        for a2, b2, w2 in m.tgt.triples():
-            a, b, w = mi.f(a2), mi.g(b2), mi.send(a2, b2, w2)
-            entries.append(((a2, b2, w2),
-                            n.send(apply_label(lf, a), apply_label(lg, b),
-                                   tab_apply(tab, a, b, w))))
-        return _wtab(entries)
-
-    return wit_mor(wexpo(m.src, n.src), wexpo(m.tgt, n.tgt), fleg, gleg, send)
-
-
-def weta_unit() -> WitRelMor:
-    t = terminal0()
-    return wit_mor(weq(t), wunit_rel(), fn_id(t), fn_id(t), lambda a, b, w: WUNIT)
-
-
-def weta_prod(a: FinSetObj, b: FinSetObj) -> WitRelMor:
-    p = product0(a, b)
-    return wit_mor(weq(p), wprod(weq(a), weq(b)), fn_id(p), fn_id(p),
-                   lambda x, y, w: ("wpair", refl(x[1]), refl(x[2])))
-
-
-def weta_expo(a: FinSetObj, b: FinSetObj) -> WitRelMor:
-    e = expo0(a, b)
-
-    def send(lf, lg, w):
-        return _wtab(((x, x, refl(x)), refl(apply_label(lf, x))) for x in a)
-
-    return wit_mor(weq(e), wexpo(weq(a), weq(b)), fn_id(e), fn_id(e), send)
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +268,6 @@ def face2(which: str, q: TwoRel) -> WitRel:
     if which not in _FACES:
         raise ValueError(f"unknown face {which!r}")
     return getattr(q, which)
-
-
-def transpose2(q: TwoRel) -> TwoRel:
-    """Flip a square across its main diagonal."""
-    cells = [((a, c, b, d), (qq, p, s, r)) for (a, b, c, d), (p, qq, r, s) in q.cells]
-    return two_rel(q.left, q.top, q.right, q.bottom, cells)
 
 
 @hash_once
@@ -487,70 +409,6 @@ def square_mor_on(tag: str, m: WitRelMor) -> TwoRelMor:
     if tag in ("upper", "lower"):
         return connection_mor(tag, m)
     raise ValueError(f"unknown square construction {tag!r}")
-
-
-# ---------------------------------------------------------------------------
-# cartesian structure on squares
-# ---------------------------------------------------------------------------
-
-def squnit() -> TwoRel:
-    u = wunit_rel()
-    cell = ((STAR, STAR, STAR, STAR), (WUNIT, WUNIT, WUNIT, WUNIT))
-    return two_rel(u, u, u, u, [cell])
-
-
-def sqbang(q: TwoRel) -> TwoRelMor:
-    return TwoRelMor(q, squnit(), wbang(q.top), wbang(q.left),
-                     wbang(q.bottom), wbang(q.right))
-
-
-def sqprod(q1: TwoRel, q2: TwoRel) -> TwoRel:
-    cells = []
-    for (a1, b1, c1, d1), (p1, q1w, r1, s1) in q1.cells:
-        for (a2, b2, c2, d2), (p2, q2w, r2, s2) in q2.cells:
-            cells.append(
-                ((("pr", a1, a2), ("pr", b1, b2), ("pr", c1, c2), ("pr", d1, d2)),
-                 (("wpair", p1, p2), ("wpair", q1w, q2w),
-                  ("wpair", r1, r2), ("wpair", s1, s2))))
-    return two_rel(wprod(q1.top, q2.top), wprod(q1.left, q2.left),
-                   wprod(q1.bottom, q2.bottom), wprod(q1.right, q2.right), cells)
-
-
-def sqexpo(q1: TwoRel, q2: TwoRel) -> TwoRel:
-    """Exponential square: filled by table tuples that map cells to cells."""
-    top = wexpo(q1.top, q2.top)
-    left = wexpo(q1.left, q2.left)
-    bottom = wexpo(q1.bottom, q2.bottom)
-    right = wexpo(q1.right, q2.right)
-    cells = []
-    for (ta, tb), pset in top.entries:
-        for (la, lc), qset in left.entries:
-            if la != ta:
-                continue
-            for (ba, bd), rset in bottom.entries:
-                if ba != lc:
-                    continue
-                for (ra, rd), sset in right.entries:
-                    if ra != tb or rd != bd:
-                        continue
-                    corners = (ta, tb, lc, bd)
-                    for tabs in itertools.product(pset, qset, rset, sset):
-                        if _tables_fill(q1, q2, corners, tabs):
-                            cells.append((corners, tabs))
-    return two_rel(top, left, bottom, right, cells)
-
-
-def _tables_fill(q1: TwoRel, q2: TwoRel, corners, tabs) -> bool:
-    ta, tb, tc, td = corners
-    pt, qt, rt, st = tabs
-    for (a, b, c, d), (p, q, r, s) in q1.cells:
-        image = ((apply_label(ta, a), apply_label(tb, b),
-                  apply_label(tc, c), apply_label(td, d)),
-                 (tab_apply(pt, a, b, p), tab_apply(qt, a, c, q),
-                  tab_apply(rt, c, d, r), tab_apply(st, b, d, s)))
-        if image not in q2.cell_set:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -358,9 +358,6 @@ def lambda0(f: FinFn, c: FinSetObj, a: FinSetObj) -> FinFn:
 # cartesian closure, level 1
 # ---------------------------------------------------------------------------
 
-WUNIT = ("wunit",)
-
-
 def terminal1() -> PropRel:
     t = terminal0()
     return PropRel(t, t, ((STAR, STAR),))
@@ -587,15 +584,13 @@ def check_ccc(carriers, relations, report) -> None:
 class IsoPolicy(Enum):
     """Which isomorphisms a structure selects as its relevant ones.
 
-    STRICT selects identities, REY the isos with identity legs, CREY
-    every iso.  Over propositional relations a morphism is its two legs,
-    so an iso with identity legs is an identity and STRICT and REY
-    select the same isos: 4 at level 0 and 18 at level 1 in
-    build_instance(·, 2).  Comparison isos that are not identities occur
-    only among witnessed relations (cubemodel's weta_unit, weta_prod and
-    weta_expo relabel witnesses over identity legs).
+    REY selects the isos with identity legs, CREY every iso.  Relations
+    are extensional, so a relation morphism is its two legs and an iso
+    with identity legs is an identity: REY selects the identities (4 at
+    level 0 and 18 at level 1 in build_instance(·, 2)) and CREY every
+    iso.  A policy selecting only identities would coincide with REY,
+    so these two are the only distinct choices.
     """
-    STRICT = "strict"
     REY = "rey"
     CREY = "crey"
 
@@ -607,8 +602,6 @@ def relevant_iso_check(policy: IsoPolicy, m) -> bool:
             return m.is_bijection
         return m.is_identity
     if isinstance(m, PropRelMor):
-        if policy is IsoPolicy.STRICT:
-            return m.is_identity
         if policy is IsoPolicy.REY:
             return m.is_iso and m.has_identity_faces
         return m.is_iso
@@ -815,16 +808,13 @@ def const_map_nat(rg, f_src, f_tgt, src_rel: PropRel, tgt_rel: PropRel, h: FinFn
 
 
 def stock_functors(rg, policy: IsoPolicy, bound: int):
-    """Draw one arity-1 endofunctor; richer policies admit more stock."""
+    """Draw one arity-1 endofunctor.  policy is unread: every policy
+    draws from the same stock, and callers pass it positionally."""
     perms = _atom_permutations(bound)
     carriers = [a for a in atom_objects(bound) if len(a)]
 
     def draw(rng):
-        kinds = ["id", "conj", "const_eq"]
-        if policy is not IsoPolicy.STRICT:
-            kinds.append("const_diag")
-        kinds.append("compose")
-        kind = rng.choice(kinds)
+        kind = rng.choice(["id", "conj", "const_eq", "const_diag", "compose"])
         if kind == "id":
             return rgalg.id_functor(rg, 1)
         if kind == "conj":
@@ -844,12 +834,6 @@ def stock_nat_chains(rg, policy: IsoPolicy, bound: int):
     perms = _atom_permutations(bound)
     carriers = [a for a in atom_objects(bound) if len(a)]
 
-    def flavors(c: FinSetObj) -> list[PropRel]:
-        out = [eq_rel(c)]
-        if policy is not IsoPolicy.STRICT:
-            out.append(graph_rel(fn_id(c)))
-        return out
-
     def draw(rng, length: int):
         # length nats span length+1 functors; the first `pivot` of those
         # are conjugations, the rest constants
@@ -859,7 +843,7 @@ def stock_nat_chains(rg, policy: IsoPolicy, bound: int):
         consts = []
         for _ in range(n_funs - pivot):
             c = rng.choice(carriers)
-            consts.append(rng.choice(flavors(c)))
+            consts.append(rng.choice([eq_rel(c), graph_rel(fn_id(c))]))
         funs = [conjugation_functor(rg, s) for s in sigs]
         funs += [constant_functor(
             rg, t, PropRelMor(eq_rel(t.dom), t, fn_id(t.dom), fn_id(t.dom)))

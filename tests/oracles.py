@@ -155,6 +155,12 @@ def all_two_mors(src: cb.TwoRel, tgt: cb.TwoRel) -> list:
     return out
 
 
+def transpose2(q: cb.TwoRel) -> cb.TwoRel:
+    """Flip a square across its main diagonal."""
+    cells = [((a, c, b, d), (qq, p, s, r)) for (a, b, c, d), (p, qq, r, s) in q.cells]
+    return cb.two_rel(q.left, q.top, q.right, q.bottom, cells)
+
+
 def quadratic_inverses(cat) -> dict:
     """Two-sided inverses by scanning every morphism pair.
 

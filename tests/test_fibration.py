@@ -130,6 +130,19 @@ class TestUniverseData:
         with pytest.raises(ValueError, match="malformed universe data"):
             fib.universe_from_data(data)
 
+    def test_load_universe_reads_a_written_file(self, tmp_path):
+        u = fib.default_universe()
+        data = fib.universe_to_data(u)
+        good = tmp_path / "universe.json"
+        good.write_text(json.dumps(data), encoding="utf-8")
+        back = fib.load_universe(str(good))
+        assert (back.policy, back.objs0, back.objs1) == (u.policy, u.objs0, u.objs1)
+        # only rey and crey are policies
+        gone = tmp_path / "strict.json"
+        gone.write_text(json.dumps(dict(data, policy="strict")), encoding="utf-8")
+        with pytest.raises(ValueError, match="malformed universe data"):
+            fib.load_universe(str(gone))
+
 
 class TestEnvL:
     def test_witnessed_relations_are_rejected(self):

@@ -176,8 +176,9 @@ class TestPolicies:
 
     def test_relabeling_isos_are_identities_extensionally(self):
         # Relations are their pairs, so the comparison between the
-        # equality on a product and the product of equalities passes
-        # even the strict policy; only moving faces can break it.
+        # equality on a product and the product of equalities is an
+        # identity, which every policy selects; only moving faces can
+        # break it.
         m = comparison(product1(eq_rel(A2), eq_rel(A2)))
         assert m.is_identity
         for policy in IsoPolicy:
@@ -188,7 +189,6 @@ class TestPolicies:
         r = graph_rel(swap)
         m = PropRelMor(r, r, swap, swap)
         assert m.is_iso and not m.has_identity_faces
-        assert not relevant_iso_check(IsoPolicy.STRICT, m)
         assert not relevant_iso_check(IsoPolicy.REY, m)
         assert relevant_iso_check(IsoPolicy.CREY, m)
 
@@ -362,18 +362,13 @@ def test_every_square_into_the_terminal_is_unique():
 
 
 class TestBuildInstance:
-    def test_strict_selects_exactly_identities(self):
-        rg, sub = build_instance(IsoPolicy.STRICT, 2)
-        assert sub.selected0 == frozenset(
-            rg.level0.id_of[o] for o in rg.level0.objects)
-        assert sub.selected1 == frozenset(
-            rg.level1.id_of[o] for o in rg.level1.objects)
-
     def test_rey_selection_has_identity_face_images(self, rey_instance):
         rg, sub = rey_instance
         assert all(m.has_identity_faces for m in sub.selected1)
         # extensional relations leave no room between the identities
         # and the identity-faced isos
+        assert sub.selected0 == frozenset(
+            rg.level0.id_of[o] for o in rg.level0.objects)
         assert sub.selected1 == frozenset(
             rg.level1.id_of[o] for o in rg.level1.objects)
 

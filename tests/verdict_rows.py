@@ -80,34 +80,37 @@ def instance_rows(rg, sub) -> list:
         for i, c in enumerate(levels)]
 
 
-def generate() -> dict:
+def reports():
+    """Each key of the file with a thunk that computes its rows, in file
+    order.  Listing the keys parses the corpus but runs no report."""
     from param_workbench import fibration as fib
     from param_workbench import finmodel as fm
     from param_workbench import interp
     from param_workbench import rgalg
 
     defs = corpus_defs()
-    out = {}
     for name, d in sorted(defs.items()):
-        out[f"abstraction_check:{name}"] = rows(
+        yield f"abstraction_check:{name}", lambda d=d: rows(
             interp.abstraction_check(d.term, u=fib.default_universe()))
-        out[f"iel_check:{name}"] = rows(
+        yield f"iel_check:{name}", lambda d=d: rows(
             interp.iel_check(d.declared, u=fib.default_universe()))
     for name in quantified(defs):
-        out[f"free_theorem_check:{name}"] = rows(
-            interp.free_theorem_check(defs[name].term))
+        yield f"free_theorem_check:{name}", lambda d=defs[name]: rows(
+            interp.free_theorem_check(d.term))
     for policy in fm.IsoPolicy:
         for bound in FIB_BOUNDS:
-            out[fib_key(policy, bound)] = rows(
-                fib.fibration_suite(policy, bound, rounds=1))
-    rg, sub = fm.build_instance(fm.IsoPolicy.REY, 2)
-    out["validate_rg:rey:2"] = rows(
-        rgalg.validate_rg(rg, sub, assoc_limit=ASSOC_LIMIT))
+            yield fib_key(policy, bound), lambda p=policy, b=bound: rows(
+                fib.fibration_suite(p, b, rounds=1))
+    yield "validate_rg:rey:2", lambda: rows(rgalg.validate_rg(
+        *fm.build_instance(fm.IsoPolicy.REY, 2), assoc_limit=ASSOC_LIMIT))
     for policy in fm.IsoPolicy:
         for bound in INSTANCE_BOUNDS:
-            out[instance_key(policy, bound)] = instance_rows(
-                *fm.build_instance(policy, bound))
-    return out
+            yield instance_key(policy, bound), lambda p=policy, b=bound: (
+                instance_rows(*fm.build_instance(p, b)))
+
+
+def generate() -> dict:
+    return {key: run() for key, run in reports()}
 
 
 def dump(table: dict) -> str:
