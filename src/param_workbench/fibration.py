@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Optional, Sequence
 
 from . import rgalg
@@ -399,8 +399,9 @@ def evaluate(f: TypeFunctor, env: EnvL, u: ProbeUniverse):
 
     Both levels follow the finite-set CCC: level 0 over finite sets,
     level 1 over propositional relations; quantifier nodes range over
-    u's probes.  Values are pure data, so they are cached on u;
-    exponentials at level 1 are expensive enough to make that matter.
+    u's probes.  Values are pure data, so they are cached on u.  Since
+    an exponential's level-1 value can list very many pairs, quantifiers
+    never ask for their body's: they ask related, pair by pair.
     """
     return u.memo_eval(("ev", f, env), lambda: _evaluate(f, env, u))
 
@@ -469,10 +470,34 @@ def evaluate_mor(f: TypeFunctor, isos, u: ProbeUniverse) -> FinFn:
 #     ("fam", (element per probe object...))
 # ordered positionally by the universe.  Relations are proof-irrelevant,
 # so the element part is the whole family: relatedness at each probe
-# relation is a condition on it, not further data.  Enumeration
-# therefore just filters element choices; under
-# the crey policy an extra pass discards families that fail to commute
-# with the universe's bijections.
+# relation is a condition on it, not further data, decided by related.
+# Enumeration assigns the probe objects' elements in order and checks
+# each probe relation once both its endpoints are assigned, pruning
+# every extension of a failing choice; under the crey policy each
+# complete family must moreover commute with the universe's bijections.
+
+def related(f: TypeFunctor, rbar: tuple, x, y, u: ProbeUniverse) -> bool:
+    """evaluate(f, EnvL(1, rbar), u).holds(x, y), decided on the tree
+    without listing an exponential's pairs: an arrow relates two
+    functions when they carry every pair of its domain's small level-1
+    value (a slot's relation is read directly, skipping the memo's
+    hashing) to related results."""
+    if isinstance(f, FProj):
+        return rbar[f.index].holds(x, y)
+    if isinstance(f, FUnit):
+        return True
+    if isinstance(f, FProd):
+        return (related(f.left, rbar, x[1], y[1], u)
+                and related(f.right, rbar, x[2], y[2], u))
+    if isinstance(f, FArrow):
+        dom = (rbar[f.dom.index] if isinstance(f.dom, FProj)
+               else evaluate(f.dom, EnvL(1, rbar), u))
+        fx, gy = dict(x[1]), dict(y[1])
+        return all(related(f.cod, rbar, fx[a], gy[b], u) for a, b in dom.entries)
+    if isinstance(f, FForall):
+        return evaluate(f, EnvL(1, rbar), u).holds(x, y)
+    raise TypeError(f"not a type functor: {f!r}")
+
 
 def _body_values0(body: TypeFunctor, base: tuple, u: ProbeUniverse) -> tuple:
     key = ("bv0", body, base)
@@ -480,31 +505,13 @@ def _body_values0(body: TypeFunctor, base: tuple, u: ProbeUniverse) -> tuple:
         evaluate(body, EnvL(0, base + (a,)), u) for a in u.objs0))
 
 
-def _body_rels_eq(body: TypeFunctor, base: tuple, u: ProbeUniverse) -> tuple:
-    key = ("bveq", body, base)
-    eqs = tuple(eq_rel(a) for a in base)
-    return u.memo_eval(key, lambda: tuple(
-        evaluate(body, EnvL(1, eqs + (r,)), u) for r in u.objs1))
-
-
-def _complete_family(body: TypeFunctor, base: tuple, u: ProbeUniverse,
-                     f0: tuple, rels_eq: Optional[tuple] = None):
-    """Admit an element choice as a family; None if any probe relation
-    is not carried or (crey) some bijection is not respected."""
-    if rels_eq is None:
-        rels_eq = _body_rels_eq(body, base, u)
-    for j, r in enumerate(u.objs1):
-        if not rels_eq[j].holds(f0[u.index0[r.dom]], f0[u.index0[r.cod]]):
-            return None
-    if u.policy is IsoPolicy.CREY:
-        ids = tuple(fn_id(a) for a in base)
-        for i in u.isos0:
-            if i.is_identity:
-                continue
-            act = evaluate_mor(body, ids + (i,), u)
-            if act(f0[u.index0[i.dom]]) != f0[u.index0[i.cod]]:
-                return None
-    return ("fam", tuple(f0))
+def _respects_isos(body: TypeFunctor, base: tuple, u: ProbeUniverse,
+                   f0: tuple) -> bool:
+    """Whether an element choice commutes with the universe's relevant
+    bijections; only crey has any besides identities."""
+    ids = tuple(fn_id(a) for a in base)
+    return all(evaluate_mor(body, ids + (i,), u)(f0[u.index0[i.dom]])
+               == f0[u.index0[i.cod]] for i in u.isos0 if not i.is_identity)
 
 
 def forall0_value(body: TypeFunctor, base: tuple, u: ProbeUniverse) -> FinSetObj:
@@ -512,13 +519,25 @@ def forall0_value(body: TypeFunctor, base: tuple, u: ProbeUniverse) -> FinSetObj
 
     def build():
         vals = _body_values0(body, base, u)
-        rels_eq = _body_rels_eq(body, base, u)
-        out = []
-        for f0 in itertools.product(*[v.elements for v in vals]):
-            lab = _complete_family(body, base, u, f0, rels_eq)
-            if lab is not None:
-                out.append(lab)
-        return fin_set(out)
+        eqs = tuple(eq_rel(a) for a in base)
+        # each probe relation is checked where its later endpoint is chosen
+        checks = [[] for _ in vals]
+        for r in u.objs1:
+            i, j = u.index0[r.dom], u.index0[r.cod]
+            checks[max(i, j)].append((eqs + (r,), i, j))
+
+        def extend(f0: tuple):
+            k = len(f0)
+            if k == len(vals):
+                if _respects_isos(body, base, u, f0):
+                    yield ("fam", f0)
+                return
+            for x in vals[k]:
+                g0 = f0 + (x,)
+                if all(related(body, rb, g0[i], g0[j], u) for rb, i, j in checks[k]):
+                    yield from extend(g0)
+
+        return fin_set(extend(()))
 
     return u.memo_eval(key, build)
 
@@ -529,13 +548,15 @@ def forall1_value(body: TypeFunctor, rbar: tuple, u: ProbeUniverse) -> PropRel:
     def build():
         src = forall0_value(body, tuple(r.dom for r in rbar), u)
         tgt = forall0_value(body, tuple(r.cod for r in rbar), u)
-        rels = [evaluate(body, EnvL(1, rbar + (r,)), u) for r in u.objs1]
         # both family sets are canonically ordered, so the pairs are too
-        return PropRel(src, tgt, tuple(
-            (famf, famg) for famf in src for famg in tgt
-            if all(rels[j].holds(famf[1][u.index0[r.dom]],
-                                 famg[1][u.index0[r.cod]])
-                   for j, r in enumerate(u.objs1))))
+        pairs = [(famf, famg) for famf in src for famg in tgt]
+        for r in u.objs1:
+            i, j, rb = u.index0[r.dom], u.index0[r.cod], rbar + (r,)
+            # families share components: decide each pair of them once
+            held = cache(lambda x, y: related(body, rb, x, y, u))
+            pairs = [(famf, famg) for famf, famg in pairs
+                     if held(famf[1][i], famg[1][j])]
+        return PropRel(src, tgt, tuple(pairs))
 
     return u.memo_eval(key, build)
 
@@ -545,11 +566,10 @@ def _forall0_transport(body: TypeFunctor, isos: tuple, u: ProbeUniverse) -> FinF
     tgt = forall0_value(body, tuple(i.cod for i in isos), u)
 
     def move(fam):
-        f0 = tuple(
+        lab = ("fam", tuple(
             evaluate_mor(body, isos + (fn_id(a),), u)(fam[1][j])
-            for j, a in enumerate(u.objs0))
-        lab = _complete_family(body, tuple(i.cod for i in isos), u, f0)
-        if lab is None or lab not in tgt:
+            for j, a in enumerate(u.objs0)))
+        if lab not in tgt:
             raise ValueError("transport left the family set")
         return lab
 
@@ -897,9 +917,9 @@ def transpose(f: TypeFunctor, g: TypeFunctor, eta: NatRep,
         tgt = forall0_value(g, env.entries, u)
 
         def move(x):
-            f0 = tuple(eta.at(EnvL(0, env.entries + (a,)))(x) for a in u.objs0)
-            lab = _complete_family(g, env.entries, u, f0)
-            if lab is None or lab not in tgt:
+            lab = ("fam", tuple(eta.at(EnvL(0, env.entries + (a,)))(x)
+                                for a in u.objs0))
+            if lab not in tgt:
                 raise ValueError("packaged family fails the membership clauses")
             return lab
 

@@ -134,27 +134,6 @@ def all_wit_mors(src: cb.WitRel, tgt: cb.WitRel) -> list:
     return out
 
 
-def all_two_mors(src: cb.TwoRel, tgt: cb.TwoRel) -> list:
-    """Every square morphism src -> tgt: edge tuples pruned by corner
-    sharing, then filtered by the constructor's cell preservation."""
-    out = []
-    for t in all_wit_mors(src.top, tgt.top):
-        for l in all_wit_mors(src.left, tgt.left):
-            if l.f != t.f:
-                continue
-            for b in all_wit_mors(src.bottom, tgt.bottom):
-                if b.f != l.g:
-                    continue
-                for r in all_wit_mors(src.right, tgt.right):
-                    if r.f != t.g or r.g != b.g:
-                        continue
-                    try:
-                        out.append(cb.TwoRelMor(src, tgt, t, l, b, r))
-                    except ValueError:
-                        continue
-    return out
-
-
 def transpose2(q: cb.TwoRel) -> cb.TwoRel:
     """Flip a square across its main diagonal."""
     cells = [((a, c, b, d), (qq, p, s, r)) for (a, b, c, d), (p, qq, r, s) in q.cells]

@@ -1,6 +1,10 @@
 """The λ2-fibration's law suite and its reports."""
 
 import json
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -48,6 +52,88 @@ def test_identity_extension_over_stock_type_functors(arity):
     for t in fib.stock_type_functors(arity):
         for env in fib.probe_envs(u, arity, 0):
             assert fib.epsilon_of(t, env.entries, u).is_iso, (t, env)
+
+
+P1, P2 = fib.FProj(1, 0), fib.FProj(2, 1)
+# trees the stock pools lack: an arrow out of an arrow or a quantifier,
+# and quantifiers whose bodies mention the outer slot
+RELATED_EXTRA = {
+    1: [fib.FArrow(fib.FArrow(P1, P1), P1),
+        fib.FArrow(fib.FForall(fib.FArrow(P2, P2)), P1),
+        fib.FForall(fib.FArrow(P2, fib.FProj(2, 0))),
+        fib.FForall(fib.FProd(fib.FProj(2, 0), fib.FArrow(P2, P2)))],
+    2: [],
+}
+
+
+@pytest.mark.parametrize("policy", list(IsoPolicy))
+@pytest.mark.parametrize("arity", [1, 2])
+def test_related_agrees_with_the_listed_relation(policy, arity):
+    """Deciding relatedness on the tree gives the materialized level-1
+    value's answer on every pair of the two faces' level-0 values."""
+    u = fib.default_universe(policy)
+    for t in fib.stock_type_functors(arity) + RELATED_EXTRA[arity]:
+        for env in fib.probe_envs(u, arity, 1):
+            listed = fib.evaluate(t, env, u)
+            xs = fib.evaluate(t, fib.EnvL(0, tuple(r.dom for r in env.entries)), u)
+            ys = fib.evaluate(t, fib.EnvL(0, tuple(r.cod for r in env.entries)), u)
+            for x in xs:
+                for y in ys:
+                    assert (fib.related(t, env.entries, x, y, u)
+                            == listed.holds(x, y)), (t, env.entries, x, y)
+
+
+@pytest.mark.parametrize("policy", list(IsoPolicy))
+def test_families_into_a_fixed_carrier_are_its_elements(policy):
+    """∀b. b→a ≅ a: a family is constant at every probe, and the graphs
+    between different carriers force all probes to one constant."""
+    u = fib.default_universe(policy)
+    into = fib.FArrow(fib.FProj(2, 1), fib.FProj(2, 0))
+    for a in u.objs0:
+        fams = fib.forall0_value(into, (a,), u)
+        assert len(fams) == len(a), (a, fams)
+
+
+BOUND3 = textwrap.dedent("""
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    from param_workbench import fibration as fib
+    from param_workbench import interp
+    from param_workbench import systemf as sf
+    from param_workbench.finmodel import apply_label
+
+    u = fib.graph_universe((1, 2, 3))
+    a = fib.FProj(1, 0)
+    body = fib.FArrow(a, fib.FArrow(a, a))
+    fams = fib.forall0_value(body, (), u)
+    picks = set()
+    for fam in fams:
+        pick = {0, 1}
+        for carrier, lbl in zip(u.objs0, fam[1]):
+            for x in carrier:
+                for y in carrier:
+                    z = apply_label(apply_label(lbl, x), y)
+                    pick &= {i for i, w in enumerate((x, y)) if w == z}
+        picks.add(frozenset(pick))
+    assert len(fams) == 2 and picks == {frozenset({0}), frozenset({1})}, fams
+    rel = fib.forall1_value(body, (), u)
+    assert rel.entries == tuple((f, f) for f in fams), rel.entries
+    rep = interp.iel_check(sf.parse_type_str("forall a. a -> a -> a"), u=u)
+    assert rep.ok and rep.findings, [f.row() for f in rep.failures]
+""")
+
+
+def test_church_booleans_over_three_element_carriers():
+    """Over carriers of up to three elements, with the graph of every
+    function between them, ∀a. a→a→a denotes exactly the two
+    projections, relates each only to itself, and passes identity
+    extension, all within 1 GiB of address space in a child process."""
+    src = pathlib.Path(fib.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", BOUND3], capture_output=True,
+                         text=True, timeout=300,
+                         env={"PYTHONPATH": str(src), "PATH": ""})
+    assert out.returncode == 0, out.stderr[-2000:]
 
 
 class TestExtended:
