@@ -15,6 +15,9 @@ fibration evaluates type trees over finite sets and propositional
 relations only, so quantifiers have no witnessed or square-level
 reading.
 
+The records are hash-consed like finmodel's (equality is identity), and
+the square constructions are cached, so each is built and validated once.
+
 Edge geometry is fixed throughout. A square has corners a, b, c, d
 with top : a <-> b, left : a <-> c, bottom : c <-> d, right : b <-> d,
 and boundary tuples are written ((a, b, c, d), (p, q, r, s)) with p on
@@ -39,7 +42,7 @@ from .finmodel import (
     fn_compose,
     fn_id,
     fn_label,
-    hash_once,
+    hash_cons,
     is_canonical,
     label_key,
     refl,
@@ -51,7 +54,7 @@ from .rgalg import Report
 # witnessed relations
 # ---------------------------------------------------------------------------
 
-@hash_once
+@hash_cons
 @dataclass(frozen=True)
 class WitRel:
     """Relation with a finite set of witness labels per related pair."""
@@ -106,7 +109,7 @@ def weq(a: FinSetObj) -> WitRel:
     return wrel(a, a, {(x, x): (refl(x),) for x in a})
 
 
-@hash_once
+@hash_cons
 @dataclass(frozen=True)
 class WitRelMor:
     """Boundary maps plus an explicit action on witnesses."""
@@ -168,6 +171,7 @@ def wit_mor(src: WitRel, tgt: WitRel, f: FinFn, g: FinFn, send) -> WitRelMor:
     return WitRelMor(src, tgt, f, g, entries)
 
 
+@lru_cache(maxsize=None)
 def wit_mor_id(r: WitRel) -> WitRelMor:
     return wit_mor(r, r, fn_id(r.dom), fn_id(r.cod), lambda a, b, w: w)
 
@@ -179,6 +183,7 @@ def wit_mor_compose(m2: WitRelMor, m1: WitRelMor) -> WitRelMor:
                    lambda a, b, w: m2.send(m1.f(a), m1.g(b), m1.send(a, b, w)))
 
 
+@lru_cache(maxsize=None)
 def eq_wmor(f: FinFn) -> WitRelMor:
     # functorial: refl(a) goes to refl(f a)
     return wit_mor(weq(f.dom), weq(f.cod), f, f, lambda a, b, w: refl(f(a)))
@@ -222,7 +227,7 @@ def wexpo(r: WitRel, s: WitRel) -> WitRel:
 _FACES = ("top", "left", "bottom", "right")
 
 
-@hash_once
+@hash_cons
 @dataclass(frozen=True)
 class TwoRel:
     """Square of witnessed relations with a prop-valued filling predicate."""
@@ -270,7 +275,7 @@ def face2(which: str, q: TwoRel) -> WitRel:
     return getattr(q, which)
 
 
-@hash_once
+@hash_cons
 @dataclass(frozen=True)
 class TwoRelMor:
     """Map of squares: edge morphisms sharing corner legs, cells preserved."""
@@ -343,6 +348,7 @@ def two_mor_compose(m2: TwoRelMor, m1: TwoRelMor) -> TwoRelMor:
 SQUARE_TAGS = ("horizontal", "vertical", "upper", "lower")
 
 
+@lru_cache(maxsize=None)
 def degen2(which: str, r: WitRel) -> TwoRel:
     """Replicate a relation into a square.
 
@@ -360,6 +366,7 @@ def degen2(which: str, r: WitRel) -> TwoRel:
     raise ValueError(f"unknown replication {which!r}")
 
 
+@lru_cache(maxsize=None)
 def connection(which: str, r: WitRel) -> TwoRel:
     """Fold a relation against the equality on one of its endpoints.
 

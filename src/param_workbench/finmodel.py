@@ -10,6 +10,8 @@ Because relations are extensional, the comparison map from the equality
 on a product or exponential to the product or exponential of
 equalities is an identity: both sides are the same set of pairs.  The
 witnessed relations of the proof-relevant model live in cubemodel.
+Records here and there are hash-consed (hash_cons): one instance per
+value, validated once when first built, so equality is identity.
 """
 
 from __future__ import annotations
@@ -57,15 +59,25 @@ def is_canonical(labels) -> bool:
     return all(map(operator.lt, keys, keys[1:]))
 
 
-def hash_once(cls):
-    """Cache each record's hash in its instance dict on first use.
+def hash_cons(cls):
+    """Hash-cons a frozen record class: one instance per value.
 
-    Tuples do not cache their hash, so a frozen record keyed by nested
-    tuples would re-hash its whole tree on every dict lookup.  The
-    cached value is read back as a plain instance attribute (a
-    cached_property costs more per lookup); equality is untouched.
+    Build records only by the class call, with positional fields: equal
+    fields give the stored record, new ones are validated once and kept
+    unless that raised.  So equality is identity.  The hash stays the
+    value hash, cached on first use, so set order ignores addresses.
     """
+    table = {}
+    init = cls.__init__
     compute = cls.__hash__
+
+    def __new__(c, *fields):
+        self = table.get(fields)
+        if self is None:
+            self = object.__new__(c)
+            init(self, *fields)
+            table[fields] = self
+        return self
 
     def __hash__(self):
         try:
@@ -74,6 +86,10 @@ def hash_once(cls):
             h = self.__dict__["_hash"] = compute(self)
             return h
 
+    cls.__new__ = staticmethod(__new__)
+    # a no-op: with __new__ overridden, object.__init__ ignores the fields
+    cls.__init__ = object.__init__
+    cls.__eq__ = object.__eq__
     cls.__hash__ = __hash__
     return cls
 
@@ -82,7 +98,7 @@ def hash_once(cls):
 # level 0: finite sets and functions
 # ---------------------------------------------------------------------------
 
-@hash_once
+@hash_cons
 @dataclass(frozen=True)
 class FinSetObj:
     """Finite set; elements stored in canonical label order."""
@@ -92,8 +108,12 @@ class FinSetObj:
         if not is_canonical(self.elements):
             raise ValueError("elements must be canonically ordered and distinct")
 
+    @cached_property
+    def element_set(self) -> frozenset:
+        return frozenset(self.elements)
+
     def __contains__(self, x) -> bool:
-        return x in self.elements
+        return x in self.element_set
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -106,7 +126,7 @@ def fin_set(labels) -> FinSetObj:
     return FinSetObj(canon(labels))
 
 
-@hash_once
+@hash_cons
 @dataclass(frozen=True)
 class FinFn:
     """Total function between finite sets, tabulated."""
@@ -175,15 +195,15 @@ def all_functions(a: FinSetObj, b: FinSetObj) -> Iterator[FinFn]:
 # level 1: propositional relations
 # ---------------------------------------------------------------------------
 
-@hash_once
+@hash_cons
 @dataclass(frozen=True)
 class PropRel:
     """A relation between two finite sets: exactly its related pairs.
 
     The model is proof-irrelevant, so two elements are related or not
     and a relation is its boundary plus its set of pairs.  Identity is
-    therefore extensional, which is what lets substituted types match
-    their instantiations on the nose instead of only up to an iso.
+    therefore extensional, and equal relations are one (hash-consed)
+    object, so substituted types match their instantiations on the nose.
 
     Invariant: entries are strictly increasing in label_key order, which
     is exactly "canonically ordered and distinct".  Constructors that
@@ -228,7 +248,7 @@ def eq_rel(a: FinSetObj) -> PropRel:
     return PropRel(a, a, tuple((x, x) for x in a))
 
 
-@hash_once
+@hash_cons
 @dataclass(frozen=True)
 class PropRelMor:
     """Relation morphism: two legs that carry related pairs to related pairs."""
@@ -672,8 +692,8 @@ def build_instance(policy: IsoPolicy, carrier_bound: int):
 
     A level-1 morphism is its two legs, so level 1 is read off level 0:
     all_rel_mors enumerates each hom-set from its related legs, and a
-    composite is the listed morphism with the level-0 composites as
-    legs (one not listed is minted, and check_category flags it).
+    composite, built from the level-0 composites, is hash-consed: the
+    listed morphism itself, or a stray that check_category flags.
     """
     objs0 = atom_objects(carrier_bound)
     mors0 = [f for a in objs0 for b in objs0 for f in all_functions(a, b)]
@@ -684,12 +704,10 @@ def build_instance(policy: IsoPolicy, carrier_bound: int):
 
     rels = {eq_rel(a) for a in objs0} | {graph_rel(f) for f in mors0}
     mors1 = [m for r in rels for s in rels for m in all_rel_mors(r, s)]
-    listed = {(m.src, m.tgt, m.f, m.g): m for m in mors1}
     comp0 = level0.comp
 
     def compose1(g: PropRelMor, f: PropRelMor) -> PropRelMor:
-        legs = (f.src, g.tgt, comp0[(g.f, f.f)], comp0[(g.g, f.g)])
-        return listed.get(legs) or PropRelMor(*legs)
+        return PropRelMor(f.src, g.tgt, comp0[(g.f, f.f)], comp0[(g.g, f.g)])
 
     level1 = rgalg.category_from_morphisms(
         rels, {m: (m.src, m.tgt) for m in mors1},

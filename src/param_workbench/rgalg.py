@@ -158,19 +158,15 @@ def make_category(objects: Iterable, morphisms: dict, identity: dict,
 
 def category_from_morphisms(objects: Iterable, morphisms: dict,
                             identity: dict, compose_fn: Callable) -> FinCategory:
-    """Build the compose table by calling compose_fn on composable pairs;
-    a composite equal to a listed morphism is stored as that morphism's
-    own id, so lookups keyed by it match on identity."""
+    """Build the compose table by calling compose_fn on composable pairs."""
     mor_items = list(morphisms.items())
-    own = {m: m for m in morphisms}
     compose = {}
     by_src: dict = {}
     for m, (s, t) in mor_items:
         by_src.setdefault(s, []).append((m, t))
     for f, (fs, ft) in mor_items:
         for g, gt in by_src.get(ft, ()):
-            h = compose_fn(g, f)
-            compose[(g, f)] = own.get(h, h)
+            compose[(g, f)] = compose_fn(g, f)
     return make_category(objects, morphisms, identity, compose)
 
 

@@ -101,7 +101,7 @@ BOUND3 = textwrap.dedent("""
     from param_workbench import fibration as fib
     from param_workbench import interp
     from param_workbench import systemf as sf
-    from param_workbench.finmodel import apply_label
+    from param_workbench.finmodel import IsoPolicy, apply_label
 
     u = fib.graph_universe((1, 2, 3))
     a = fib.FProj(1, 0)
@@ -121,6 +121,11 @@ BOUND3 = textwrap.dedent("""
     assert rel.entries == tuple((f, f) for f in fams), rel.entries
     rep = interp.iel_check(sf.parse_type_str("forall a. a -> a -> a"), u=u)
     assert rep.ok and rep.findings, [f.row() for f in rep.failures]
+    for src in (r"/\\a. \\x:a. \\y:a. x", r"/\\a. \\x:a. \\y:a. y"):
+        rep = interp.abstraction_check(sf.parse_term_str(src), u=u)
+        assert rep.ok and rep.findings, [f.row() for f in rep.failures]
+    crey = fib.graph_universe((1, 2, 3), IsoPolicy.CREY)
+    assert len(fib.forall0_value(body, (), crey)) == 2
 """)
 
 
@@ -128,7 +133,9 @@ def test_church_booleans_over_three_element_carriers():
     """Over carriers of up to three elements, with the graph of every
     function between them, ∀a. a→a→a denotes exactly the two
     projections, relates each only to itself, and passes identity
-    extension, all within 1 GiB of address space in a child process."""
+    extension; tru and fls pass the abstraction check; and under CREY
+    the type still has two families; all within 1 GiB of address space
+    in a child process."""
     src = pathlib.Path(fib.__file__).resolve().parents[1]
     out = subprocess.run([sys.executable, "-c", BOUND3], capture_output=True,
                          text=True, timeout=300,

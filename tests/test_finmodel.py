@@ -1,5 +1,6 @@
 """Finite relational layer: equality, closure, comparison isos, policies."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -349,9 +350,9 @@ def test_relation_check_names_each_fault(data):
 def test_memoized_carriers_match_their_definitions(a, b):
     assert product0(a, b) == fin_set([("pr", x, y) for x in a for y in b])
     assert expo0(a, b) == fin_set(fn_label(f) for f in all_functions(a, b))
-    # an equal carrier built separately gets an equal result
+    # an equal carrier built separately is the same record
     a2, b2 = FinSetObj(tuple(a)), FinSetObj(tuple(b))
-    assert a2 is not a and b2 is not b
+    assert a2 is a and b2 is b
     assert product0(a2, b2) == product0(a, b)
     assert expo0(a2, b2) == expo0(a, b)
 
@@ -405,27 +406,98 @@ def _swap() -> FinFn:
     return fn(A2, A2, lambda x: 1 - x)
 
 
-# each builder makes a fresh, equal record of one hash_once class
+W0, W1 = cm.WIT_ALPHABET
+
+
+def _full(a: FinSetObj) -> PropRel:
+    return rel(a, a, itertools.product(a, a))
+
+
+# each builder builds a record of one hash_cons class from its fields,
+# past the per-argument caches of weq, eq_wmor, degen2 and connection
 RECORD_BUILDERS = {
     "FinSetObj": lambda: FinSetObj((0, 1)),
     "FinFn": _swap,
     "PropRel": lambda: graph_rel(_swap()),
     "PropRelMor": lambda: eq_mor(_swap()),
-    # not cm.weq(A2): weq is cached per carrier, so it returns one record
     "WitRel": lambda: cm.wrel(A2, A2, {(x, x): (refl(x),) for x in A2}),
-    "WitRelMor": lambda: cm.eq_wmor(_swap()),
-    "TwoRel": lambda: cm.degen2("horizontal", cm.weq(A2)),
+    "WitRelMor": lambda: cm.wit_mor(cm.weq(A2), cm.weq(A2), _swap(), _swap(),
+                                    lambda a, b, w: refl(1 - a)),
+    "TwoRel": lambda: cm.two_rel(
+        *[cm.weq(A2)] * 4, [((x,) * 4, (refl(x),) * 4) for x in A2]),
     "TwoRelMor": lambda: cm.degen2_mor("vertical", cm.eq_wmor(_swap())),
 }
 
 
+def _two_wit_square() -> "cm.TwoRel":
+    """Equalities on {0} but for a right edge with two witnesses, every
+    boundary tuple filled: any witness action on the right edge maps it
+    to itself."""
+    e, two = cm.weq(A1), cm.wrel(A1, A1, {(0, 0): (W0, W1)})
+    return cm.two_rel(e, e, e, two, [((0,) * 4, (refl(0),) * 3 + (w,))
+                                     for w in (W0, W1)])
+
+
+def _right_edge_mor(send) -> "cm.TwoRelMor":
+    q = _two_wit_square()
+    i = cm.wit_mor_id(q.top)
+    return cm.TwoRelMor(q, q, i, i, i,
+                        cm.wit_mor(q.right, q.right, fn_id(A1), fn_id(A1), send))
+
+
+# two records of each class whose fields agree but for the last
+ONE_FIELD_APART = {
+    "FinSetObj": lambda: (FinSetObj((0, 1)), FinSetObj((0,))),
+    "FinFn": lambda: (_swap(), fn_id(A2)),
+    "PropRel": lambda: (graph_rel(_swap()), eq_rel(A2)),
+    "PropRelMor": lambda: (PropRelMor(_full(A2), _full(A2), fn_id(A2), _swap()),
+                           rel_mor_id(_full(A2))),
+    "WitRel": lambda: (cm.wrel(A2, A2, {(0, 0): (W0,)}),
+                       cm.wrel(A2, A2, {(0, 0): (W1,)})),
+    "WitRelMor": lambda: tuple(
+        cm.wit_mor(cm.wrel(A1, A1, {(0, 0): (W0,)}),
+                   cm.wrel(A1, A1, {(0, 0): (W0, W1)}),
+                   fn_id(A1), fn_id(A1), lambda a, b, w, v=v: v)
+        for v in (W0, W1)),
+    "TwoRel": lambda: (
+        cm.degen2("horizontal", cm.weq(A2)),
+        cm.two_rel(*[cm.weq(A2)] * 4, [((0,) * 4, (refl(0),) * 4)])),
+    "TwoRelMor": lambda: (_right_edge_mor(lambda a, b, w: w),
+                          _right_edge_mor(lambda a, b, w: W1 if w == W0 else W0)),
+}
+
+# per class, a construction __post_init__ rejects and a valid one
+REJECTED_THEN_VALID = {
+    "FinSetObj": (lambda: FinSetObj((1, 0)), lambda: FinSetObj((0, 1))),
+    "FinFn": (lambda: FinFn(A2, A1, ((0, 0), (1, 1))), _swap),
+    "PropRel": (lambda: PropRel(A2, A2, ((1, 0), (0, 0))),
+                lambda: graph_rel(_swap())),
+    "PropRelMor": (lambda: PropRelMor(eq_rel(A2), eq_rel(A2), _swap(), fn_id(A2)),
+                   lambda: eq_mor(_swap())),
+    "WitRel": (lambda: cm.WitRel(A1, A1, (((0, 1), (W0,)),)),
+               lambda: cm.WitRel(A1, A1, (((0, 0), (W0,)),))),
+    "WitRelMor": (lambda: cm.WitRelMor(cm.weq(A1), cm.weq(A1),
+                                       fn_id(A1), fn_id(A1), ()),
+                  lambda: cm.WitRelMor(cm.weq(A1), cm.weq(A1), fn_id(A1), fn_id(A1),
+                                       (((0, 0, refl(0)), refl(0)),))),
+    "TwoRel": (lambda: cm.TwoRel(cm.weq(A1), cm.weq(A2), cm.weq(A2),
+                                 cm.weq(A1), ()),
+               lambda: cm.TwoRel(*[cm.weq(A1)] * 4, ())),
+    "TwoRelMor": (lambda: cm.TwoRelMor(*[cm.degen2("horizontal", cm.weq(A1))] * 2,
+                                       *[cm.wit_mor_id(cm.weq(A2))] * 4),
+                  lambda: cm.two_mor_id(cm.degen2("horizontal", cm.weq(A1)))),
+}
+
+
 class TestHashOnce:
+    """Equal fields give one record, whose value hash is computed once."""
+
     @pytest.mark.parametrize("name", sorted(RECORD_BUILDERS))
     def test_equal_records_hash_and_compare_equal(self, name):
         build = RECORD_BUILDERS[name]
         x, y = build(), build()
         assert type(x).__name__ == name
-        assert x is not y
+        assert x is y
         assert x == y
         assert hash(x) == hash(y)
         assert hash(x) == hash(x)
@@ -437,6 +509,27 @@ class TestHashOnce:
         hash(x)
         s, d = {x}, {x: name}
         assert x in s and d[x] == name
-        # a fresh equal record computes its hash only now
         y = build()
         assert y in s and d[y] == name
+
+
+class TestHashCons:
+    @pytest.mark.parametrize("name", sorted(ONE_FIELD_APART))
+    def test_records_one_field_apart_are_distinct(self, name):
+        x, y = ONE_FIELD_APART[name]()
+        assert type(x).__name__ == type(y).__name__ == name
+        names = [f.name for f in dataclasses.fields(x)]
+        assert [n for n in names if getattr(x, n) != getattr(y, n)] == names[-1:]
+        assert x is not y
+        assert x != y
+
+    @pytest.mark.parametrize("name", sorted(REJECTED_THEN_VALID))
+    def test_a_rejected_record_is_not_stored(self, name):
+        bad, good = REJECTED_THEN_VALID[name]
+        # a stored reject would come back from the table without raising
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                bad()
+        x = good()
+        assert type(x).__name__ == name
+        assert good() is x
