@@ -433,23 +433,23 @@ class CubeUniverse:
     functions: tuple
 
 
-def all_wit_rels(a: FinSetObj, b: FinSetObj, alphabet=WIT_ALPHABET) -> Iterator[WitRel]:
-    """Every witnessed relation between a and b drawn from a fixed alphabet."""
+def all_wit_rels(a: FinSetObj, b: FinSetObj) -> Iterator[WitRel]:
+    """Every witnessed relation between a and b drawn from WIT_ALPHABET."""
     pairs = [(x, y) for x in a for y in b]
-    subsets = [c for k in range(len(alphabet) + 1)
-               for c in itertools.combinations(alphabet, k)]
+    subsets = [c for k in range(len(WIT_ALPHABET) + 1)
+               for c in itertools.combinations(WIT_ALPHABET, k)]
     for assignment in itertools.product(subsets, repeat=len(pairs)):
         yield wrel(a, b, dict(zip(pairs, assignment)))
 
 
-def cube_universe(carrier_bound: int = 2, alphabet=WIT_ALPHABET) -> CubeUniverse:
+def cube_universe(carrier_bound: int = 2) -> CubeUniverse:
     objs = tuple(atom_objects(carrier_bound))
-    rels = tuple(r for a in objs for b in objs for r in all_wit_rels(a, b, alphabet))
+    rels = tuple(r for a in objs for b in objs for r in all_wit_rels(a, b))
     funs = tuple(u for a in objs for b in objs for u in all_functions(a, b))
     return CubeUniverse(objs, rels, funs)
 
 
-def equality_suite(universe: CubeUniverse, report: Optional[Report] = None) -> Report:
+def equality_suite(universe: CubeUniverse) -> Report:
     """Face laws of replications and connections over a finite stock.
 
     Six face-computation families checked as table equalities for every
@@ -457,7 +457,7 @@ def equality_suite(universe: CubeUniverse, report: Optional[Report] = None) -> R
     an equality relation generates, their naturality, and functoriality
     of all four constructions.
     """
-    rep = report if report is not None else Report()
+    rep = Report()
 
     def check_family(law: str, probe) -> None:
         bad = None

@@ -629,11 +629,11 @@ class NatRep:
         return self.component(env)
 
 
-def nat_id(f: TypeFunctor, u: ProbeUniverse, name: str = "id") -> NatRep:
+def nat_id(f: TypeFunctor, u: ProbeUniverse) -> NatRep:
     def comp(env: EnvL):
         val = evaluate(f, env, u)
         return fn_id(val) if env.level == 0 else rel_mor_id(val)
-    return NatRep(f, f, comp, name)
+    return NatRep(f, f, comp, "id")
 
 
 def nat_compose(n2: NatRep, n1: NatRep, name: Optional[str] = None) -> NatRep:
@@ -647,12 +647,11 @@ def nat_compose(n2: NatRep, n1: NatRep, name: Optional[str] = None) -> NatRep:
     return NatRep(n1.source, n2.target, comp, name or f"{n2.name}.{n1.name}")
 
 
-def nats_agree(n1: NatRep, n2: NatRep, u: ProbeUniverse,
-               levels: tuple = (0, 1)) -> Optional[str]:
+def nats_agree(n1: NatRep, n2: NatRep, u: ProbeUniverse) -> Optional[str]:
     """Extensional comparison over all probe environments; None if equal."""
     if (n1.source, n1.target) != (n2.source, n2.target):
         return "endpoint mismatch"
-    for level in levels:
+    for level in (0, 1):
         for env in probe_envs(u, n1.arity, level):
             if n1.at(env) != n2.at(env):
                 return f"components differ at {env.entries!r}"
@@ -1040,8 +1039,7 @@ def _rng_ctx_mor(rng, src: int, tgt: int, pool_by_arity) -> CtxMor:
 
 
 def fibration_suite(policy: IsoPolicy = IsoPolicy.REY, bound: int = 2,
-                    seed: int = 0, rounds: int = 100,
-                    report: Optional[Report] = None) -> Report:
+                    seed: int = 0, rounds: int = 100) -> Report:
     """Substitution, splitness, coherence and adjunction checks in one run.
 
     bound caps the probe carrier sizes; rounds scales the random
@@ -1049,7 +1047,7 @@ def fibration_suite(policy: IsoPolicy = IsoPolicy.REY, bound: int = 2,
     """
     import random
 
-    report = report or Report()
+    report = Report()
     rng = random.Random(f"fibration:{seed}")
     u = graph_universe(tuple(range(1, bound + 1)), policy)
     pool = {n: stock_type_functors(n) for n in (0, 1, 2)}

@@ -14,14 +14,13 @@ interpretation sit three checkers:
   reading of its type at propositional relations on finite carriers,
   computed purely by normalization, with no universe involved.
 
-The first two read everything in one ProbeUniverse (default_universe
-unless one is given).  Quantifier instantiation reads family entries at
-probes only, so a type application is interpretable exactly when its
-argument type evaluates inside the universe.  closure_for_term grows a
-seed universe until that holds, through ProbeUniverse.extended like
-every other growth; when it cannot, interpretation refuses (naming the
-offending instantiation) and the erased-term checker remains the
-fallback route.
+The first two read everything in the ProbeUniverse the caller passes.
+Quantifier instantiation reads family entries at probes only, so a type
+application is interpretable exactly when its argument type evaluates
+inside the universe.  closure_for_term grows a seed universe until that
+holds, through ProbeUniverse.extended like every other growth; when it
+cannot, interpretation refuses (naming the offending instantiation) and
+the erased-term checker remains the fallback route.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from .fibration import (
     counit,
     ctx_id,
     ctx_pair,
-    default_universe,
     epsilon_of,
     evaluate,
     nat_compose,
@@ -123,7 +121,7 @@ def context_functor(depth: int, termctx: Sequence[sf.Type]) -> TypeFunctor:
 # ---------------------------------------------------------------------------
 
 def interp_term(tyctx_depth: int, termctx: Sequence[sf.Type], t: sf.Term,
-                u: Optional[ProbeUniverse] = None) -> NatRep:
+                u: ProbeUniverse) -> NatRep:
     """Interpret a typing derivation as a fiber morphism.
 
     The result runs from the interpreted context to the interpreted
@@ -132,7 +130,6 @@ def interp_term(tyctx_depth: int, termctx: Sequence[sf.Type], t: sf.Term,
     evaluates outside the universe (close the universe first; see
     closure_for_term).
     """
-    u = u or default_universe()
     ctx = tuple(termctx)
     sf.typecheck(tyctx_depth, ctx, t)
     nat = _interp(tyctx_depth, ctx, t, u)
@@ -228,10 +225,8 @@ def collect_tyapp_args(t: sf.Term) -> list[tuple[int, sf.Type]]:
     return out
 
 
-def closure_for_term(t: sf.Term,
-                     seed: Optional[ProbeUniverse] = None) -> ClosureResult:
+def closure_for_term(t: sf.Term, seed: ProbeUniverse) -> ClosureResult:
     """Grow a universe until every instantiation in t reads inside it."""
-    seed = seed or default_universe()
     args = [interp_type(d, ty) for d, ty in collect_tyapp_args(t)]
     return universe_closure(args, seed)
 
@@ -240,8 +235,7 @@ def closure_for_term(t: sf.Term,
 # equality extension
 # ---------------------------------------------------------------------------
 
-def iel_check(ty: sf.Type, u: Optional[ProbeUniverse] = None,
-              report: Optional[Report] = None) -> Report:
+def iel_check(ty: sf.Type, u: ProbeUniverse) -> Report:
     """Equality environments land on equality: the identity extension lemma.
 
     At every probe object environment, the comparison from the
@@ -252,8 +246,7 @@ def iel_check(ty: sf.Type, u: Optional[ProbeUniverse] = None,
     bijection" is that iso, and "witness sets match" compares the
     numbers of related pairs on the two sides.
     """
-    u = u or default_universe()
-    report = report or Report()
+    report = Report()
     depth = free_depth(ty)
     f = interp_type(depth, ty)
     pretty = sf.pretty_type(ty, depth)
@@ -279,9 +272,8 @@ def iel_check(ty: sf.Type, u: Optional[ProbeUniverse] = None,
 # relatedness of interpreted terms
 # ---------------------------------------------------------------------------
 
-def abstraction_check(t: sf.Term, rel_env: Sequence[PropRel] = (),
-                      u: Optional[ProbeUniverse] = None,
-                      report: Optional[Report] = None) -> Report:
+def abstraction_check(t: sf.Term, u: ProbeUniverse,
+                      rel_env: Sequence[PropRel] = ()) -> Report:
     """Face conditions for a closed term at chosen probe relations.
 
     The universe is extended by rel_env (with any missing carriers and
@@ -294,8 +286,8 @@ def abstraction_check(t: sf.Term, rel_env: Sequence[PropRel] = (),
     every supplied relation; those findings name the element maps the
     relation pins down.
     """
-    report = report or Report()
-    base = (u or default_universe()).extended(relations=rel_env)
+    report = Report()
+    base = u.extended(relations=rel_env)
     res = closure_for_term(t, base)
     if not res.ok:
         # Closure-exceeded is a refusal to interpret, not a refutation;
@@ -389,7 +381,7 @@ def _enumerate_related(ty: sf.Type, rho: Sequence[PropRel]):
     raise TypeError(f"not a type: {ty!r}")
 
 
-def _check_related(ty: sf.Type, rho: Sequence[PropRel], lhs, rhs, fuel,
+def _check_related(ty: sf.Type, rho: Sequence[PropRel], lhs, rhs,
                    skips: list) -> Optional[str]:
     """None when the two normal forms are related; else a counterexample."""
     match ty:
@@ -408,8 +400,8 @@ def _check_related(ty: sf.Type, rho: Sequence[PropRel], lhs, rhs, fuel,
         case sf.ProdT(l, r):
             if not (isinstance(lhs, sf.UPair) and isinstance(rhs, sf.UPair)):
                 return f"values are not pairs: {lhs!r} / {rhs!r}"
-            return (_check_related(l, rho, lhs.left, rhs.left, fuel, skips)
-                    or _check_related(r, rho, lhs.right, rhs.right, fuel, skips))
+            return (_check_related(l, rho, lhs.left, rhs.left, skips)
+                    or _check_related(r, rho, lhs.right, rhs.right, skips))
         case sf.ArrowT(d, c):
             args = _enumerate_related(d, rho)
             if args is None:
@@ -417,9 +409,9 @@ def _check_related(ty: sf.Type, rho: Sequence[PropRel], lhs, rhs, fuel,
                              "is not finitely enumerable from the instances")
                 return None
             for ua, ub in args:
-                la = sf.unormalize(sf.UApp(lhs, ua), fuel)
-                rb = sf.unormalize(sf.UApp(rhs, ub), fuel)
-                why = _check_related(c, rho, la, rb, fuel, skips)
+                la = sf.unormalize(sf.UApp(lhs, ua))
+                rb = sf.unormalize(sf.UApp(rhs, ub))
+                why = _check_related(c, rho, la, rb, skips)
                 if why is not None:
                     return f"at arguments ({ua!r}, {ub!r}): {why}"
             return None
@@ -436,34 +428,30 @@ _CHOOSE_SHAPE = sf.ForallT(sf.ArrowT(sf.TVar(0),
 
 
 def free_theorem_check(t: sf.Term,
-                       carriers: Sequence = (1, 2, 3, 4),
-                       relations: Optional[Sequence[PropRel]] = None,
-                       fuel: Optional[int] = None,
-                       report: Optional[Report] = None) -> Report:
+                       relations: Optional[Sequence[PropRel]] = None) -> Report:
     """Check the erased term against the relational reading of its type.
 
-    carriers may be integers (sizes, elements 0..k-1) or element
-    sequences.  Without explicit relations, the singleton diagonals
-    {(a, a)} of every carrier stand in; they are the instances that pin
-    elementwise behavior.  The two flagship quantified shapes also get
-    a verdict finding computed by direct normalization: "identity" for
-    the one-argument shape, a projection classification for the
+    The carriers are {0}, {0,1}, {0,1,2} and {0,1,2,3}.  Without
+    explicit relations, the singleton diagonals {(a, a)} of every
+    carrier stand in; they are the instances that pin elementwise
+    behavior.  The two flagship quantified shapes also get a verdict
+    finding computed by direct normalization: "identity" for the
+    one-argument shape, a projection classification for the
     two-argument one.  May raise FuelExhausted on runaway terms.
     """
-    report = report or Report()
+    report = Report()
     ty = sf.typecheck(0, (), t)
     if not isinstance(ty, sf.ForallT):
         raise ValueError("free theorems want a quantified type")
-    er = sf.unormalize(sf.erase(t), fuel)
-    sets = [tuple(range(c)) if isinstance(c, int) else tuple(c)
-            for c in carriers]
+    er = sf.unormalize(sf.erase(t))
+    sets = [tuple(range(k)) for k in (1, 2, 3, 4)]
 
     if ty == _ID_SHAPE:
         bad = ""
         for a in sets:
             mism = ""
             for k, x in enumerate(a):
-                out = sf.unormalize(sf.UApp(er, _atom(0, k)), fuel)
+                out = sf.unormalize(sf.UApp(er, _atom(0, k)))
                 if out != _atom(0, k):
                     mism = f"image of {x!r} is {out!r}"
                     break
@@ -481,7 +469,7 @@ def free_theorem_check(t: sf.Term,
             for i, x in enumerate(a):
                 for j, y in enumerate(a):
                     out = sf.unormalize(
-                        sf.UApp(sf.UApp(er, _atom(0, i)), _atom(0, j)), fuel)
+                        sf.UApp(sf.UApp(er, _atom(0, i)), _atom(0, j)))
                     if out != _atom(0, i):
                         local.discard("first")
                     if out != _atom(0, j):
@@ -509,19 +497,10 @@ def free_theorem_check(t: sf.Term,
                      for a in sets for x in a]
     for combo in itertools.product(relations, repeat=slots):
         skips: list[str] = []
-        why = _check_related(body, combo, er, er, fuel, skips)
+        why = _check_related(body, combo, er, er, skips)
         tag = "*".join(_pairs_tag(r) for r in combo)
         report.add(f"related to itself at {tag}", why is None, why or "")
         for reason in skips:
             report.skip(f"related to itself at {tag}", reason)
     return report
 
-
-# ---------------------------------------------------------------------------
-# relation environments from data
-# ---------------------------------------------------------------------------
-
-def relations_from_data(items) -> list[PropRel]:
-    """Relations from the universe JSON shape: a list of {dom, cod,
-    pairs} objects, each pair [a, b]."""
-    return [fib.relation_from_data(d) for d in items]

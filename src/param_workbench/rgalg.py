@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, Optional
 
 # ---------------------------------------------------------------------------
@@ -174,8 +174,7 @@ ASSOC_EXHAUSTIVE_LIMIT = 2_000_000
 
 
 def check_category(c: FinCategory, report: Report, tag: str,
-                   assoc_limit: int = ASSOC_EXHAUSTIVE_LIMIT,
-                   rng: Optional[random.Random] = None) -> None:
+                   assoc_limit: int = ASSOC_EXHAUSTIVE_LIMIT) -> None:
     """Table well-formedness, then the identity and associativity laws.
 
     The laws are skipped only when this call's own well-formedness
@@ -246,7 +245,7 @@ def check_category(c: FinCategory, report: Report, tag: str,
         report.check(f"{tag}: associativity (exhaustive, {triple_count} triples)",
                      witness)
     else:
-        rng = rng or random.Random(0)
+        rng = random.Random(0)
         sample = min(assoc_limit, 500_000)
         for _ in range(sample):
             (g, f), gf = pairs[rng.randrange(len(pairs))]
@@ -491,76 +490,70 @@ def _check_iso_subcategory(rg: RgCategory, sub: IsoSubcategory,
 
 
 # ---------------------------------------------------------------------------
-# probe sets: exhaustive at low arity, seeded samples above
+# probe sets: seeded samples, capped per component and per enumeration
 # ---------------------------------------------------------------------------
+
+PROBE_SEED = 0
+COMPONENT_CAP = 10
+TUPLE_CAP = 400
+
+
+def _sample(items: tuple, n: int) -> list:
+    items = list(items)
+    if n <= 1 or len(items) <= COMPONENT_CAP:
+        return items
+    rng = random.Random(f"{PROBE_SEED}:{n}:{len(items)}")
+    return rng.sample(items, COMPONENT_CAP)
+
+
+def _tuples(items: tuple, n: int) -> list:
+    if n == 0:
+        return [()]
+    out = list(itertools.product(_sample(items, n), repeat=n))
+    if len(out) > TUPLE_CAP:
+        rng = random.Random(f"{PROBE_SEED}:tuples:{n}")
+        out = rng.sample(out, TUPLE_CAP)
+    return out
+
 
 @dataclass
 class Probes:
     """Enumerations the law harness quantifies over.
 
-    Arity 0 and 1 are exhaustive; higher arities take the product of
-    seeded per-component samples, always including identity tuples.
+    Arity 1 draws from every id, a higher arity n from the n-fold
+    product of at most COMPONENT_CAP ids per component, picked by a
+    seeded sample.  Of what is drawn, at most TUPLE_CAP tuples are
+    kept, again by a seeded sample, so only small enumerations are
+    exhaustive: on the REY bound-2 instance, the 530 level-1 morphisms
+    and their 17,350 composable pairs are sampled even at arity 1.
+    Morphism tuples also include the identity tuples of the object
+    tuples.
     """
     rg: RgCategory
-    seed: int = 0
-    component_cap: int = 10
-    tuple_cap: int = 400
-
-    def _sample(self, items: tuple, n: int) -> list:
-        items = list(items)
-        if n <= 1 or len(items) <= self.component_cap:
-            return items
-        rng = random.Random(f"{self.seed}:{n}:{len(items)}")
-        return rng.sample(items, self.component_cap)
-
-    def _tuples(self, items: tuple, n: int) -> list:
-        if n == 0:
-            return [()]
-        base = self._sample(items, n)
-        out = list(itertools.product(base, repeat=n))
-        if len(out) > self.tuple_cap:
-            rng = random.Random(f"{self.seed}:tuples:{n}")
-            out = rng.sample(out, self.tuple_cap)
-        return out
 
     def obj_tuples(self, level: int, n: int) -> list:
         cat = self.rg.level0 if level == 0 else self.rg.level1
-        return self._tuples(cat.objects, n)
+        return _tuples(cat.objects, n)
 
     def mor_tuples(self, level: int, n: int) -> list:
         cat = self.rg.level0 if level == 0 else self.rg.level1
-        out = self._tuples(cat.mor_ids, n)
+        out = _tuples(cat.mor_ids, n)
         ids = [tuple(cat.id_of[o] for o in t) for t in self.obj_tuples(level, n)]
         seen = set(out)
         out.extend(t for t in ids if t not in seen)
         return out
 
     def composable_pairs(self, level: int, n: int) -> list:
-        """Componentwise-composable pairs (gbar, fbar)."""
+        """Componentwise-composable pairs (gbar, fbar), drawn from the
+        compose table like the other tuples."""
         cat = self.rg.level0 if level == 0 else self.rg.level1
-        if n == 0:
-            return [((), ())]
-        pairs = self._sample(tuple(cat.comp.keys()), n)
-        out = []
-        for combo in itertools.product(pairs, repeat=n):
-            out.append((tuple(g for g, _ in combo), tuple(f for _, f in combo)))
-            if len(out) >= self.tuple_cap:
-                break
-        return out
+        return [(tuple(g for g, _ in combo), tuple(f for _, f in combo))
+                for combo in _tuples(tuple(cat.comp), n)]
 
 
 # ---------------------------------------------------------------------------
 # tabulated functors between powers of the structure
 # ---------------------------------------------------------------------------
-
-def _memo(fn: Callable) -> Callable:
-    cache: dict = {}
-    def wrapped(x):
-        if x not in cache:
-            cache[x] = fn(x)
-        return cache[x]
-    return wrapped
-
 
 @dataclass(eq=False)
 class RgFunctorTab:
@@ -583,11 +576,11 @@ class RgFunctorTab:
     name: str = "functor"
 
     def __post_init__(self):
-        self.obj0 = _memo(self.obj0)
-        self.mor0 = _memo(self.mor0)
-        self.obj1 = _memo(self.obj1)
-        self.mor1 = _memo(self.mor1)
-        self.eps = _memo(self.eps)
+        self.obj0 = cache(self.obj0)
+        self.mor0 = cache(self.mor0)
+        self.obj1 = cache(self.obj1)
+        self.mor1 = cache(self.mor1)
+        self.eps = cache(self.eps)
 
 
 @dataclass(eq=False)
@@ -604,8 +597,8 @@ class RgNatTab:
         if (self.src.arity_in != self.tgt.arity_in
                 or self.src.arity_out != self.tgt.arity_out):
             raise ValueError("boundary mismatch")
-        self.eta0 = _memo(self.eta0)
-        self.eta1 = _memo(self.eta1)
+        self.eta0 = cache(self.eta0)
+        self.eta1 = cache(self.eta1)
 
     @property
     def rg(self) -> RgCategory:
@@ -871,7 +864,7 @@ def check_functor_tab(f: RgFunctorTab, report: Report,
         witness = None
         sel_mors = [m for m in rg.level0.mor_ids if m in sub.selected0]
         for combo in itertools.islice(
-                itertools.product(sel_mors, repeat=n), probes.tuple_cap):
+                itertools.product(sel_mors, repeat=n), TUPLE_CAP):
             srcs = tuple(rg.level0.src[m] for m in combo)
             tgts = tuple(rg.level0.tgt[m] for m in combo)
             lhs = _comp_tuple(lvl1, f.eps(tgts),

@@ -241,56 +241,82 @@ def typecheck(tyctx_depth: int, termctx: tuple[Type, ...], t: Term) -> Type:
     innermost binding. All annotations must be well-scoped under
     tyctx_depth; TyApp substitutes capture-avoidingly into the body
     of the forall.
+
+    Runs over an explicit stack, as _normal_form does: a (term, type
+    depth, context) item is checked, and a (None, n, rule) item
+    replaces the last n types found with rule(*types).  A head's rule
+    runs before its argument is checked, so errors come in the order
+    of a left-to-right recursive descent.
     """
-    match t:
-        case Var(i):
-            if not 0 <= i < len(termctx):
-                raise TypecheckError(f"unbound term variable {i}")
-            return termctx[i]
-        case Lam(annot, body):
-            if not type_well_scoped(annot, tyctx_depth):
-                raise TypecheckError("annotation escapes type context")
-            cod = typecheck(tyctx_depth, (annot,) + termctx, body)
-            return ArrowT(annot, cod)
-        case App(fn, arg):
-            fn_ty = typecheck(tyctx_depth, termctx, fn)
-            if not isinstance(fn_ty, ArrowT):
-                raise TypecheckError("applying a non-function", actual=fn_ty,
-                                     expected=ArrowT(UnitT(), UnitT()))
-            arg_ty = typecheck(tyctx_depth, termctx, arg)
-            if arg_ty != fn_ty.dom:
-                raise TypecheckError("argument type mismatch",
-                                     expected=fn_ty.dom, actual=arg_ty)
-            return fn_ty.cod
-        case Pair(l, r):
-            return ProdT(typecheck(tyctx_depth, termctx, l),
-                         typecheck(tyctx_depth, termctx, r))
-        case Fst(b):
-            ty = typecheck(tyctx_depth, termctx, b)
-            if not isinstance(ty, ProdT):
-                raise TypecheckError("fst of a non-pair", actual=ty,
-                                     expected=ProdT(UnitT(), UnitT()))
-            return ty.left
-        case Snd(b):
-            ty = typecheck(tyctx_depth, termctx, b)
-            if not isinstance(ty, ProdT):
-                raise TypecheckError("snd of a non-pair", actual=ty,
-                                     expected=ProdT(UnitT(), UnitT()))
-            return ty.right
-        case UnitV():
-            return UnitT()
-        case TyLam(body):
-            shifted = tuple(shift_type(ty, 1) for ty in termctx)
-            return ForallT(typecheck(tyctx_depth + 1, shifted, body))
-        case TyApp(fn, arg):
-            fn_ty = typecheck(tyctx_depth, termctx, fn)
-            if not isinstance(fn_ty, ForallT):
-                raise TypecheckError("type-applying a non-forall", actual=fn_ty,
-                                     expected=ForallT(TVar(0)))
-            if not type_well_scoped(arg, tyctx_depth):
-                raise TypecheckError("type argument escapes type context")
-            return subst_type(fn_ty.body, arg)
-    raise TypeError(f"not a term: {t!r}")
+    todo: list = [(t, tyctx_depth, termctx)]
+    out: list = []
+    while todo:
+        t, d, ctx = todo.pop()
+        if t is None:
+            out[len(out) - d:] = [ctx(*out[len(out) - d:])]
+            continue
+        match t:
+            case Var(i):
+                if not 0 <= i < len(ctx):
+                    raise TypecheckError(f"unbound term variable {i}")
+                out.append(ctx[i])
+            case Lam(annot, body):
+                if not type_well_scoped(annot, d):
+                    raise TypecheckError("annotation escapes type context")
+                todo += [(None, 1, lambda cod, a=annot: ArrowT(a, cod)),
+                         (body, d, (annot,) + ctx)]
+            case App(fn, arg):
+                todo += [(None, 2, _apply_type), (arg, d, ctx),
+                         (None, 1, _function_type), (fn, d, ctx)]
+            case Pair(l, r):
+                todo += [(None, 2, ProdT), (r, d, ctx), (l, d, ctx)]
+            case Fst(b):
+                todo += [(None, 1, lambda ty: _pair_type(ty, "fst").left),
+                         (b, d, ctx)]
+            case Snd(b):
+                todo += [(None, 1, lambda ty: _pair_type(ty, "snd").right),
+                         (b, d, ctx)]
+            case UnitV():
+                out.append(UnitT())
+            case TyLam(body):
+                shifted = tuple(shift_type(ty, 1) for ty in ctx)
+                todo += [(None, 1, ForallT), (body, d + 1, shifted)]
+            case TyApp(fn, arg):
+                todo += [(None, 1, lambda ty, a=arg, d=d: _instantiate(ty, a, d)),
+                         (fn, d, ctx)]
+            case _:
+                raise TypeError(f"not a term: {t!r}")
+    return out[0]
+
+
+def _function_type(ty: Type) -> ArrowT:
+    if not isinstance(ty, ArrowT):
+        raise TypecheckError("applying a non-function", actual=ty,
+                             expected=ArrowT(UnitT(), UnitT()))
+    return ty
+
+
+def _apply_type(fn_ty: ArrowT, arg_ty: Type) -> Type:
+    if arg_ty != fn_ty.dom:
+        raise TypecheckError("argument type mismatch",
+                             expected=fn_ty.dom, actual=arg_ty)
+    return fn_ty.cod
+
+
+def _pair_type(ty: Type, proj: str) -> ProdT:
+    if not isinstance(ty, ProdT):
+        raise TypecheckError(f"{proj} of a non-pair", actual=ty,
+                             expected=ProdT(UnitT(), UnitT()))
+    return ty
+
+
+def _instantiate(fn_ty: Type, arg: Type, depth: int) -> Type:
+    if not isinstance(fn_ty, ForallT):
+        raise TypecheckError("type-applying a non-forall", actual=fn_ty,
+                             expected=ForallT(TVar(0)))
+    if not type_well_scoped(arg, depth):
+        raise TypecheckError("type argument escapes type context")
+    return subst_type(fn_ty.body, arg)
 
 
 # ---------------------------------------------------------------------------
@@ -783,15 +809,6 @@ def parse_term_str(src: str, defs: Optional[dict[str, Term]] = None) -> Term:
     t = p.parse_term()
     p.expect("eof")
     return t
-
-
-def parse(src: str, kind: str) -> Union[Type, Term]:
-    """Parse a single type or term, per `kind` in {"type", "term"}."""
-    if kind == "type":
-        return parse_type_str(src)
-    if kind == "term":
-        return parse_term_str(src)
-    raise ValueError(f"kind must be 'type' or 'term', not {kind!r}")
 
 
 @dataclass(frozen=True)

@@ -216,7 +216,7 @@ class TestUniverseData:
         with pytest.raises(ValueError, match=r"must be \[a, b\]"):
             fib.universe_from_data(data)
         with pytest.raises(ValueError, match=r"must be \[a, b\]"):
-            interp.relations_from_data(data["relations"])
+            fib.relation_from_data(data["relations"][0])
 
     def test_a_policy_that_is_not_a_name_is_malformed(self):
         data = dict(fib.universe_to_data(fib.default_universe()), policy=3)

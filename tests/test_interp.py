@@ -192,4 +192,4 @@ class TestRelationData:
     ], ids=["no pairs", "not an object", "pairs not a list"])
     def test_malformed_relations_raise_value_error(self, item):
         with pytest.raises(ValueError, match="malformed relation data"):
-            interp.relations_from_data([item])
+            fib.relation_from_data(item)

@@ -391,6 +391,18 @@ class TestTuple:
         assert rep.ok, [f.row() for f in rep.failures]
 
 
+class TestProbes:
+    def test_composable_pairs_are_a_spread_sample(self, rey_instance,
+                                                   rey_probes):
+        # level 1 has 530 morphisms and 17,350 composable pairs; the
+        # first 400 pairs in table order start from only 10 of them
+        cat = rey_instance[0].level1
+        pairs = rey_probes.composable_pairs(1, 1)
+        assert len(pairs) == len(set(pairs)) == rgalg.TUPLE_CAP
+        assert all(cat.tgt[f] == cat.src[g] for (g,), (f,) in pairs)
+        assert len({f for _, (f,) in pairs}) > 10
+
+
 class TestLawSuite:
     def test_trivial_instance_all_laws_hold(self):
         rg = one_object_instance()

@@ -85,13 +85,13 @@ def scoped_terms(draw, tydepth=0, tmdepth=0, size=6):
 
 class TestParse:
     def test_identity_type(self):
-        assert sf.parse("forall a. a -> a", "type") == ForallT(ArrowT(TVar(0), TVar(0)))
+        assert sf.parse_type_str("forall a. a -> a") == ForallT(ArrowT(TVar(0), TVar(0)))
 
     def test_polymorphic_identity(self):
-        assert sf.parse("/\\a. \\x:a. x", "term") == ID
+        assert sf.parse_term_str("/\\a. \\x:a. x") == ID
 
     def test_two_point_type(self):
-        got = sf.parse("forall a. a -> a -> a", "type")
+        got = sf.parse_type_str("forall a. a -> a -> a")
         assert got == ForallT(ArrowT(TVar(0), ArrowT(TVar(0), TVar(0))))
 
     def test_arrow_right_associative(self):
@@ -412,6 +412,10 @@ class TestDeepChurch:
         # 2,052 nodes: deeper than the default recursion limit
         nf = sf.normalize(CHURCH["p1024"])
         assert church_value(sf.erase(nf), typed=False) == 1024
+
+    def test_typechecking_a_deep_normal_form(self):
+        nf = sf.normalize(CHURCH["p1024"])
+        assert sf.typecheck(0, (), nf) == sf.parse_type_str(NAT)
 
     def test_printing_a_deep_normal_form(self):
         nf = sf.normalize(CHURCH["p1024"])
