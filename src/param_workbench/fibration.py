@@ -89,9 +89,6 @@ class TypeFunctor:
 
     arity: int
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{self.__class__.__name__}{self.__dict__ or ''}"
-
 
 @dataclass(frozen=True)
 class FProj(TypeFunctor):
@@ -858,15 +855,25 @@ class FiberCcc:
 # the probe-bounded quantifier adjunction
 # ---------------------------------------------------------------------------
 
-def _forced_by_faces(comp0: Callable, env: EnvL, src: PropRel, tgt: PropRel,
-                     error: Exception) -> PropRelMor:
-    """The level-1 component whose legs are comp0 at env's two level-0
-    faces; raises error when those legs do not preserve relatedness."""
-    out = try_rel_mor(src, tgt, comp0(_face_env(env, "dom")),
-                      comp0(_face_env(env, "cod")))
-    if out is None:
-        raise error
-    return out
+def _forced_nat(source: TypeFunctor, target: TypeFunctor, comp0: Callable,
+                u: ProbeUniverse, name: str, error: type[Exception],
+                why: str) -> NatRep:
+    """The transformation whose level-0 component at an environment is
+    comp0 and whose level-1 component has comp0 at its two faces as
+    legs; error(why) is raised where those legs do not preserve
+    relatedness."""
+
+    def comp(env: EnvL):
+        if env.level == 0:
+            return comp0(env)
+        out = try_rel_mor(evaluate(source, env, u), evaluate(target, env, u),
+                          comp0(_face_env(env, "dom")),
+                          comp0(_face_env(env, "cod")))
+        if out is None:
+            raise error(why)
+        return out
+
+    return NatRep(source, target, comp, name)
 
 
 def counit(g: TypeFunctor, u: ProbeUniverse) -> NatRep:
@@ -886,15 +893,13 @@ def counit(g: TypeFunctor, u: ProbeUniverse) -> NatRep:
         tgt = evaluate(g, env, u)
         return fn(src, tgt, lambda fam: fam[1][u.index0[a]])
 
+    inst = _forced_nat(source, g, comp0, u, "inst", ClosureError,
+                       "family relatedness does not cover this probe")
+
     def comp(env: EnvL):
-        if env.level == 0:
-            return comp0(env)
-        r = env.entries[-1]
-        if r not in u.index1:
+        if env.level == 1 and env.entries[-1] not in u.index1:
             raise ClosureError("relation entry is not a probe")
-        return _forced_by_faces(
-            comp0, env, evaluate(source, env, u), evaluate(g, env, u),
-            ClosureError("family relatedness does not cover this probe"))
+        return inst.at(env)
 
     return NatRep(source, g, comp, "inst")
 
@@ -912,7 +917,6 @@ def transpose(f: TypeFunctor, g: TypeFunctor, eta: NatRep,
         raise ValueError("transformation endpoints do not match the binder")
 
     def comp0(env: EnvL):
-        src = evaluate(f, env, u)
         tgt = forall0_value(g, env.entries, u)
 
         def move(x):
@@ -922,16 +926,40 @@ def transpose(f: TypeFunctor, g: TypeFunctor, eta: NatRep,
                 raise ValueError("packaged family fails the membership clauses")
             return lab
 
-        return fn(src, tgt, move)
+        return fn(evaluate(f, env, u), tgt, move)
 
-    def comp(env: EnvL):
-        if env.level == 0:
-            return comp0(env)
-        return _forced_by_faces(
-            comp0, env, evaluate(f, env, u), forall1_value(g, env.entries, u),
-            ValueError("packaged families fail to stay related"))
+    return _forced_nat(f, FForall(g), comp0, u, f"pack({eta.name})",
+                       ValueError, "packaged families fail to stay related")
 
-    return NatRep(f, FForall(g), comp, f"pack({eta.name})")
+
+def adjunction_roundtrip(u: ProbeUniverse, body: TypeFunctor,
+                         report: Report) -> Report:
+    """The adjunction's second triangle identity at a one-slot body.
+
+    Each family of the quantified body is read as the transformation
+    from the weakened unit into body that picks its element at each
+    probe; packaging that with transpose and instantiating it again
+    with counit must give it back.
+    """
+    fams = forall0_value(body, (), u)
+    inst = counit(body, u)
+    broken = []
+    for fam in fams:
+        def comp0(env: EnvL, f0=fam[1]):
+            x = f0[u.index0[env.entries[-1]]]
+            return fn(terminal0(), evaluate(body, env, u), lambda _: x)
+
+        eta = _forced_nat(FUnit(1), body, comp0, u, "elem", ValueError,
+                          "family components are not a transformation")
+        packed = transpose(FUnit(0), body, eta, u)
+        back = nat_compose(inst, reindex(ctx_proj(0), packed, u))
+        witness = nats_agree(back, eta, u)
+        if witness is not None:
+            broken.append(witness)
+    report.check("adjunction: instantiated packaging is the identity",
+                 f"{len(broken)} of {len(fams)} families do not round-trip: "
+                 f"{broken[0]}" if broken else None)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -1136,89 +1164,17 @@ def fibration_suite(policy: IsoPolicy = IsoPolicy.REY, bound: int = 2,
                  None if len(sel_fam) == selectors
                  else f"{len(sel_fam)} families")
 
-    # adjunction triangle: instantiation is the transpose's inverse
+    # the two adjunction triangles: instantiation and the transpose
+    # are mutually inverse
     g = FArrow(FProj(1, 0), FProj(1, 0))
     inst = counit(g, u)
     packed = transpose(FForall(g), g, inst, u)
     tri = nats_agree(packed, nat_id(FForall(g), u), u)
     report.check("adjunction: repackaged instantiation is the identity", tri)
-
-    # informational: hunt for non-uniform transformations breaking the
-    # round trip; outcome is recorded either way, never asserted
-    return adhoc_roundtrip_search(u, g, report)
+    return adjunction_roundtrip(u, g, report)
 
 
 def _nat_cross(ccc: FiberCcc, f: NatRep, g: NatRep) -> NatRep:
     """f × g on a product source."""
     a, b = f.source, g.source
     return ccc.pair(nat_compose(f, ccc.p1(a, b)), nat_compose(g, ccc.p2(a, b)))
-
-
-def adhoc_roundtrip_search(u: ProbeUniverse, body: TypeFunctor,
-                           report: Optional[Report] = None,
-                           cap: int = 4096) -> Report:
-    """Hunt for componentwise-defined transformations that break the
-    instantiation round trip.
-
-    Candidates are arbitrary per-probe element choices for a map from
-    the weakened unit into an arity-1 body; a candidate counts as a
-    transformation when every level-1 component exists and it commutes
-    with the policy's isomorphisms.  Whether non-uniform survivors can
-    break the round trip over a finite universe is an open matter, so
-    the outcome is reported, never asserted.  A search that would try
-    more than cap candidates is recorded as a skip.
-    """
-    report = report or Report()
-    law = "adjunction: non-uniform counterexample search"
-    if body.arity != 1:
-        report.skip(law, "search restricted to one-slot bodies")
-        return report
-    unit = FUnit(0)
-    wunit = weaken(unit)
-    choices = [evaluate(body, EnvL(0, (a,)), u).elements for a in u.objs0]
-    total = 1
-    for c in choices:
-        total *= len(c)
-    if total > cap:
-        report.skip(law, f"{total} candidates exceed the cap of {cap}")
-        return report
-
-    def candidate(combo) -> NatRep:
-        def comp(env: EnvL):
-            if env.level == 0:
-                a = env.entries[-1]
-                if a not in u.index0:
-                    raise ClosureError("off-probe candidate query")
-                return fn(terminal0(), evaluate(body, env, u),
-                          lambda _x: combo[u.index0[a]])
-            return _forced_by_faces(comp, env, evaluate(wunit, env, u),
-                                    evaluate(body, env, u),
-                                    ValueError("not a transformation"))
-        return NatRep(wunit, body, comp, "candidate")
-
-    survivors = 0
-    broken = 0
-    for combo in itertools.product(*choices):
-        eta = candidate(combo)
-        try:
-            for env in probe_envs(u, 1, 1):
-                eta.at(env)
-            rep = Report()
-            validate_nat(eta, u, rep)
-            if not rep.ok:
-                continue
-        except (ValueError, ClosureError):
-            continue
-        survivors += 1
-        packed = transpose(unit, body, eta, u)
-        back = nat_compose(counit(body, u), reindex(ctx_proj(0), packed, u))
-        if nats_agree(back, eta, u) is not None:
-            broken += 1
-    if broken:
-        found = (f"{broken} of {survivors} componentwise transformations "
-                 f"break the round trip")
-    else:
-        found = (f"no counterexample: all {survivors} componentwise "
-                 f"transformations (of {total} candidates) round-trip")
-    report.add(law, True, found)
-    return report

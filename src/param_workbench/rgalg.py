@@ -527,28 +527,34 @@ class Probes:
     exhaustive: on the REY bound-2 instance, the 530 level-1 morphisms
     and their 17,350 composable pairs are sampled even at arity 1.
     Morphism tuples also include the identity tuples of the object
-    tuples.
+    tuples.  Each enumeration depends only on (level, arity), so it is
+    built once per instance and handed out as a tuple.
     """
     rg: RgCategory
 
-    def obj_tuples(self, level: int, n: int) -> list:
-        cat = self.rg.level0 if level == 0 else self.rg.level1
-        return _tuples(cat.objects, n)
+    def __post_init__(self):
+        self.obj_tuples = cache(self.obj_tuples)
+        self.mor_tuples = cache(self.mor_tuples)
+        self.composable_pairs = cache(self.composable_pairs)
 
-    def mor_tuples(self, level: int, n: int) -> list:
+    def obj_tuples(self, level: int, n: int) -> tuple:
+        cat = self.rg.level0 if level == 0 else self.rg.level1
+        return tuple(_tuples(cat.objects, n))
+
+    def mor_tuples(self, level: int, n: int) -> tuple:
         cat = self.rg.level0 if level == 0 else self.rg.level1
         out = _tuples(cat.mor_ids, n)
         ids = [tuple(cat.id_of[o] for o in t) for t in self.obj_tuples(level, n)]
         seen = set(out)
         out.extend(t for t in ids if t not in seen)
-        return out
+        return tuple(out)
 
-    def composable_pairs(self, level: int, n: int) -> list:
+    def composable_pairs(self, level: int, n: int) -> tuple:
         """Componentwise-composable pairs (gbar, fbar), drawn from the
         compose table like the other tuples."""
         cat = self.rg.level0 if level == 0 else self.rg.level1
-        return [(tuple(g for g, _ in combo), tuple(f for _, f in combo))
-                for combo in _tuples(tuple(cat.comp), n)]
+        return tuple((tuple(g for g, _ in combo), tuple(f for _, f in combo))
+                     for combo in _tuples(tuple(cat.comp), n))
 
 
 # ---------------------------------------------------------------------------

@@ -20,33 +20,76 @@ DEFAULT_FUEL = 10**6
 # Syntax
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TVar:
+class _Syntax:
+    """Structural equality and hashing over an explicit stack.
+
+    A normal form can nest deeper than the recursion limit, which the
+    dataclass-generated methods would hit: they recurse once per node.
+    Fields are read through __match_args__, so every syntax class is a
+    dataclass with eq=False that inherits both methods.
+    """
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__:
+                return False
+            for name in a.__match_args__:
+                x, y = getattr(a, name), getattr(b, name)
+                if isinstance(x, _Syntax):
+                    todo.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __hash__(self):
+        # the preorder of (field count, leaf fields) fixes the tree
+        parts: list = []
+        todo = [self]
+        while todo:
+            t = todo.pop()
+            parts.append(len(t.__match_args__))
+            for name in t.__match_args__:
+                x = getattr(t, name)
+                if isinstance(x, _Syntax):
+                    todo.append(x)
+                else:
+                    parts.append(x)
+        return hash(tuple(parts))
+
+
+@dataclass(frozen=True, eq=False)
+class TVar(_Syntax):
     """Type variable (de Bruijn index, 0 = innermost binder)."""
     index: int
 
 
-@dataclass(frozen=True)
-class UnitT:
+@dataclass(frozen=True, eq=False)
+class UnitT(_Syntax):
     """The unit type."""
 
 
-@dataclass(frozen=True)
-class ProdT:
+@dataclass(frozen=True, eq=False)
+class ProdT(_Syntax):
     """Binary product type."""
     left: Type
     right: Type
 
 
-@dataclass(frozen=True)
-class ArrowT:
+@dataclass(frozen=True, eq=False)
+class ArrowT(_Syntax):
     """Function type."""
     dom: Type
     cod: Type
 
 
-@dataclass(frozen=True)
-class ForallT:
+@dataclass(frozen=True, eq=False)
+class ForallT(_Syntax):
     """Universal type; body lives under one extra type binder."""
     body: Type
 
@@ -54,51 +97,51 @@ class ForallT:
 Type = Union[TVar, UnitT, ProdT, ArrowT, ForallT]
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False)
+class Var(_Syntax):
     index: int
 
 
-@dataclass(frozen=True)
-class Lam:
+@dataclass(frozen=True, eq=False)
+class Lam(_Syntax):
     annot: Type
     body: Term
 
 
-@dataclass(frozen=True)
-class App:
+@dataclass(frozen=True, eq=False)
+class App(_Syntax):
     fn: Term
     arg: Term
 
 
-@dataclass(frozen=True)
-class Pair:
+@dataclass(frozen=True, eq=False)
+class Pair(_Syntax):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class Fst:
+@dataclass(frozen=True, eq=False)
+class Fst(_Syntax):
     body: Term
 
 
-@dataclass(frozen=True)
-class Snd:
+@dataclass(frozen=True, eq=False)
+class Snd(_Syntax):
     body: Term
 
 
-@dataclass(frozen=True)
-class UnitV:
+@dataclass(frozen=True, eq=False)
+class UnitV(_Syntax):
     pass
 
 
-@dataclass(frozen=True)
-class TyLam:
+@dataclass(frozen=True, eq=False)
+class TyLam(_Syntax):
     body: Term
 
 
-@dataclass(frozen=True)
-class TyApp:
+@dataclass(frozen=True, eq=False)
+class TyApp(_Syntax):
     fn: Term
     arg: Type
 
@@ -106,40 +149,40 @@ class TyApp:
 Term = Union[Var, Lam, App, Pair, Fst, Snd, UnitV, TyLam, TyApp]
 
 
-@dataclass(frozen=True)
-class UVar:
+@dataclass(frozen=True, eq=False)
+class UVar(_Syntax):
     index: int
 
 
-@dataclass(frozen=True)
-class ULam:
+@dataclass(frozen=True, eq=False)
+class ULam(_Syntax):
     body: UntypedTerm
 
 
-@dataclass(frozen=True)
-class UApp:
+@dataclass(frozen=True, eq=False)
+class UApp(_Syntax):
     fn: UntypedTerm
     arg: UntypedTerm
 
 
-@dataclass(frozen=True)
-class UPair:
+@dataclass(frozen=True, eq=False)
+class UPair(_Syntax):
     left: UntypedTerm
     right: UntypedTerm
 
 
-@dataclass(frozen=True)
-class UFst:
+@dataclass(frozen=True, eq=False)
+class UFst(_Syntax):
     body: UntypedTerm
 
 
-@dataclass(frozen=True)
-class USnd:
+@dataclass(frozen=True, eq=False)
+class USnd(_Syntax):
     body: UntypedTerm
 
 
-@dataclass(frozen=True)
-class UUnit:
+@dataclass(frozen=True, eq=False)
+class UUnit(_Syntax):
     pass
 
 

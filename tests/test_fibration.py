@@ -8,6 +8,7 @@ import textwrap
 
 import pytest
 
+import oracles
 import verdict_rows
 from param_workbench import cubemodel as cm
 from param_workbench import fibration as fib
@@ -27,6 +28,8 @@ from param_workbench.finmodel import (
     rel_mor_id,
 )
 
+ROUNDTRIP = "adjunction: instantiated packaging is the identity"
+
 
 @pytest.mark.parametrize("bound", verdict_rows.FIB_BOUNDS)
 @pytest.mark.parametrize("policy", list(IsoPolicy))
@@ -36,8 +39,9 @@ def test_fibration_suite_passes(policy, bound):
     rep = fib.fibration_suite(policy, bound, rounds=1)
     assert rep.ok, [f.row() for f in rep.failures]
     selectors = 2 if bound >= 2 else 1
-    assert f"quantifier: {selectors} selector families" in [
-        f.law for f in rep.findings]
+    laws = [f.law for f in rep.findings]
+    assert f"quantifier: {selectors} selector families" in laws
+    assert laws.count(ROUNDTRIP) == 1
     assert all(isinstance(f.detail, str) for f in rep.findings)
     assert verdict_rows.rows(rep) == verdict_rows.frozen(
         verdict_rows.fib_key(policy, bound))
@@ -247,19 +251,48 @@ class TestEnvL:
             fib.EnvL(2, ())
 
 
-class TestRoundtripSearch:
-    u = fib.default_universe()
-    endo = fib.FArrow(fib.FProj(1, 0), fib.FProj(1, 0))
-    law = "adjunction: non-uniform counterexample search"
+SELECTORS = fib.FArrow(P1, fib.FArrow(P1, P1))
 
-    def test_a_capped_search_is_a_skip(self):
-        # one endomorphism of {0} times four of {0,1}: four candidates
-        rep = fib.adhoc_roundtrip_search(self.u, self.endo, cap=3)
-        assert [f.row() for f in rep.findings] == [{
-            "law": self.law, "passed": True, "status": "skip",
-            "detail": "skipped: 4 candidates exceed the cap of 3"}]
 
-    def test_a_search_within_the_cap_is_a_pass(self):
-        rep = fib.adhoc_roundtrip_search(self.u, self.endo, cap=4)
-        assert [(f.law, f.status) for f in rep.findings] == [(self.law, "pass")]
-        assert rep.findings[0].detail.startswith("no counterexample")
+@pytest.mark.parametrize("bound", [1, 2])
+@pytest.mark.parametrize("policy", list(IsoPolicy))
+def test_families_agree_with_the_componentwise_oracle(policy, bound):
+    """Propagation finds exactly the per-probe element choices that form
+    a transformation from the weakened unit, in the same order; the
+    largest search here, (a→a)→a→a at bound 2, has 256 candidates."""
+    u = fib.graph_universe(tuple(range(1, bound + 1)), policy)
+    for body in fib.stock_type_functors(1) + [fib.FArrow(fib.FArrow(P1, P1),
+                                                         fib.FArrow(P1, P1))]:
+        assert (oracles.componentwise_families(u, body)
+                == list(fib.forall0_value(body, (), u).elements)), body
+
+
+@pytest.mark.parametrize("policy", list(IsoPolicy))
+def test_endomorphisms_round_trip_over_three_element_carriers(policy):
+    # the body fibration_suite checks, at the bound the frozen rows lack
+    u = fib.graph_universe((1, 2, 3), policy)
+    rep = fib.adjunction_roundtrip(u, fib.FArrow(P1, P1), fib.Report())
+    assert [(f.law, f.status) for f in rep.findings] == [(ROUNDTRIP, "pass")]
+
+
+def test_a_collapsing_transpose_fails_the_round_trip(monkeypatch):
+    """A transpose that sends everything to one family passes the first
+    triangle identity on a→a, which has one family, but not the round
+    trip on ∀a. a→a→a, which has two."""
+    u = fib.graph_universe((1, 2))
+    assert fib.adjunction_roundtrip(u, SELECTORS, fib.Report()).ok
+
+    def collapse(f, g, eta, u):
+        def comp0(env):
+            fams = fib.forall0_value(g, env.entries, u)
+            return fn(fib.evaluate(f, env, u), fams, lambda _: fams.elements[0])
+        return fib._forced_nat(f, fib.FForall(g), comp0, u, "collapse",
+                               ValueError, "collapsed families are unrelated")
+
+    monkeypatch.setattr(fib, "transpose", collapse)
+    rows = fib.fibration_suite(IsoPolicy.REY, 2, rounds=1).findings
+    assert ("adjunction: repackaged instantiation is the identity", "pass") in [
+        (f.law, f.status) for f in rows]
+    rep = fib.adjunction_roundtrip(u, SELECTORS, fib.Report())
+    assert [(f.law, f.status) for f in rep.findings] == [(ROUNDTRIP, "fail")]
+    assert rep.findings[0].detail.startswith("1 of 2 families do not round-trip")

@@ -402,6 +402,20 @@ class TestProbes:
         assert all(cat.tgt[f] == cat.src[g] for (g,), (f,) in pairs)
         assert len({f for _, (f,) in pairs}) > 10
 
+    def test_a_reused_probes_gives_the_same_law_rows(self, rey_instance,
+                                                     stock, chains):
+        # each enumeration is built once per instance, then handed out
+        rg, sub = rey_instance
+        probes = rgalg.Probes(rg)
+
+        def rows():
+            return [f.row() for f in law_suite(rg, sub, stock, chains, rounds=3,
+                                               probes=probes).findings]
+
+        cold = rows()
+        assert probes.composable_pairs(1, 1) is probes.composable_pairs(1, 1)
+        assert rows() == cold
+
 
 class TestLawSuite:
     def test_trivial_instance_all_laws_hold(self):

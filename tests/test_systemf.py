@@ -383,7 +383,7 @@ CHURCH = {d.name: d.term for d in sf.parse_program("\n".join(
 
 def church_value(nf, typed: bool) -> int:
     """The numeral a normal form denotes, read off its spine without
-    recursion (dataclass == on a deep term would recurse)."""
+    recursion."""
     lam, app, var = (Lam, App, Var) if typed else (ULam, UApp, UVar)
     if typed:
         assert isinstance(nf, TyLam)
@@ -412,6 +412,12 @@ class TestDeepChurch:
         # 2,052 nodes: deeper than the default recursion limit
         nf = sf.normalize(CHURCH["p1024"])
         assert church_value(sf.erase(nf), typed=False) == 1024
+
+    def test_comparing_and_hashing_deep_normal_forms(self):
+        for nf in (sf.normalize, lambda t: sf.unormalize(sf.erase(t))):
+            a, b = nf(CHURCH["p1024"]), nf(CHURCH["p1024"])
+            assert a is not b and a == b and hash(a) == hash(b)
+            assert a != nf(CHURCH["p1296"])
 
     def test_typechecking_a_deep_normal_form(self):
         nf = sf.normalize(CHURCH["p1024"])
