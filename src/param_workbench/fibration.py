@@ -17,10 +17,11 @@ this module checks about quantified types is relative to that universe,
 so every evaluation takes one, and a universe grows only through
 ProbeUniverse.extended.
 
-Trees also act on isomorphisms, but only at level 0 (evaluate_mor):
-the crey membership clause and naturality transport along level-0
-bijections only, and a level-1 morphism is propositional, so it is
-forced by its two level-0 faces once they exist.
+Trees also act on isomorphisms, but only at level 0 (transport moves
+one element, evaluate_mor tabulates the whole action): the crey
+membership clause and naturality transport along level-0 bijections
+only, and a level-1 morphism is propositional, so it is forced by its
+two level-0 faces once they exist.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .finmodel import (
     eval0,
     eval1,
     expo0,
-    expo0_action,
     expo1,
     fin_set,
     fn,
@@ -60,7 +60,6 @@ from .finmodel import (
     lambda1,
     pair0,
     pair1,
-    prod_fn,
     product0,
     product1,
     rel,
@@ -268,11 +267,15 @@ class ProbeUniverse:
 
         Each new carrier, and each new endpoint of a relation, joins the
         objects with its equality; the relations follow.  Probes already
-        present keep their places and are not added twice.
+        present keep their places and are not added twice, and when every
+        given probe is present the result is this universe itself.
         """
         relations = tuple(relations)
         ends = (side for r in relations for side in (r.dom, r.cod))
         fresh = [a for a in itertools.chain(carriers, ends) if a not in self.index0]
+        if not fresh and all(r in self.index1 for r in relations):
+            # nothing new: keep this universe, and with it its memo
+            return self
         return make_universe(self.policy, self.objs0 + tuple(fresh),
                              self.objs1 + tuple(eq_rel(a) for a in fresh) + relations)
 
@@ -432,31 +435,53 @@ def _evaluate(f: TypeFunctor, env: EnvL, u: ProbeUniverse):
     raise TypeError(f"not a type functor: {f!r}")
 
 
-def evaluate_mor(f: TypeFunctor, isos, u: ProbeUniverse) -> FinFn:
-    """Functorial action on a tuple of level-0 bijections.
+def transport(f: TypeFunctor, isos: tuple, x, u: ProbeUniverse):
+    """Move one element of f's level-0 value at the isos' domains to the
+    value at their codomains, along the tree's action.
 
-    The result is a bijection between the tree's values at the isos'
-    domains and codomains.  Level 0 is the only level needed: the crey
-    membership clause and naturality transport along level-0 bijections
-    only, and a level-1 morphism is forced by its two level-0 faces.
+    The move is structural and lists nothing: a slot applies its iso, a
+    product moves its pair, an arrow conjugates its table (each argument
+    moves with its image) and a quantifier moves each family component,
+    its own slot held fixed.  isos are level-0 bijections, one per slot.
+    """
+    if all(m.is_identity for m in isos):
+        return x
+    if isinstance(f, FProj):
+        return isos[f.index](x)
+    if isinstance(f, FUnit):
+        return x
+    if isinstance(f, FProd):
+        return ("pr", transport(f.left, isos, x[1], u),
+                transport(f.right, isos, x[2], u))
+    if isinstance(f, FArrow):
+        moved = ((transport(f.dom, isos, a, u), transport(f.cod, isos, b, u))
+                 for a, b in x[1])
+        return ("fn", tuple(sorted(moved, key=lambda p: label_key(p[0]))))
+    if isinstance(f, FForall):
+        return ("fam", tuple(transport(f.body, isos + (fn_id(a),), c, u)
+                             for a, c in zip(u.objs0, x[1])))
+    raise TypeError(f"not a type functor: {f!r}")
+
+
+def evaluate_mor(f: TypeFunctor, isos, u: ProbeUniverse) -> FinFn:
+    """Functorial action on a tuple of level-0 bijections, tabulated.
+
+    The result is the bijection, element by element the one transport
+    gives, between the tree's values at the isos' domains and
+    codomains; tabulating it lists both, so a caller that moves a few
+    elements calls transport instead.  Level 0 is the only level
+    needed: the crey membership clause and naturality transport along
+    level-0 bijections only, and a level-1 morphism is forced by its
+    two level-0 faces.
     """
     isos = tuple(isos)
     if not all(isinstance(m, FinFn) and m.is_bijection for m in isos):
         raise ValueError("transports must be level-0 bijections")
     if f.arity != len(isos):
         raise ValueError(f"arity {f.arity} tree fed {len(isos)} transports")
-
-    if isinstance(f, FProj):
-        return isos[f.index]
-    if isinstance(f, FUnit):
-        return fn_id(terminal0())
-    if isinstance(f, FProd):
-        return prod_fn(evaluate_mor(f.left, isos, u), evaluate_mor(f.right, isos, u))
-    if isinstance(f, FArrow):
-        return expo0_action(evaluate_mor(f.dom, isos, u), evaluate_mor(f.cod, isos, u))
-    if isinstance(f, FForall):
-        return _forall0_transport(f.body, isos, u)
-    raise TypeError(f"not a type functor: {f!r}")
+    return fn(evaluate(f, EnvL(0, tuple(m.dom for m in isos)), u),
+              evaluate(f, EnvL(0, tuple(m.cod for m in isos)), u),
+              lambda x: transport(f, isos, x, u))
 
 
 # ---------------------------------------------------------------------------
@@ -468,17 +493,37 @@ def evaluate_mor(f: TypeFunctor, isos, u: ProbeUniverse) -> FinFn:
 # ordered positionally by the universe.  Relations are proof-irrelevant,
 # so the element part is the whole family: relatedness at each probe
 # relation is a condition on it, not further data, decided by related.
-# Enumeration assigns the probe objects' elements in order and checks
-# each probe relation once both its endpoints are assigned, pruning
-# every extension of a failing choice; under the crey policy each
-# complete family must moreover commute with the universe's bijections.
+#
+# Families are found entry by entry, by one backtracking search.  For an
+# arrow body a variable is a probe with one argument from the domain's
+# value there, and it ranges over the codomain's value there, so a
+# component is assembled from its entries and the body's function space
+# is never listed.  Any other body is the case of one variable per probe,
+# ranging over the body's value there.  Each probe relation r, with the
+# equalities of the base before it, constrains each pair of arguments
+# related at the domain's level-1 value: their two entries must be
+# related at the codomain (for other bodies, the probes' two elements at
+# the body).  A constraint is checked once the later of its variables is
+# assigned, pruning every extension of a failing choice.  Variables are
+# taken probe by probe and, within a probe, in the domain's order, each
+# trying its values in canonical order, so families come out in canonical
+# order.  Under the crey policy each complete family must moreover
+# commute with the universe's bijections, moved one component at a time
+# by transport.
+
+def _level1(f: TypeFunctor, rbar: tuple, u: ProbeUniverse) -> PropRel:
+    """f's level-1 value at rbar; a slot's relation is read directly,
+    skipping the memo's hashing."""
+    if isinstance(f, FProj):
+        return rbar[f.index]
+    return evaluate(f, EnvL(1, rbar), u)
+
 
 def related(f: TypeFunctor, rbar: tuple, x, y, u: ProbeUniverse) -> bool:
     """evaluate(f, EnvL(1, rbar), u).holds(x, y), decided on the tree
     without listing an exponential's pairs: an arrow relates two
     functions when they carry every pair of its domain's small level-1
-    value (a slot's relation is read directly, skipping the memo's
-    hashing) to related results."""
+    value to related results."""
     if isinstance(f, FProj):
         return rbar[f.index].holds(x, y)
     if isinstance(f, FUnit):
@@ -487,19 +532,44 @@ def related(f: TypeFunctor, rbar: tuple, x, y, u: ProbeUniverse) -> bool:
         return (related(f.left, rbar, x[1], y[1], u)
                 and related(f.right, rbar, x[2], y[2], u))
     if isinstance(f, FArrow):
-        dom = (rbar[f.dom.index] if isinstance(f.dom, FProj)
-               else evaluate(f.dom, EnvL(1, rbar), u))
         fx, gy = dict(x[1]), dict(y[1])
-        return all(related(f.cod, rbar, fx[a], gy[b], u) for a, b in dom.entries)
+        return all(related(f.cod, rbar, fx[a], gy[b], u)
+                   for a, b in _level1(f.dom, rbar, u).entries)
     if isinstance(f, FForall):
         return evaluate(f, EnvL(1, rbar), u).holds(x, y)
     raise TypeError(f"not a type functor: {f!r}")
 
 
-def _body_values0(body: TypeFunctor, base: tuple, u: ProbeUniverse) -> tuple:
-    key = ("bv0", body, base)
-    return u.memo_eval(key, lambda: tuple(
-        evaluate(body, EnvL(0, base + (a,)), u) for a in u.objs0))
+def _probe_relations(u: ProbeUniverse) -> list:
+    """Each probe relation with the positions of its two endpoints."""
+    return [(r, u.index0[r.dom], u.index0[r.cod]) for r in u.objs1]
+
+
+def _assignments(vals: list, checks: list):
+    """Each choice of one position per variable, in lexicographic order,
+    that passes its checks.  vals[v] lists variable v's values; a check
+    (v, w, held) in checks[k] asks held(position of v, position of w)
+    once variable k, the later of v and w, is chosen."""
+    n = len(vals)
+    ys = [0] * n
+
+    def go(v):
+        if v == n:
+            yield tuple(ys)
+            return
+        for p in range(len(vals[v])):
+            ys[v] = p
+            if all(held(ys[a], ys[b]) for a, b, held in checks[v]):
+                yield from go(v + 1)
+
+    return go(0)
+
+
+def _held_at(f: TypeFunctor, rbar: tuple, xs: tuple, ys: tuple,
+             u: ProbeUniverse) -> Callable:
+    """related at rbar between positions of xs and ys, each pair decided
+    once."""
+    return cache(lambda p, q: related(f, rbar, xs[p], ys[q], u))
 
 
 def _respects_isos(body: TypeFunctor, base: tuple, u: ProbeUniverse,
@@ -507,7 +577,7 @@ def _respects_isos(body: TypeFunctor, base: tuple, u: ProbeUniverse,
     """Whether an element choice commutes with the universe's relevant
     bijections; only crey has any besides identities."""
     ids = tuple(fn_id(a) for a in base)
-    return all(evaluate_mor(body, ids + (i,), u)(f0[u.index0[i.dom]])
+    return all(transport(body, ids + (i,), f0[u.index0[i.dom]], u)
                == f0[u.index0[i.cod]] for i in u.isos0 if not i.is_identity)
 
 
@@ -515,26 +585,33 @@ def forall0_value(body: TypeFunctor, base: tuple, u: ProbeUniverse) -> FinSetObj
     key = ("fa0", body, base)
 
     def build():
-        vals = _body_values0(body, base, u)
         eqs = tuple(eq_rel(a) for a in base)
-        # each probe relation is checked where its later endpoint is chosen
+        envs = [EnvL(0, base + (a,)) for a in u.objs0]
+        arrow = isinstance(body, FArrow)
+        tree = body.cod if arrow else body
+        args = [evaluate(body.dom, env, u).elements if arrow else (None,)
+                for env in envs]
+        outs = [evaluate(tree, env, u).elements for env in envs]
+        # variables are numbered probe by probe, then argument by argument
+        first = list(itertools.accumulate(map(len, args), initial=0))
+        var = [dict(zip(xs, itertools.count(n))) for xs, n in zip(args, first)]
+        vals = [out for out, xs in zip(outs, args) for _ in xs]
         checks = [[] for _ in vals]
-        for r in u.objs1:
-            i, j = u.index0[r.dom], u.index0[r.cod]
-            checks[max(i, j)].append((eqs + (r,), i, j))
-
-        def extend(f0: tuple):
-            k = len(f0)
-            if k == len(vals):
-                if _respects_isos(body, base, u, f0):
-                    yield ("fam", f0)
-                return
-            for x in vals[k]:
-                g0 = f0 + (x,)
-                if all(related(body, rb, g0[i], g0[j], u) for rb, i, j in checks[k]):
-                    yield from extend(g0)
-
-        return fin_set(extend(()))
+        for r, i, j in _probe_relations(u):
+            rb = eqs + (r,)
+            held = _held_at(tree, rb, outs[i], outs[j], u)
+            pairs = _level1(body.dom, rb, u).entries if arrow else ((None, None),)
+            for a, b in pairs:
+                v, w = var[i][a], var[j][b]
+                checks[max(v, w)].append((v, w, held))
+        fams = []
+        for ps in _assignments(vals, checks):
+            ys = [out[p] for out, p in zip(vals, ps)]
+            f0 = (tuple(("fn", tuple(zip(xs, ys[n:]))) for xs, n in zip(args, first))
+                  if arrow else tuple(ys))
+            if _respects_isos(body, base, u, f0):
+                fams.append(("fam", f0))
+        return FinSetObj(tuple(fams))
 
     return u.memo_eval(key, build)
 
@@ -547,8 +624,8 @@ def forall1_value(body: TypeFunctor, rbar: tuple, u: ProbeUniverse) -> PropRel:
         tgt = forall0_value(body, tuple(r.cod for r in rbar), u)
         # both family sets are canonically ordered, so the pairs are too
         pairs = [(famf, famg) for famf in src for famg in tgt]
-        for r in u.objs1:
-            i, j, rb = u.index0[r.dom], u.index0[r.cod], rbar + (r,)
+        for r, i, j in _probe_relations(u):
+            rb = rbar + (r,)
             # families share components: decide each pair of them once
             held = cache(lambda x, y: related(body, rb, x, y, u))
             pairs = [(famf, famg) for famf, famg in pairs
@@ -556,21 +633,6 @@ def forall1_value(body: TypeFunctor, rbar: tuple, u: ProbeUniverse) -> PropRel:
         return PropRel(src, tgt, tuple(pairs))
 
     return u.memo_eval(key, build)
-
-
-def _forall0_transport(body: TypeFunctor, isos: tuple, u: ProbeUniverse) -> FinFn:
-    src = forall0_value(body, tuple(i.dom for i in isos), u)
-    tgt = forall0_value(body, tuple(i.cod for i in isos), u)
-
-    def move(fam):
-        lab = ("fam", tuple(
-            evaluate_mor(body, isos + (fn_id(a),), u)(fam[1][j])
-            for j, a in enumerate(u.objs0)))
-        if lab not in tgt:
-            raise ValueError("transport left the family set")
-        return lab
-
-    return fn(src, tgt, move)
 
 
 # ---------------------------------------------------------------------------
@@ -608,11 +670,14 @@ class NatRep:
     component maps an environment to a morphism at that environment's
     level; components are computed on demand, never tabulated, so a
     NatRep is usable at any environment including non-probe ones.
+    Each is computed once per environment and kept: a component is
+    pure, because the universe it reads is fixed.
     """
     source: TypeFunctor
     target: TypeFunctor
     component: Callable[[EnvL], object]
     name: str = "nat"
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.source.arity != self.target.arity:
@@ -623,7 +688,11 @@ class NatRep:
         return self.source.arity
 
     def at(self, env: EnvL):
-        return self.component(env)
+        # a component that raises is not kept, so asking again raises again
+        memo = self._memo
+        if env not in memo:
+            memo[env] = self.component(env)
+        return memo[env]
 
 
 def nat_id(f: TypeFunctor, u: ProbeUniverse) -> NatRep:
@@ -669,8 +738,11 @@ def validate_nat(nat: NatRep, u: ProbeUniverse,
     for combo in itertools.product(u.isos0, repeat=n):
         src_env = EnvL(0, tuple(i.dom for i in combo))
         tgt_env = EnvL(0, tuple(i.cod for i in combo))
-        lhs = fn_compose(evaluate_mor(nat.target, combo, u), nat.at(src_env))
-        rhs = fn_compose(nat.at(tgt_env), evaluate_mor(nat.source, combo, u))
+        at_src, at_tgt = nat.at(src_env), nat.at(tgt_env)
+        # the square's two legs, moving only the elements they reach
+        dom, cod = evaluate(nat.source, src_env, u), evaluate(nat.target, tgt_env, u)
+        lhs = fn(dom, cod, lambda x: transport(nat.target, combo, at_src(x), u))
+        rhs = fn(dom, cod, lambda x: at_tgt(transport(nat.source, combo, x, u)))
         report.check(f"{nat.name}: natural at {_env_tag(src_env)}",
                      None if lhs == rhs else f"{lhs.table} != {rhs.table}")
 

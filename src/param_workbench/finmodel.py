@@ -351,17 +351,6 @@ def apply_label(lbl: Label, x):
     return dict(lbl[1])[x]
 
 
-def expo0_action(d: FinFn, c: FinFn) -> FinFn:
-    """The exponential's action: table lbl goes to c∘lbl∘d⁻¹, from
-    (d.dom ⇒ c.dom) to (d.cod ⇒ c.cod); d must be a bijection."""
-    back = fn_inverse(d)
-
-    def go(lbl):
-        return fn_label(fn(d.cod, c.cod, lambda x: c(apply_label(lbl, back(x)))))
-
-    return fn(expo0(d.dom, c.dom), expo0(d.cod, c.cod), go)
-
-
 def eval0(a: FinSetObj, b: FinSetObj) -> FinFn:
     return fn(product0(expo0(a, b), a), b, lambda p: apply_label(p[1], p[2]))
 

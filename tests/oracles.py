@@ -14,7 +14,8 @@ import itertools
 from param_workbench import cubemodel as cb
 from param_workbench import fibration as fib
 from param_workbench import systemf as sf
-from param_workbench.finmodel import (all_functions, expo0, fn, fn_label, rel,
+from param_workbench.finmodel import (all_functions, apply_label, expo0, fn,
+                                      fn_id, fn_inverse, fn_label, prod_fn, rel,
                                       terminal0, try_rel_mor)
 
 # Semantic types are tuples:
@@ -178,6 +179,43 @@ def componentwise_families(u: fib.ProbeUniverse, body: fib.TypeFunctor) -> list:
         except _NoComponent:
             pass
     return out
+
+
+def expo0_action(d, c):
+    """The exponential's action on a pair of bijections, tabulated: every
+    table lbl of (d.dom ⇒ c.dom) goes to c∘lbl∘d⁻¹."""
+    back = fn_inverse(d)
+
+    def go(lbl):
+        return fn_label(fn(d.cod, c.cod, lambda x: c(apply_label(lbl, back(x)))))
+
+    return fn(expo0(d.dom, c.dom), expo0(d.cod, c.cod), go)
+
+
+def tabulated_action(f: fib.TypeFunctor, isos: tuple, u: fib.ProbeUniverse):
+    """A tree's action on level-0 bijections, one whole table per node.
+
+    A slot is its iso, a product the parallel map, an arrow the
+    conjugation of its whole function space, and a quantifier moves
+    every family, each component by the body's table at that probe.
+    The library's transport moves one element structurally instead.
+    """
+    if isinstance(f, fib.FProj):
+        return isos[f.index]
+    if isinstance(f, fib.FUnit):
+        return fn_id(terminal0())
+    if isinstance(f, fib.FProd):
+        return prod_fn(tabulated_action(f.left, isos, u),
+                       tabulated_action(f.right, isos, u))
+    if isinstance(f, fib.FArrow):
+        return expo0_action(tabulated_action(f.dom, isos, u),
+                            tabulated_action(f.cod, isos, u))
+    if isinstance(f, fib.FForall):
+        moves = [tabulated_action(f.body, isos + (fn_id(a),), u) for a in u.objs0]
+        return fn(fib.forall0_value(f.body, tuple(i.dom for i in isos), u),
+                  fib.forall0_value(f.body, tuple(i.cod for i in isos), u),
+                  lambda fam: ("fam", tuple(m(c) for m, c in zip(moves, fam[1]))))
+    raise TypeError(f"not a type functor: {f!r}")
 
 
 def transpose2(q: cb.TwoRel) -> cb.TwoRel:

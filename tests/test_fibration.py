@@ -1,10 +1,12 @@
 """The λ2-fibration's law suite and its reports."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 
 import pytest
 
@@ -130,6 +132,14 @@ BOUND3 = textwrap.dedent("""
         assert rep.ok and rep.findings, [f.row() for f in rep.failures]
     crey = fib.graph_universe((1, 2, 3), IsoPolicy.CREY)
     assert len(fib.forall0_value(body, (), crey)) == 2
+    numeral = fib.FArrow(fib.FArrow(a, a), fib.FArrow(a, a))
+    church = sf.parse_type_str("forall a. (a -> a) -> a -> a")
+    for v in (u, crey):
+        # the numerals 0-7 differ on these carriers, and with graph probes
+        # alone 7 families that are no numeral survive beside them
+        assert len(fib.forall0_value(numeral, (), v)) == 15
+        rep = interp.iel_check(church, u=v)
+        assert rep.ok and rep.findings, [f.row() for f in rep.failures]
 """)
 
 
@@ -137,13 +147,17 @@ def test_church_booleans_over_three_element_carriers():
     """Over carriers of up to three elements, with the graph of every
     function between them, ∀a. a→a→a denotes exactly the two
     projections, relates each only to itself, and passes identity
-    extension; tru and fls pass the abstraction check; and under CREY
-    the type still has two families; all within 1 GiB of address space
-    in a child process."""
+    extension; tru and fls pass the abstraction check; under CREY the
+    type still has two families; and ∀a.(a→a)→a→a has its families
+    found entry by entry and passes identity extension under both
+    policies; all within 1 GiB of address space in a child process,
+    which runs under the parent's hash seed."""
     src = pathlib.Path(fib.__file__).resolve().parents[1]
+    env = {"PYTHONPATH": str(src), "PATH": ""}
+    if "PYTHONHASHSEED" in os.environ:
+        env["PYTHONHASHSEED"] = os.environ["PYTHONHASHSEED"]
     out = subprocess.run([sys.executable, "-c", BOUND3], capture_output=True,
-                         text=True, timeout=300,
-                         env={"PYTHONPATH": str(src), "PATH": ""})
+                         text=True, timeout=300, env=env)
     assert out.returncode == 0, out.stderr[-2000:]
 
 
@@ -170,6 +184,13 @@ class TestExtended:
         swap = graph_rel(fn(self.a2, self.a2, lambda x: 1 - x))
         v = self.u.extended([self.a2], [swap, graph_rel(fn_id(self.a2))])
         assert (v.objs0, v.objs1) == (self.u.objs0, self.u.objs1)
+
+    def test_adding_nothing_new_keeps_the_universe_and_its_memo(self):
+        u = fib.default_universe()
+        assert u.extended() is u
+        swap = graph_rel(fn(self.a2, self.a2, lambda x: 1 - x))
+        assert u.extended([self.a2], [swap, eq_rel(self.a2)]) is u
+        assert u.extended(relations=[self.cycle]) is not u
 
     def test_a_known_carrier_gets_no_second_equality(self):
         into = graph_rel(fn(self.a2, self.a3, lambda x: x))
@@ -252,6 +273,7 @@ class TestEnvL:
 
 
 SELECTORS = fib.FArrow(P1, fib.FArrow(P1, P1))
+NUMERAL = fib.FArrow(fib.FArrow(P1, P1), fib.FArrow(P1, P1))
 
 
 @pytest.mark.parametrize("bound", [1, 2])
@@ -261,10 +283,70 @@ def test_families_agree_with_the_componentwise_oracle(policy, bound):
     a transformation from the weakened unit, in the same order; the
     largest search here, (a→a)→a→a at bound 2, has 256 candidates."""
     u = fib.graph_universe(tuple(range(1, bound + 1)), policy)
-    for body in fib.stock_type_functors(1) + [fib.FArrow(fib.FArrow(P1, P1),
-                                                         fib.FArrow(P1, P1))]:
+    for body in fib.stock_type_functors(1) + [NUMERAL]:
         assert (oracles.componentwise_families(u, body)
                 == list(fib.forall0_value(body, (), u).elements)), body
+
+
+def test_a_search_without_endomorphism_constraints_fails_the_oracle(monkeypatch):
+    """Dropping the constraints of every probe relation from a probe to
+    itself (its equality and the graphs of its endomorphisms) leaves the
+    numeral body 16 families over graphs at bound 2, not 4."""
+    real = fib._probe_relations
+    monkeypatch.setattr(fib, "_probe_relations",
+                        lambda u: [(r, i, j) for r, i, j in real(u) if i != j])
+    with pytest.raises(AssertionError):
+        test_families_agree_with_the_componentwise_oracle(IsoPolicy.REY, 2)
+
+
+@pytest.mark.parametrize("bound", [2, 3])
+def test_transport_agrees_with_the_tabulated_action(bound):
+    """Moving one element along a bijection gives that element's entry
+    in the action tabulated node by node, for every CREY bijection on
+    every stock one-slot tree (and the numeral body at bound 2, whose
+    action there lists 256 tables)."""
+    u = fib.graph_universe(tuple(range(1, bound + 1)), IsoPolicy.CREY)
+    for t in fib.stock_type_functors(1) + ([NUMERAL] if bound == 2 else []):
+        for i in u.isos0:
+            table = oracles.tabulated_action(t, (i,), u)
+            assert all(fib.transport(t, (i,), x, u) == y
+                       for x, y in table.table), (t, i)
+            assert fib.evaluate_mor(t, (i,), u) == table, (t, i)
+
+
+def test_a_component_that_raises_is_not_kept():
+    calls = []
+
+    def comp(env):
+        calls.append(env)
+        raise fib.ClosureError("not a probe")
+
+    nat = fib.NatRep(P1, P1, comp)
+    for _ in range(2):
+        with pytest.raises(fib.ClosureError):
+            nat.at(fib.EnvL(0, (fin_set([0]),)))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_transpose_reads_each_component_once(level):
+    """Packaging a transformation asks for its component at each
+    (environment, probe) once, however many elements it moves: here
+    the two families of ∀a. a→a→a."""
+    u = fib.default_universe()
+    inst = fib.counit(SELECTORS, u)
+    calls = Counter()
+
+    def comp(env):
+        calls[env] += 1
+        return inst.component(env)
+
+    eta = fib.NatRep(inst.source, inst.target, comp, "counted")
+    packed = fib.transpose(fib.FForall(SELECTORS), SELECTORS, eta, u)
+    assert len(fib.forall0_value(SELECTORS, (), u)) == 2
+    packed.at(fib.EnvL(level, ()))
+    packed.at(fib.EnvL(level, ()))
+    assert len(calls) == len(u.objs0) and set(calls.values()) == {1}, calls
 
 
 @pytest.mark.parametrize("policy", list(IsoPolicy))
