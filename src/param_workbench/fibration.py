@@ -55,6 +55,7 @@ from .finmodel import (
     fst0,
     fst1,
     graph_rel,
+    hash_cons,
     label_key,
     lambda0,
     lambda1,
@@ -89,6 +90,7 @@ class TypeFunctor:
     arity: int
 
 
+@hash_cons
 @dataclass(frozen=True)
 class FProj(TypeFunctor):
     arity: int
@@ -99,11 +101,13 @@ class FProj(TypeFunctor):
             raise ValueError("projection index out of range")
 
 
+@hash_cons
 @dataclass(frozen=True)
 class FUnit(TypeFunctor):
     arity: int
 
 
+@hash_cons
 @dataclass(frozen=True)
 class FProd(TypeFunctor):
     left: TypeFunctor
@@ -118,6 +122,7 @@ class FProd(TypeFunctor):
         return self.left.arity
 
 
+@hash_cons
 @dataclass(frozen=True)
 class FArrow(TypeFunctor):
     dom: TypeFunctor
@@ -132,6 +137,7 @@ class FArrow(TypeFunctor):
         return self.dom.arity
 
 
+@hash_cons
 @dataclass(frozen=True)
 class FForall(TypeFunctor):
     body: TypeFunctor  # one extra slot, bound here
@@ -181,6 +187,7 @@ def weaken(f: TypeFunctor) -> TypeFunctor:
 # environments
 # ---------------------------------------------------------------------------
 
+@hash_cons
 @dataclass(frozen=True)
 class EnvL:
     """A tuple of same-level semantic objects to feed a tree's slots.
@@ -513,7 +520,7 @@ def evaluate_mor(f: TypeFunctor, isos, u: ProbeUniverse) -> FinFn:
 
 def _level1(f: TypeFunctor, rbar: tuple, u: ProbeUniverse) -> PropRel:
     """f's level-1 value at rbar; a slot's relation is read directly,
-    skipping the memo's hashing."""
+    without interning an environment and a memo key for it."""
     if isinstance(f, FProj):
         return rbar[f.index]
     return evaluate(f, EnvL(1, rbar), u)

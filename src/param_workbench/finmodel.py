@@ -10,7 +10,8 @@ Because relations are extensional, the comparison map from the equality
 on a product or exponential to the product or exponential of
 equalities is an identity: both sides are the same set of pairs.  The
 witnessed relations of the proof-relevant model live in cubemodel.
-Records here and there are hash-consed (hash_cons): one instance per
+Records here and in cubemodel, fibration's type trees and environments,
+and systemf's syntax nodes are hash-consed (hash_cons): one instance per
 value, validated once when first built, so equality is identity.
 """
 
@@ -62,10 +63,13 @@ def is_canonical(labels) -> bool:
 def hash_cons(cls):
     """Hash-cons a frozen record class: one instance per value.
 
-    Build records only by the class call, with positional fields: equal
-    fields give the stored record, new ones are validated once and kept
-    unless that raised.  So equality is identity.  The hash stays the
-    value hash, cached on first use, so set order ignores addresses.
+    Serves these records, cubemodel's, fibration's type trees and
+    environments, and systemf's syntax.  Build records only by the class
+    call, with positional fields (a keyword, so dataclasses.replace too,
+    raises TypeError): equal fields give the stored record, new ones are
+    validated once and kept unless that raised.  So equality is identity.
+    The hash stays the value hash, cached on first use, so set order
+    ignores addresses.
     """
     table = {}
     init = cls.__init__

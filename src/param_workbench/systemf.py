@@ -4,6 +4,11 @@ Terms are Church-style (lambdas carry full domain annotations), so
 typechecking is syntax-directed. Both binder kinds use de Bruijn
 indices; the pretty-printer regenerates fresh names. `normalize` and
 `unormalize` share one NbE core.
+
+Syntax nodes are interned (finmodel.hash_cons) and built by positional
+fields only, so `==` is identity, and a node hashes from its children's
+cached hashes: a normal form deeper than the recursion limit compares
+and hashes without a walker.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
+from .finmodel import hash_cons
+
 DEFAULT_FUEL = 10**6
 
 
@@ -20,76 +27,38 @@ DEFAULT_FUEL = 10**6
 # Syntax
 # ---------------------------------------------------------------------------
 
-class _Syntax:
-    """Structural equality and hashing over an explicit stack.
-
-    A normal form can nest deeper than the recursion limit, which the
-    dataclass-generated methods would hit: they recurse once per node.
-    Fields are read through __match_args__, so every syntax class is a
-    dataclass with eq=False that inherits both methods.
-    """
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            a, b = todo.pop()
-            if a is b:
-                continue
-            if a.__class__ is not b.__class__:
-                return False
-            for name in a.__match_args__:
-                x, y = getattr(a, name), getattr(b, name)
-                if isinstance(x, _Syntax):
-                    todo.append((x, y))
-                elif x != y:
-                    return False
-        return True
-
-    def __hash__(self):
-        # the preorder of (field count, leaf fields) fixes the tree
-        parts: list = []
-        todo = [self]
-        while todo:
-            t = todo.pop()
-            parts.append(len(t.__match_args__))
-            for name in t.__match_args__:
-                x = getattr(t, name)
-                if isinstance(x, _Syntax):
-                    todo.append(x)
-                else:
-                    parts.append(x)
-        return hash(tuple(parts))
-
-
-@dataclass(frozen=True, eq=False)
-class TVar(_Syntax):
+@hash_cons
+@dataclass(frozen=True)
+class TVar:
     """Type variable (de Bruijn index, 0 = innermost binder)."""
     index: int
 
 
-@dataclass(frozen=True, eq=False)
-class UnitT(_Syntax):
+@hash_cons
+@dataclass(frozen=True)
+class UnitT:
     """The unit type."""
 
 
-@dataclass(frozen=True, eq=False)
-class ProdT(_Syntax):
+@hash_cons
+@dataclass(frozen=True)
+class ProdT:
     """Binary product type."""
     left: Type
     right: Type
 
 
-@dataclass(frozen=True, eq=False)
-class ArrowT(_Syntax):
+@hash_cons
+@dataclass(frozen=True)
+class ArrowT:
     """Function type."""
     dom: Type
     cod: Type
 
 
-@dataclass(frozen=True, eq=False)
-class ForallT(_Syntax):
+@hash_cons
+@dataclass(frozen=True)
+class ForallT:
     """Universal type; body lives under one extra type binder."""
     body: Type
 
@@ -97,51 +66,60 @@ class ForallT(_Syntax):
 Type = Union[TVar, UnitT, ProdT, ArrowT, ForallT]
 
 
-@dataclass(frozen=True, eq=False)
-class Var(_Syntax):
+@hash_cons
+@dataclass(frozen=True)
+class Var:
     index: int
 
 
-@dataclass(frozen=True, eq=False)
-class Lam(_Syntax):
+@hash_cons
+@dataclass(frozen=True)
+class Lam:
     annot: Type
     body: Term
 
 
-@dataclass(frozen=True, eq=False)
-class App(_Syntax):
+@hash_cons
+@dataclass(frozen=True)
+class App:
     fn: Term
     arg: Term
 
 
-@dataclass(frozen=True, eq=False)
-class Pair(_Syntax):
+@hash_cons
+@dataclass(frozen=True)
+class Pair:
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, eq=False)
-class Fst(_Syntax):
+@hash_cons
+@dataclass(frozen=True)
+class Fst:
     body: Term
 
 
-@dataclass(frozen=True, eq=False)
-class Snd(_Syntax):
+@hash_cons
+@dataclass(frozen=True)
+class Snd:
     body: Term
 
 
-@dataclass(frozen=True, eq=False)
-class UnitV(_Syntax):
+@hash_cons
+@dataclass(frozen=True)
+class UnitV:
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class TyLam(_Syntax):
+@hash_cons
+@dataclass(frozen=True)
+class TyLam:
     body: Term
 
 
-@dataclass(frozen=True, eq=False)
-class TyApp(_Syntax):
+@hash_cons
+@dataclass(frozen=True)
+class TyApp:
     fn: Term
     arg: Type
 
@@ -149,40 +127,47 @@ class TyApp(_Syntax):
 Term = Union[Var, Lam, App, Pair, Fst, Snd, UnitV, TyLam, TyApp]
 
 
-@dataclass(frozen=True, eq=False)
-class UVar(_Syntax):
+@hash_cons
+@dataclass(frozen=True)
+class UVar:
     index: int
 
 
-@dataclass(frozen=True, eq=False)
-class ULam(_Syntax):
+@hash_cons
+@dataclass(frozen=True)
+class ULam:
     body: UntypedTerm
 
 
-@dataclass(frozen=True, eq=False)
-class UApp(_Syntax):
+@hash_cons
+@dataclass(frozen=True)
+class UApp:
     fn: UntypedTerm
     arg: UntypedTerm
 
 
-@dataclass(frozen=True, eq=False)
-class UPair(_Syntax):
+@hash_cons
+@dataclass(frozen=True)
+class UPair:
     left: UntypedTerm
     right: UntypedTerm
 
 
-@dataclass(frozen=True, eq=False)
-class UFst(_Syntax):
+@hash_cons
+@dataclass(frozen=True)
+class UFst:
     body: UntypedTerm
 
 
-@dataclass(frozen=True, eq=False)
-class USnd(_Syntax):
+@hash_cons
+@dataclass(frozen=True)
+class USnd:
     body: UntypedTerm
 
 
-@dataclass(frozen=True, eq=False)
-class UUnit(_Syntax):
+@hash_cons
+@dataclass(frozen=True)
+class UUnit:
     pass
 
 

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 import oracles
 import verdict_rows
 from param_workbench import cubemodel as cm
+from param_workbench import fibration as fib
 from param_workbench import finmodel as fm
 from param_workbench import rgalg
+from param_workbench import systemf as sf
 from param_workbench.finmodel import (
     STAR,
     FinFn,
@@ -426,6 +428,12 @@ RECORD_BUILDERS = {
     "TwoRel": lambda: cm.two_rel(
         *[cm.weq(A2)] * 4, [((x,) * 4, (refl(x),) * 4) for x in A2]),
     "TwoRelMor": lambda: cm.degen2_mor("vertical", cm.eq_wmor(_swap())),
+    "App": lambda: sf.App(sf.Var(0), sf.UnitV()),
+    "ULam": lambda: sf.ULam(sf.UVar(0)),
+    "ArrowT": lambda: sf.ArrowT(sf.TVar(0), sf.UnitT()),
+    "FArrow": lambda: fib.FArrow(fib.FProj(1, 0), fib.FUnit(1)),
+    "FForall": lambda: fib.FForall(fib.FArrow(fib.FProj(1, 0), fib.FProj(1, 0))),
+    "EnvL": lambda: fib.EnvL(1, (graph_rel(_swap()),)),
 }
 
 
@@ -464,6 +472,14 @@ ONE_FIELD_APART = {
         cm.two_rel(*[cm.weq(A2)] * 4, [((0,) * 4, (refl(0),) * 4)])),
     "TwoRelMor": lambda: (_right_edge_mor(lambda a, b, w: w),
                           _right_edge_mor(lambda a, b, w: W1 if w == W0 else W0)),
+    "App": lambda: (sf.App(sf.Var(0), sf.UnitV()), sf.App(sf.Var(0), sf.Var(1))),
+    "ULam": lambda: (sf.ULam(sf.UVar(0)), sf.ULam(sf.UVar(1))),
+    "ArrowT": lambda: (sf.ArrowT(sf.TVar(0), sf.UnitT()),
+                       sf.ArrowT(sf.TVar(0), sf.TVar(0))),
+    "FArrow": lambda: (fib.FArrow(fib.FProj(1, 0), fib.FUnit(1)),
+                       fib.FArrow(fib.FProj(1, 0), fib.FProj(1, 0))),
+    "FForall": lambda: (fib.FForall(fib.FProj(1, 0)), fib.FForall(fib.FUnit(1))),
+    "EnvL": lambda: (fib.EnvL(0, (A1,)), fib.EnvL(0, (A2,))),
 }
 
 # per class, a construction __post_init__ rejects and a valid one
@@ -486,6 +502,9 @@ REJECTED_THEN_VALID = {
     "TwoRelMor": (lambda: cm.TwoRelMor(*[cm.degen2("horizontal", cm.weq(A1))] * 2,
                                        *[cm.wit_mor_id(cm.weq(A2))] * 4),
                   lambda: cm.two_mor_id(cm.degen2("horizontal", cm.weq(A1)))),
+    "FProj": (lambda: fib.FProj(1, 1), lambda: fib.FProj(1, 0)),
+    "FForall": (lambda: fib.FForall(fib.FUnit(0)), lambda: fib.FForall(fib.FUnit(1))),
+    "EnvL": (lambda: fib.EnvL(0, (eq_rel(A2),)), lambda: fib.EnvL(1, (eq_rel(A2),))),
 }
 
 

@@ -1,5 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
-so a deletion cannot leave a dead import behind."""
+so a deletion cannot leave a dead import behind, and no class writes its
+own __eq__ or __hash__, so finmodel.hash_cons stays the one identity
+mechanism."""
 
 import ast
 from pathlib import Path
@@ -37,3 +39,31 @@ def test_an_unused_import_is_found():
               "from x import y as z\n"
               "re.sub('a', 'b', 'c')\n")
     assert unused_imports(source) == ["os", "z"]
+
+
+def hand_written_identity(source: str) -> list[str]:
+    """Class.method for each __eq__ or __hash__ defined in a class body."""
+    return [f"{node.name}.{f.name}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)
+            for f in node.body
+            if isinstance(f, ast.FunctionDef) and f.name in ("__eq__", "__hash__")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_class_writes_its_own_equality(module):
+    assert hand_written_identity((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_a_hand_written_equality_is_found():
+    source = ("class A:\n"
+              "    def __eq__(self, other):\n"
+              "        return True\n"
+              "    def __hash__(self):\n"
+              "        return 0\n"
+              "def __eq__(a, b):\n"
+              "    return a is b\n"
+              "class B:\n"
+              "    def __repr__(self):\n"
+              "        return 'B'\n")
+    assert hand_written_identity(source) == ["A.__eq__", "A.__hash__"]

@@ -214,6 +214,11 @@ class TestTypecheck:
             assert sf.typecheck(0, (), d.term) == d.declared
             assert oracles.oracle_typecheck(d.term) == d.declared
 
+    def test_corpus_types_are_the_declared_nodes(self):
+        # syntax is interned: the computed type is the parsed one
+        for d in DEFS:
+            assert sf.typecheck(0, (), d.term) is d.declared
+
     def test_unbound_variable(self):
         with pytest.raises(sf.TypecheckError, match="unbound"):
             sf.typecheck(0, (), Var(0))
@@ -416,7 +421,7 @@ class TestDeepChurch:
     def test_comparing_and_hashing_deep_normal_forms(self):
         for nf in (sf.normalize, lambda t: sf.unormalize(sf.erase(t))):
             a, b = nf(CHURCH["p1024"]), nf(CHURCH["p1024"])
-            assert a is not b and a == b and hash(a) == hash(b)
+            assert a is b and a == b and hash(a) == hash(b)
             assert a != nf(CHURCH["p1296"])
 
     def test_typechecking_a_deep_normal_form(self):
