@@ -69,11 +69,14 @@ def hash_cons(cls):
     raises TypeError): equal fields give the stored record, new ones are
     validated once and kept unless that raised.  So equality is identity.
     The hash stays the value hash, cached on first use, so set order
-    ignores addresses.
+    ignores addresses.  The repr (the class's own, less dataclass's cycle
+    guard: fields exist before their record) is cached the same way, so a
+    parent's repr reads its children's stored strings.
     """
     table = {}
     init = cls.__init__
     compute = cls.__hash__
+    show = getattr(cls.__repr__, "__wrapped__", cls.__repr__)
 
     def __new__(c, *fields):
         self = table.get(fields)
@@ -90,11 +93,19 @@ def hash_cons(cls):
             h = self.__dict__["_hash"] = compute(self)
             return h
 
+    def __repr__(self):
+        try:
+            return self._repr
+        except AttributeError:
+            r = self.__dict__["_repr"] = show(self)
+            return r
+
     cls.__new__ = staticmethod(__new__)
     # a no-op: with __new__ overridden, object.__init__ ignores the fields
     cls.__init__ = object.__init__
     cls.__eq__ = object.__eq__
     cls.__hash__ = __hash__
+    cls.__repr__ = __repr__
     return cls
 
 
@@ -687,6 +698,8 @@ def build_instance(policy: IsoPolicy, carrier_bound: int):
     all_rel_mors enumerates each hom-set from its related legs, and a
     composite, built from the level-0 composites, is hash-consed: the
     listed morphism itself, or a stray that check_category flags.
+    Composites come out in rank order, and the ranking reads each
+    record's cached repr, so it shows each record once.
     """
     objs0 = atom_objects(carrier_bound)
     mors0 = [f for a in objs0 for b in objs0 for f in all_functions(a, b)]

@@ -10,7 +10,8 @@ Everything is generic over the morphism carriers: object and morphism
 ids are arbitrary hashable values, and nothing below inspects them.
 Tables are sorted by the repr of single ids, or by their ranks in the
 sorted object and morphism tables, never by repr of pairs: the order
-depends neither on how callers list entries nor on hashing.
+depends neither on how callers list entries nor on hashing.  A compose
+table built from compose_fn is listed in rank order to begin with.
 """
 
 from __future__ import annotations
@@ -138,19 +139,26 @@ def _by_rank(ids: Iterable) -> Callable:
     return lambda x: (rank[x], "") if x in rank else (n, _rkey(x))
 
 
+def _ranked(objects: Iterable, morphisms: dict, identity: dict) -> tuple:
+    """The one ordering rule: objects and (id, src, tgt) morphism rows
+    sorted by repr, identity rows by the ranks of their objects."""
+    objs = tuple(sorted(objects, key=_rkey))
+    mors = tuple(sorted(((m, s, t) for m, (s, t) in morphisms.items()), key=_rkey))
+    okey = _by_rank(objs)
+    return objs, mors, tuple(sorted(identity.items(), key=lambda e: okey(e[0])))
+
+
 def make_category(objects: Iterable, morphisms: dict, identity: dict,
                   compose: dict) -> FinCategory:
     """Normalize tables into canonical tuple form: objects and morphisms
     sorted by repr, identity and compose by the ranks of their ids.
+    The compose table may be any (malformed) table, so it is sorted.
 
     morphisms: id -> (src, tgt); identity: obj -> id;
     compose: (g, f) -> id.
     """
-    objs = tuple(sorted(objects, key=_rkey))
-    mors = tuple(sorted(((m, s, t) for m, (s, t) in morphisms.items()), key=_rkey))
-    okey = _by_rank(objs)
+    objs, mors, ids = _ranked(objects, morphisms, identity)
     mkey = _by_rank(m for m, _, _ in mors)
-    ids = tuple(sorted(identity.items(), key=lambda e: okey(e[0])))
     comp = tuple(sorted(compose.items(),
                         key=lambda e: (mkey(e[0][0]), mkey(e[0][1]))))
     return FinCategory(objs, mors, ids, comp)
@@ -158,16 +166,14 @@ def make_category(objects: Iterable, morphisms: dict, identity: dict,
 
 def category_from_morphisms(objects: Iterable, morphisms: dict,
                             identity: dict, compose_fn: Callable) -> FinCategory:
-    """Build the compose table by calling compose_fn on composable pairs."""
-    mor_items = list(morphisms.items())
-    compose = {}
-    by_src: dict = {}
-    for m, (s, t) in mor_items:
-        by_src.setdefault(s, []).append((m, t))
-    for f, (fs, ft) in mor_items:
-        for g, gt in by_src.get(ft, ()):
-            compose[(g, f)] = compose_fn(g, f)
-    return make_category(objects, morphisms, identity, compose)
+    """make_category with compose_fn called on the composable pairs,
+    listed in rank order (g's, then f's), so the table needs no sort."""
+    objs, mors, ids = _ranked(objects, morphisms, identity)
+    by_tgt: dict = {}
+    for f, _, t in mors:
+        by_tgt.setdefault(t, []).append(f)
+    return FinCategory(objs, mors, ids, tuple(
+        ((g, f), compose_fn(g, f)) for g, s, _ in mors for f in by_tgt.get(s, ())))
 
 
 ASSOC_EXHAUSTIVE_LIMIT = 2_000_000

@@ -509,7 +509,8 @@ REJECTED_THEN_VALID = {
 
 
 class TestHashOnce:
-    """Equal fields give one record, whose value hash is computed once."""
+    """Equal fields give one record, whose value hash and repr are each
+    computed once."""
 
     @pytest.mark.parametrize("name", sorted(RECORD_BUILDERS))
     def test_equal_records_hash_and_compare_equal(self, name):
@@ -530,6 +531,38 @@ class TestHashOnce:
         assert x in s and d[x] == name
         y = build()
         assert y in s and d[y] == name
+
+    @pytest.mark.parametrize("name", sorted(RECORD_BUILDERS))
+    def test_repr_is_the_generated_one_computed_once(self, name):
+        x = RECORD_BUILDERS[name]()
+        shown = ", ".join(f"{f.name}={getattr(x, f.name)!r}"
+                          for f in dataclasses.fields(x) if f.repr)
+        assert repr(x) == f"{type(x).__qualname__}({shown})"
+        assert repr(x) is repr(x)
+
+    def test_a_shared_child_is_shown_once(self):
+        calls = []
+
+        @fm.hash_cons
+        @dataclasses.dataclass(frozen=True)
+        class Leaf:
+            n: int
+
+            def __repr__(self):
+                calls.append(self.n)
+                return f"Leaf({self.n})"
+
+        @fm.hash_cons
+        @dataclasses.dataclass(frozen=True)
+        class Node:
+            child: Leaf
+            tag: int
+
+        leaf = Leaf(0)
+        shown = [repr(Node(leaf, tag)) for tag in (1, 2)]
+        assert [s.rpartition(".")[2] for s in shown] == [
+            "Node(child=Leaf(0), tag=1)", "Node(child=Leaf(0), tag=2)"]
+        assert calls == [0]
 
 
 class TestHashCons:

@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 so a deletion cannot leave a dead import behind, and no class writes its
 own __eq__ or __hash__, so finmodel.hash_cons stays the one identity
-mechanism."""
+mechanism.  Nothing sorts by repr but rgalg._rkey, so ordering goes
+through the one key that reads hash_cons's cached repr."""
 
 import ast
 from pathlib import Path
@@ -67,3 +68,54 @@ def test_a_hand_written_equality_is_found():
               "    def __repr__(self):\n"
               "        return 'B'\n")
     assert hand_written_identity(source) == ["A.__eq__", "A.__hash__"]
+
+
+def repr_sort_keys(source: str, allowed: frozenset = frozenset()) -> list[int]:
+    """Lines of sorted/min/max/.sort calls whose key shows a value with
+    repr, directly or through a function of the module not in allowed."""
+    tree = ast.parse(source)
+
+    def shows(node) -> bool:
+        return any(isinstance(n, ast.Name) and n.id == "repr"
+                   or isinstance(n, ast.FormattedValue) and n.conversion == ord("r")
+                   for n in ast.walk(node))
+
+    # a function shows what it returns; a repr in its error message is no key
+    showing = {f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+               and f.name not in allowed
+               and any(isinstance(r, ast.Return) and r.value and shows(r.value)
+                       for r in ast.walk(f))}
+    return [call.lineno for call in ast.walk(tree)
+            if isinstance(call, ast.Call)
+            and (getattr(call.func, "id", None) in ("sorted", "min", "max")
+                 or getattr(call.func, "attr", None) == "sort")
+            for kw in call.keywords
+            if kw.arg == "key" and (shows(kw.value) or any(
+                isinstance(n, ast.Name) and n.id in showing
+                for n in ast.walk(kw.value)))]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_the_rank_key_sorts_by_repr(module):
+    allowed = frozenset({"_rkey"} if module == "rgalg.py" else ())
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert repr_sort_keys(source, allowed) == []
+
+
+def test_a_repr_sort_key_is_found():
+    source = ("def show(x):\n"
+              "    return repr(x)\n"
+              "def _rkey(x):\n"
+              "    return repr(x)\n"
+              "def size(x):\n"
+              "    if x is None:\n"
+              "        raise TypeError(f'{x!r}')\n"
+              "    return len(x)\n"
+              "a = sorted(xs, key=repr)\n"
+              "b = sorted(xs, key=lambda x: (len(x), repr(x)))\n"
+              "xs.sort(key=show)\n"
+              "c = min(xs, key=lambda x: f'{x!r}')\n"
+              "d = sorted(xs, key=_rkey)\n"
+              "e = sorted(xs, key=size, reverse=True)\n"
+              "print(repr(xs), f'{xs!r}')\n")
+    assert repr_sort_keys(source, frozenset({"_rkey"})) == [9, 10, 11, 12]

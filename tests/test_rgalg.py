@@ -189,6 +189,29 @@ class TestRankedTables:
                 dict(reversed(cat.identity)), dict(reversed(cat.compose)))
             assert again == cat
 
+    def test_built_compose_table_matches_the_sorted_one(self, rey_instance):
+        # category_from_morphisms lists composites in rank order instead of
+        # sorting them; make_category sorts whatever table it is given
+        rg, _ = rey_instance
+        subsets = [fm.fin_set(s) for s in ([], ["a"], ["b"], ["a", "b"])]
+        cases = [
+            (rg.level0.objects, {m: (s, t) for m, s, t in rg.level0.morphisms},
+             rg.level0.id_of, fm.fn_compose),
+            (rg.level1.objects, {m: (s, t) for m, s, t in rg.level1.morphisms},
+             rg.level1.id_of, fm.rel_mor_compose),
+            (subsets, {f: (a, b) for a in subsets for b in subsets
+                       for f in fm.all_functions(a, b)},
+             {a: fm.fn_id(a) for a in subsets}, fm.fn_compose)]
+        for objs, mors, ids, compose in cases:
+            objs, mors = objs[::-1], dict(reversed(mors.items()))
+            pairs = [(g, f) for f in mors for g in mors
+                     if mors[f][1] == mors[g][0]]
+            random.Random(0).shuffle(pairs)
+            want = make_category(objs, mors, ids,
+                                 {(g, f): compose(g, f) for g, f in pairs})
+            got = rgalg.category_from_morphisms(objs, mors, ids, compose)
+            assert got.compose and got == want
+
     def test_table_order_does_not_depend_on_the_hash_seed(self):
         # the int-labelled records of build_instance hash alike under
         # every seed; the string-labelled subsets of {a, b}, handed over
