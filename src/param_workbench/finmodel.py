@@ -12,14 +12,15 @@ equalities is an identity: both sides are the same set of pairs.  The
 witnessed relations of the proof-relevant model live in cubemodel.
 Records here and in cubemodel, fibration's type trees and environments,
 and systemf's syntax nodes are hash-consed (hash_cons): one instance per
-value, validated once when first built, so equality is identity.
+value, validated once when first built, so equality is identity and
+the hash is object's; no output order may come from set order.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional
@@ -60,6 +61,10 @@ def is_canonical(labels) -> bool:
     return all(map(operator.lt, keys, keys[1:]))
 
 
+# each hash-consed class -> (its repr fields' names, its own repr)
+_SHOWN: dict = {}
+
+
 def hash_cons(cls):
     """Hash-cons a frozen record class: one instance per value.
 
@@ -67,46 +72,56 @@ def hash_cons(cls):
     environments, and systemf's syntax.  Build records only by the class
     call, with positional fields (a keyword, so dataclasses.replace too,
     raises TypeError): equal fields give the stored record, new ones are
-    validated once and kept unless that raised.  So equality is identity.
-    The hash stays the value hash, cached on first use, so set order
-    ignores addresses.  The repr (the class's own, less dataclass's cycle
-    guard: fields exist before their record) is cached the same way, so a
-    parent's repr reads its children's stored strings.
+    validated once and kept unless that raised.  So equality is identity,
+    and the hash is object's: set order follows addresses, so every order
+    that reaches an output comes from label_key or rgalg._rkey alone.
+    The repr (the class's own, less dataclass's cycle guard: fields exist
+    before their record) is stored once, children first, so a parent's
+    repr reads its children's stored strings, however deep.
     """
     table = {}
     init = cls.__init__
-    compute = cls.__hash__
-    show = getattr(cls.__repr__, "__wrapped__", cls.__repr__)
+    _SHOWN[cls] = (tuple(f.name for f in fields(cls) if f.repr),
+                   getattr(cls.__repr__, "__wrapped__", cls.__repr__))
 
-    def __new__(c, *fields):
-        self = table.get(fields)
+    def __new__(c, *values):
+        self = table.get(values)
         if self is None:
             self = object.__new__(c)
-            init(self, *fields)
-            table[fields] = self
+            init(self, *values)
+            table[values] = self
         return self
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = self.__dict__["_hash"] = compute(self)
-            return h
 
     def __repr__(self):
         try:
             return self._repr
         except AttributeError:
-            r = self.__dict__["_repr"] = show(self)
-            return r
+            _store_reprs(self)
+            return self._repr
 
     cls.__new__ = staticmethod(__new__)
     # a no-op: with __new__ overridden, object.__init__ ignores the fields
     cls.__init__ = object.__init__
     cls.__eq__ = object.__eq__
-    cls.__hash__ = __hash__
+    cls.__hash__ = object.__hash__
     cls.__repr__ = __repr__
     return cls
+
+
+def _store_reprs(root) -> None:
+    """Store the repr of root and of every record below it that lacks
+    one, children before parents, over an explicit stack; tuple fields
+    are searched for records too."""
+    stack = [(root, False)]
+    while stack:
+        x, ready = stack.pop()
+        if ready:
+            x.__dict__["_repr"] = _SHOWN[type(x)][1](x)
+        elif isinstance(x, tuple):
+            stack.extend((c, False) for c in x)
+        elif type(x) in _SHOWN and "_repr" not in x.__dict__:
+            stack.append((x, True))
+            stack.extend((getattr(x, n), False) for n in _SHOWN[type(x)][0])
 
 
 # ---------------------------------------------------------------------------

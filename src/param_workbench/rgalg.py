@@ -8,10 +8,11 @@ the finite data, so every law is a decidable table comparison.
 
 Everything is generic over the morphism carriers: object and morphism
 ids are arbitrary hashable values, and nothing below inspects them.
-Tables are sorted by the repr of single ids, or by their ranks in the
-sorted object and morphism tables, never by repr of pairs: the order
-depends neither on how callers list entries nor on hashing.  A compose
-table built from compose_fn is listed in rank order to begin with.
+Tables are sorted by the repr of single ids (_rkey), or by their ranks
+in the sorted object and morphism tables, never by repr of pairs, and
+counterexamples are sought in that order: ids may hash by address, so
+neither depends on set order, nor on how callers list entries.  A
+compose table built from compose_fn is listed in rank order at once.
 """
 
 from __future__ import annotations
@@ -111,6 +112,14 @@ class FinCategory:
     @cached_property
     def mor_ids(self) -> tuple:
         return tuple(m for m, _, _ in self.morphisms)
+
+    @cached_property
+    def by_src(self) -> dict:
+        """Source object -> the morphisms out of it, in rank order."""
+        out: dict = {}
+        for m, s, _ in self.morphisms:
+            out.setdefault(s, []).append(m)
+        return out
 
     @cached_property
     def inverses(self) -> dict:
@@ -214,9 +223,7 @@ def check_category(c: FinCategory, report: Report, tag: str,
             break
     report.check(f"{tag}: compose boundaries", witness)
 
-    by_src: dict = {}
-    for m in c.mor_ids:
-        by_src.setdefault(c.src[m], []).append(m)
+    by_src = c.by_src
     witness = None
     for f in c.mor_ids:
         for g in by_src.get(c.tgt[f], ()):
@@ -461,37 +468,33 @@ def _check_iso_subcategory(rg: RgCategory, sub: IsoSubcategory,
                            report: Report) -> None:
     for level, cat, sel in ((0, rg.level0, sub.selected0),
                             (1, rg.level1, sub.selected1)):
-        witness = next((f"{m!r}" for m in sel if m not in cat.src), None)
+        witness = min(map(_rkey, sel.difference(cat.src)), default=None)
         report.check(f"selected{level}: ids exist", witness)
         if witness:
             continue
         witness = next((f"identity of {o!r} not selected" for o in cat.objects
                         if cat.id_of[o] not in sel), None)
         report.check(f"selected{level}: wide", witness)
-        witness = next((f"{m!r} is not an isomorphism" for m in sel
+        chosen = [m for m in cat.mor_ids if m in sel]
+        witness = next((f"{m!r} is not an isomorphism" for m in chosen
                         if not cat.is_iso(m)), None)
         report.check(f"selected{level}: all isos", witness)
-        witness = next((f"inverse of {m!r} not selected" for m in sel
+        witness = next((f"inverse of {m!r} not selected" for m in chosen
                         if cat.is_iso(m) and cat.inverses[m] not in sel), None)
         report.check(f"selected{level}: inverse-closed", witness)
-        witness = None
-        for f in sel:
-            for g in sel:
-                if (g, f) in cat.comp and cat.comp[(g, f)] not in sel:
-                    witness = f"composite of ({g!r}, {f!r}) not selected"
-                    break
-            if witness:
-                break
+        witness = next((f"composite of ({g!r}, {f!r}) not selected"
+                        for f in chosen for g in cat.by_src.get(cat.tgt[f], ())
+                        if g in sel and cat.comp[(g, f)] not in sel), None)
         report.check(f"selected{level}: composition-closed", witness)
 
     witness = next((f"face image of {m!r} not selected"
-                    for m in sub.selected1
-                    if rg.face_top.on_mor[m] not in sub.selected0
-                    or rg.face_bot.on_mor[m] not in sub.selected0), None)
+                    for m in rg.level1.mor_ids if m in sub.selected1
+                    and (rg.face_top.on_mor[m] not in sub.selected0
+                         or rg.face_bot.on_mor[m] not in sub.selected0)), None)
     report.check("faces map selected1 into selected0", witness)
     witness = next((f"degeneracy image of {m!r} not selected"
-                    for m in sub.selected0
-                    if rg.degen.on_mor[m] not in sub.selected1), None)
+                    for m in rg.level0.mor_ids if m in sub.selected0
+                    and rg.degen.on_mor[m] not in sub.selected1), None)
     report.check("degen maps selected0 into selected1", witness)
 
 

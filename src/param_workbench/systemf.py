@@ -6,9 +6,9 @@ indices; the pretty-printer regenerates fresh names. `normalize` and
 `unormalize` share one NbE core.
 
 Syntax nodes are interned (finmodel.hash_cons) and built by positional
-fields only, so `==` is identity, and a node hashes from its children's
-cached hashes: a normal form deeper than the recursion limit compares
-and hashes without a walker.
+fields only, so `==` is identity and the hash is the identity hash: a
+normal form deeper than the recursion limit compares and hashes without
+a walker, and prints through its stored repr.
 """
 
 from __future__ import annotations

@@ -509,8 +509,13 @@ REJECTED_THEN_VALID = {
 
 
 class TestHashOnce:
-    """Equal fields give one record, whose value hash and repr are each
+    """Equal fields give one record, hashed by identity, whose repr is
     computed once."""
+
+    @pytest.mark.parametrize("name", sorted(RECORD_BUILDERS))
+    def test_the_hash_is_the_identity_hash(self, name):
+        # a C-level hash: no Python call per dict or set lookup
+        assert type(RECORD_BUILDERS[name]()).__hash__ is object.__hash__
 
     @pytest.mark.parametrize("name", sorted(RECORD_BUILDERS))
     def test_equal_records_hash_and_compare_equal(self, name):
@@ -563,6 +568,19 @@ class TestHashOnce:
         assert [s.rpartition(".")[2] for s in shown] == [
             "Node(child=Leaf(0), tag=1)", "Node(child=Leaf(0), tag=2)"]
         assert calls == [0]
+
+    def test_a_chain_through_tuple_fields_prints(self):
+        # printed recursively, 600 levels of two or more frames each would
+        # pass the default recursion limit
+        @fm.hash_cons
+        @dataclasses.dataclass(frozen=True)
+        class Chain:
+            kids: tuple
+
+        x = Chain(())
+        for _ in range(600):
+            x = Chain((x,))
+        assert repr(x).count("Chain(kids=(") == 601
 
 
 class TestHashCons:

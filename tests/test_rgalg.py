@@ -213,9 +213,8 @@ class TestRankedTables:
             assert got.compose and got == want
 
     def test_table_order_does_not_depend_on_the_hash_seed(self):
-        # the int-labelled records of build_instance hash alike under
-        # every seed; the string-labelled subsets of {a, b}, handed over
-        # in a set, do not
+        # records hash by address, so the subsets of {a, b}, handed over
+        # in a set, arrive in a different order in each child
         script = (
             "import hashlib\n"
             "from param_workbench import finmodel as fm, rgalg\n"

@@ -428,6 +428,16 @@ class TestDeepChurch:
         nf = sf.normalize(CHURCH["p1024"])
         assert sf.typecheck(0, (), nf) == sf.parse_type_str(NAT)
 
+    def test_repr_of_a_deep_normal_form(self):
+        # the stored reprs are filled children first, so printing needs
+        # no recursion; the spine is the same as pretty_term's
+        nf = sf.normalize(CHURCH["p1024"])
+        x, y, a = "Var(index=1)", "Var(index=0)", "TVar(index=0)"
+        spine = f"App(fn={x}, arg=" * 1023 + f"App(fn={x}, arg={y})" + ")" * 1023
+        assert repr(nf) == (
+            f"TyLam(body=Lam(annot=ArrowT(dom={a}, cod={a}), "
+            f"body=Lam(annot={a}, body={spine})))")
+
     def test_printing_a_deep_normal_form(self):
         nf = sf.normalize(CHURCH["p1024"])
         spine = "x (" * 1023 + "x y" + ")" * 1023
