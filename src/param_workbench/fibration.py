@@ -20,8 +20,10 @@ ProbeUniverse.extended.
 Trees also act on isomorphisms, but only at level 0 (transport moves
 one element, evaluate_mor tabulates the whole action): the crey
 membership clause and naturality transport along level-0 bijections
-only, and a level-1 morphism is propositional, so it is forced by its
-two level-0 faces once they exist.
+only.  A transformation is given by its level-0 components: relations
+are proof-irrelevant, so a level-1 component is the relation morphism
+whose legs are the level-0 components at its environment's faces, and
+all that is checked at level 1 is that it exists.
 """
 
 from __future__ import annotations
@@ -41,11 +43,9 @@ from .finmodel import (
     PropRelMor,
     all_functions,
     bang0,
-    bang1,
     eq_mor,
     eq_rel,
     eval0,
-    eval1,
     expo0,
     expo1,
     fin_set,
@@ -53,21 +53,16 @@ from .finmodel import (
     fn_compose,
     fn_id,
     fst0,
-    fst1,
     graph_rel,
     hash_cons,
     label_key,
     lambda0,
-    lambda1,
     pair0,
-    pair1,
     product0,
     product1,
     rel,
     rel_mor_compose,
-    rel_mor_id,
     snd0,
-    snd1,
     terminal0,
     terminal1,
     try_rel_mor,
@@ -78,6 +73,10 @@ Report = rgalg.Report
 
 class ClosureError(ValueError):
     """An evaluation stepped outside the probe universe."""
+
+
+class ComponentError(ValueError):
+    """A level-1 component does not exist: its legs break relatedness."""
 
 
 # ---------------------------------------------------------------------------
@@ -672,17 +671,21 @@ def epsilon_of(f: TypeFunctor, env: tuple, u: ProbeUniverse) -> PropRelMor:
 
 @dataclass(frozen=True, eq=False)
 class NatRep:
-    """A transformation between two same-arity trees.
+    """A transformation between two same-arity trees, read in a universe.
 
-    component maps an environment to a morphism at that environment's
-    level; components are computed on demand, never tabulated, so a
-    NatRep is usable at any environment including non-probe ones.
-    Each is computed once per environment and kept: a component is
-    pure, because the universe it reads is fixed.
+    component maps a level-0 environment to the function there; a
+    level-1 component is forced, as the relation morphism whose legs
+    are the components at the environment's faces, and at raises
+    ComponentError where those legs do not preserve relatedness.
+    Components are computed on demand, never tabulated, so a NatRep is
+    usable at any environment including non-probe ones.  Each is
+    computed once per environment and kept: a component is pure,
+    because the universe it reads is fixed.
     """
     source: TypeFunctor
     target: TypeFunctor
-    component: Callable[[EnvL], object]
+    component: Callable[[EnvL], FinFn]
+    universe: ProbeUniverse
     name: str = "nat"
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -698,49 +701,53 @@ class NatRep:
         # a component that raises is not kept, so asking again raises again
         memo = self._memo
         if env not in memo:
-            memo[env] = self.component(env)
+            memo[env] = self.component(env) if env.level == 0 else self._forced(env)
         return memo[env]
+
+    def _forced(self, env: EnvL) -> PropRelMor:
+        u = self.universe
+        out = try_rel_mor(evaluate(self.source, env, u), evaluate(self.target, env, u),
+                          self.at(_face_env(env, "dom")), self.at(_face_env(env, "cod")))
+        if out is None:
+            raise ComponentError(f"no level-1 component at {_env_tag(env)}: the "
+                                 "faces' components do not preserve relatedness")
+        return out
 
 
 def nat_id(f: TypeFunctor, u: ProbeUniverse) -> NatRep:
-    def comp(env: EnvL):
-        val = evaluate(f, env, u)
-        return fn_id(val) if env.level == 0 else rel_mor_id(val)
-    return NatRep(f, f, comp, "id")
+    return NatRep(f, f, lambda env: fn_id(evaluate(f, env, u)), u, "id")
 
 
 def nat_compose(n2: NatRep, n1: NatRep, name: Optional[str] = None) -> NatRep:
     if n1.target != n2.source:
         raise ValueError("non-composable transformations")
-
-    def comp(env: EnvL):
-        a, b = n2.at(env), n1.at(env)
-        return fn_compose(a, b) if env.level == 0 else rel_mor_compose(a, b)
-
-    return NatRep(n1.source, n2.target, comp, name or f"{n2.name}.{n1.name}")
+    return NatRep(n1.source, n2.target,
+                  lambda env: fn_compose(n2.at(env), n1.at(env)), n1.universe,
+                  name or f"{n2.name}.{n1.name}")
 
 
-def nats_agree(n1: NatRep, n2: NatRep, u: ProbeUniverse) -> Optional[str]:
+def nats_agree(n1: NatRep, n2: NatRep) -> Optional[str]:
     """Extensional comparison over all probe environments; None if equal."""
     if (n1.source, n1.target) != (n2.source, n2.target):
         return "endpoint mismatch"
     for level in (0, 1):
-        for env in probe_envs(u, n1.arity, level):
+        for env in probe_envs(n1.universe, n1.arity, level):
             if n1.at(env) != n2.at(env):
                 return f"components differ at {env.entries!r}"
     return None
 
 
-def validate_nat(nat: NatRep, u: ProbeUniverse,
-                 report: Optional[Report] = None) -> Report:
-    """Sample the three defining conditions over the probe universe.
+def validate_nat(nat: NatRep, report: Optional[Report] = None) -> Report:
+    """Sample the three defining conditions over the nat's universe.
 
-    Checks naturality against the policy's relevant isos, the two face
-    equations tying level 1 to level 0, and the degeneracy square built
-    from the endpoint comparison isos.
+    Checks naturality against the policy's relevant isos, that the
+    level-1 component forced by the level-0 ones exists at every probe
+    relation environment, and the degeneracy square built from the
+    endpoint comparison isos.  A missing component is a failing
+    finding, never an exception.
     """
     report = report or Report()
-    n = nat.arity
+    u, n = nat.universe, nat.arity
 
     for combo in itertools.product(u.isos0, repeat=n):
         src_env = EnvL(0, tuple(i.dom for i in combo))
@@ -754,21 +761,26 @@ def validate_nat(nat: NatRep, u: ProbeUniverse,
                      None if lhs == rhs else f"{lhs.table} != {rhs.table}")
 
     for env in probe_envs(u, n, 1):
-        m = nat.at(env)
-        fd = nat.at(_face_env(env, "dom"))
-        fc = nat.at(_face_env(env, "cod"))
-        ok = m.f == fd and m.g == fc
-        report.check(f"{nat.name}: faces at {_env_tag(env)}",
-                     None if ok else "level-1 legs disagree with level-0 parts")
+        report.check(f"{nat.name}: faces at {_env_tag(env)}", _missing(nat, env))
 
     for env in probe_envs(u, n, 0):
         eps_s = epsilon_of(nat.source, env.entries, u)
         eps_t = epsilon_of(nat.target, env.entries, u)
-        lhs = rel_mor_compose(nat.at(eq_env(env)), eps_s)
-        rhs = rel_mor_compose(eps_t, eq_mor(nat.at(env)))
-        report.check(f"{nat.name}: degeneracy at {_env_tag(env)}",
-                     None if lhs == rhs else "comparison square does not commute")
+        why = _missing(nat, eq_env(env)) or (
+            None if rel_mor_compose(nat.at(eq_env(env)), eps_s)
+            == rel_mor_compose(eps_t, eq_mor(nat.at(env)))
+            else "comparison square does not commute")
+        report.check(f"{nat.name}: degeneracy at {_env_tag(env)}", why)
     return report
+
+
+def _missing(nat: NatRep, env: EnvL) -> Optional[str]:
+    """Why nat has no component at the level-1 env, or None if it has."""
+    try:
+        nat.at(env)
+    except ComponentError as exc:
+        return str(exc)
+    return None
 
 
 def _env_tag(env: EnvL) -> str:
@@ -826,25 +838,19 @@ def _env_along(f: CtxMor, env: EnvL, u: ProbeUniverse) -> EnvL:
     return EnvL(env.level, tuple(evaluate(c, env, u) for c in f.comps))
 
 
-def reindex(f: CtxMor, x, u: Optional[ProbeUniverse] = None):
-    """Pull a fiber object or transformation back along a base morphism.
-
-    A tree needs no universe; a transformation is read in u.
-    """
+def reindex(f: CtxMor, x):
+    """Pull a fiber object or transformation back along a base morphism;
+    a transformation stays in its universe."""
     if isinstance(x, TypeFunctor):
         if x.arity != f.tgt:
             raise ValueError("fiber object lives over the wrong base")
         return substitute(x, f.comps, f.src)
     if not isinstance(x, NatRep):
         raise TypeError(f"cannot reindex {x!r}")
-    if not isinstance(u, ProbeUniverse):
-        raise ValueError("reindexing a transformation needs a probe universe")
-
-    def comp(env: EnvL):
-        return x.at(_env_along(f, env, u))
-
+    u = x.universe
     return NatRep(substitute(x.source, f.comps, f.src),
-                  substitute(x.target, f.comps, f.src), comp, f"{x.name}*")
+                  substitute(x.target, f.comps, f.src),
+                  lambda env: x.at(_env_along(f, env, u)), u, f"{x.name}*")
 
 
 def theta(f: CtxMor) -> TypeFunctor:
@@ -867,49 +873,41 @@ class FiberCcc:
     """CCC structure on the fiber of arity-n trees.
 
     Object formers are the AST constructors; morphism combinators build
-    NatReps whose components are the pointwise finite-set CCC maps.
+    NatReps whose level-0 components are the pointwise finite-set CCC
+    maps, their level-1 components forced as always.
     """
     arity: int
     universe: ProbeUniverse
 
     def _pointwise(self, name: str, source: TypeFunctor, target: TypeFunctor,
-                   parts: tuple, at0: Callable, at1: Callable) -> NatRep:
-        """The transformation whose component applies at0 (level 0) or
-        at1 (level 1) to the values of parts."""
+                   parts: tuple, at0: Callable) -> NatRep:
+        """The transformation whose component applies at0 to the values
+        of parts."""
         u = self.universe
-
-        def comp(env: EnvL):
-            vals = [evaluate(p, env, u) for p in parts]
-            return at0(*vals) if env.level == 0 else at1(*vals)
-
-        return NatRep(source, target, comp, name)
+        return NatRep(source, target,
+                      lambda env: at0(*(evaluate(p, env, u) for p in parts)), u, name)
 
     def terminal(self) -> TypeFunctor:
         return FUnit(self.arity)
 
     def bang(self, x: TypeFunctor) -> NatRep:
-        return self._pointwise("!", x, self.terminal(), (x,), bang0, bang1)
+        return self._pointwise("!", x, self.terminal(), (x,), bang0)
 
     def p1(self, x: TypeFunctor, y: TypeFunctor) -> NatRep:
-        return self._pointwise("p1", FProd(x, y), x, (x, y), fst0, fst1)
+        return self._pointwise("p1", FProd(x, y), x, (x, y), fst0)
 
     def p2(self, x: TypeFunctor, y: TypeFunctor) -> NatRep:
-        return self._pointwise("p2", FProd(x, y), y, (x, y), snd0, snd1)
+        return self._pointwise("p2", FProd(x, y), y, (x, y), snd0)
 
     def pair(self, f: NatRep, g: NatRep) -> NatRep:
         if f.source != g.source:
             raise ValueError("pairing needs a common source")
-
-        def comp(env: EnvL):
-            a, b = f.at(env), g.at(env)
-            return pair0(a, b) if env.level == 0 else pair1(a, b)
-
-        return NatRep(f.source, FProd(f.target, g.target), comp,
+        return NatRep(f.source, FProd(f.target, g.target),
+                      lambda env: pair0(f.at(env), g.at(env)), self.universe,
                       f"<{f.name},{g.name}>")
 
     def ev(self, x: TypeFunctor, y: TypeFunctor) -> NatRep:
-        return self._pointwise("ev", FProd(FArrow(x, y), x), y, (x, y),
-                               eval0, eval1)
+        return self._pointwise("ev", FProd(FArrow(x, y), x), y, (x, y), eval0)
 
     def lam(self, f: NatRep) -> NatRep:
         """Curry f : Z × X -> Y into Z -> (X ⇒ Y)."""
@@ -919,12 +917,9 @@ class FiberCcc:
         u = self.universe
 
         def comp(env: EnvL):
-            zv, xv = evaluate(z, env, u), evaluate(x, env, u)
-            if env.level == 0:
-                return lambda0(f.at(env), zv, xv)
-            return lambda1(f.at(env), zv, xv)
+            return lambda0(f.at(env), evaluate(z, env, u), evaluate(x, env, u))
 
-        return NatRep(z, FArrow(x, f.target), comp, f"cur({f.name})")
+        return NatRep(z, FArrow(x, f.target), comp, u, f"cur({f.name})")
 
     def swap(self, x: TypeFunctor, y: TypeFunctor) -> NatRep:
         return self.pair(self.p2(x, y), self.p1(x, y))
@@ -934,37 +929,17 @@ class FiberCcc:
 # the probe-bounded quantifier adjunction
 # ---------------------------------------------------------------------------
 
-def _forced_nat(source: TypeFunctor, target: TypeFunctor, comp0: Callable,
-                u: ProbeUniverse, name: str, error: type[Exception],
-                why: str) -> NatRep:
-    """The transformation whose level-0 component at an environment is
-    comp0 and whose level-1 component has comp0 at its two faces as
-    legs; error(why) is raised where those legs do not preserve
-    relatedness."""
-
-    def comp(env: EnvL):
-        if env.level == 0:
-            return comp0(env)
-        out = try_rel_mor(evaluate(source, env, u), evaluate(target, env, u),
-                          comp0(_face_env(env, "dom")),
-                          comp0(_face_env(env, "cod")))
-        if out is None:
-            raise error(why)
-        return out
-
-    return NatRep(source, target, comp, name)
-
-
 def counit(g: TypeFunctor, u: ProbeUniverse) -> NatRep:
     """Instantiate a quantified value at the environment's fresh entry.
 
     The fresh entry must itself be a probe; anything else is a closure
-    violation, since families only store values at probes.
+    violation, since families only store values at probes (interp
+    refuses a non-probe relation before asking for any component).
     """
     n = g.arity - 1
     source = reindex(ctx_proj(n), FForall(g))
 
-    def comp0(env: EnvL):
+    def comp(env: EnvL):
         a = env.entries[-1]
         if a not in u.index0:
             raise ClosureError(f"object {a.elements!r} is not a probe")
@@ -972,15 +947,7 @@ def counit(g: TypeFunctor, u: ProbeUniverse) -> NatRep:
         tgt = evaluate(g, env, u)
         return fn(src, tgt, lambda fam: fam[1][u.index0[a]])
 
-    inst = _forced_nat(source, g, comp0, u, "inst", ClosureError,
-                       "family relatedness does not cover this probe")
-
-    def comp(env: EnvL):
-        if env.level == 1 and env.entries[-1] not in u.index1:
-            raise ClosureError("relation entry is not a probe")
-        return inst.at(env)
-
-    return NatRep(source, g, comp, "inst")
+    return NatRep(source, g, comp, u, "inst")
 
 
 def transpose(f: TypeFunctor, g: TypeFunctor, eta: NatRep,
@@ -988,14 +955,13 @@ def transpose(f: TypeFunctor, g: TypeFunctor, eta: NatRep,
     """Package a transformation over the extended base into families.
 
     eta must run from the weakening of f to g; the element part of the
-    output records eta's value at every probe, and the relation part is
-    forced from it.
+    output records eta's value at every probe.
     """
     n = f.arity
     if eta.source != reindex(ctx_proj(n), f) or eta.target != g:
         raise ValueError("transformation endpoints do not match the binder")
 
-    def comp0(env: EnvL):
+    def comp(env: EnvL):
         tgt = forall0_value(g, env.entries, u)
 
         def move(x):
@@ -1007,8 +973,7 @@ def transpose(f: TypeFunctor, g: TypeFunctor, eta: NatRep,
 
         return fn(evaluate(f, env, u), tgt, move)
 
-    return _forced_nat(f, FForall(g), comp0, u, f"pack({eta.name})",
-                       ValueError, "packaged families fail to stay related")
+    return NatRep(f, FForall(g), comp, u, f"pack({eta.name})")
 
 
 def adjunction_roundtrip(u: ProbeUniverse, body: TypeFunctor,
@@ -1024,15 +989,14 @@ def adjunction_roundtrip(u: ProbeUniverse, body: TypeFunctor,
     inst = counit(body, u)
     broken = []
     for fam in fams:
-        def comp0(env: EnvL, f0=fam[1]):
+        def comp(env: EnvL, f0=fam[1]):
             x = f0[u.index0[env.entries[-1]]]
             return fn(terminal0(), evaluate(body, env, u), lambda _: x)
 
-        eta = _forced_nat(FUnit(1), body, comp0, u, "elem", ValueError,
-                          "family components are not a transformation")
+        eta = NatRep(FUnit(1), body, comp, u, "elem")
         packed = transpose(FUnit(0), body, eta, u)
-        back = nat_compose(inst, reindex(ctx_proj(0), packed, u))
-        witness = nats_agree(back, eta, u)
+        back = nat_compose(inst, reindex(ctx_proj(0), packed))
+        witness = nats_agree(back, eta)
         if witness is not None:
             broken.append(witness)
     report.check("adjunction: instantiated packaging is the identity",
@@ -1221,13 +1185,13 @@ def fibration_suite(policy: IsoPolicy = IsoPolicy.REY, bound: int = 2,
     ccc = FiberCcc(1, u)
     a, b = FProj(1, 0), FUnit(1)
     fpair = ccc.pair(ccc.p2(a, b), ccc.p1(a, b))
-    beta1 = nats_agree(nat_compose(ccc.p1(b, a), fpair), ccc.p2(a, b), u)
+    beta1 = nats_agree(nat_compose(ccc.p1(b, a), fpair), ccc.p2(a, b))
     report.check("fiber: first projection beta law", beta1)
-    beta2 = nats_agree(nat_compose(ccc.p2(b, a), fpair), ccc.p1(a, b), u)
+    beta2 = nats_agree(nat_compose(ccc.p2(b, a), fpair), ccc.p1(a, b))
     report.check("fiber: second projection beta law", beta2)
     curried = ccc.lam(ccc.p2(b, a))
     lhs = nat_compose(ccc.ev(a, a), _nat_cross(ccc, curried, nat_id(a, u)))
-    beta3 = nats_agree(lhs, ccc.p2(b, a), u)
+    beta3 = nats_agree(lhs, ccc.p2(b, a))
     report.check("fiber: exponential beta law", beta3)
 
     # quantifier benchmarks over the default universe
@@ -1248,7 +1212,7 @@ def fibration_suite(policy: IsoPolicy = IsoPolicy.REY, bound: int = 2,
     g = FArrow(FProj(1, 0), FProj(1, 0))
     inst = counit(g, u)
     packed = transpose(FForall(g), g, inst, u)
-    tri = nats_agree(packed, nat_id(FForall(g), u), u)
+    tri = nats_agree(packed, nat_id(FForall(g), u))
     report.check("adjunction: repackaged instantiation is the identity", tri)
     return adjunction_roundtrip(u, g, report)
 

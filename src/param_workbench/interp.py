@@ -7,9 +7,9 @@ interpretation sit three checkers:
 
 * iel_check: at equality environments the comparison iso must be an
   honest bijection with identity element maps, type by type;
-* abstraction_check: a term's level-1 components have its level-0
-  components as faces, and a quantified term's single denoted family
-  carries every supplied relation;
+* abstraction_check: a term's level-1 components, forced by its
+  level-0 components at their faces, exist, and a quantified term's
+  single denoted family carries every supplied relation;
 * free_theorem_check: the type-erased term satisfies the relational
   reading of its type at propositional relations on finite carriers,
   computed purely by normalization, with no universe involved.
@@ -178,7 +178,7 @@ def _interp(n: int, ctx: tuple, t: sf.Term, u: ProbeUniverse) -> NatRep:
             arg = interp_type(n, argty)
             _require_probe_values(t, arg, argty, n, u)
             m = ctx_pair(ctx_id(n), CtxMor(n, 1, (arg,)))
-            inst = reindex(m, counit(nf.target.body, u), u)
+            inst = reindex(m, counit(nf.target.body, u))
             return nat_compose(inst, nf)
     raise TypeError(f"not a term: {t!r}")
 
@@ -278,9 +278,9 @@ def abstraction_check(t: sf.Term, u: ProbeUniverse,
 
     The universe is extended by rel_env (with any missing carriers and
     their equalities) and re-closed for t's instantiations.  The
-    interpreted term is validated there: naturality, the two face
-    equations tying each level-1 component to the level-0 ones, and
-    the degeneracy squares saying components at equalities are the
+    interpreted term is validated there: naturality, the existence of
+    each level-1 component (forced by the level-0 ones at its faces),
+    and the degeneracy squares saying components at equalities are the
     equalities of the level-0 components modulo the comparison isos.
     A quantified term moreover denotes one family, which must carry
     every supplied relation; those findings name the element maps the
@@ -297,7 +297,7 @@ def abstraction_check(t: sf.Term, u: ProbeUniverse,
         return report
     uu = res.universe
     nat = interp_term(0, (), t, uu)
-    validate_nat(nat, uu, report)
+    validate_nat(nat, report)
     if isinstance(nat.target, FForall):
         seed = evaluate(nat.source, EnvL(0, ()), uu)
         fam = nat.at(EnvL(0, ()))(seed.elements[0])

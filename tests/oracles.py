@@ -136,49 +136,25 @@ def all_wit_mors(src: cb.WitRel, tgt: cb.WitRel) -> list:
     return out
 
 
-class _NoComponent(Exception):
-    pass
-
-
 def componentwise_families(u: fib.ProbeUniverse, body: fib.TypeFunctor) -> list:
     """The families of the quantified one-slot body, by brute force.
 
     Every choice of one element of body's value per probe object is
-    read as a transformation from the weakened unit into body, its
-    level-1 components forced by their faces.  A choice is kept, as a
-    family label, when every level-1 component exists and validate_nat
-    passes: the definition of a transformation, searched exhaustively
-    instead of built by the library's propagation.
+    read as a transformation from the weakened unit into body.  A
+    choice is kept, as a family label, when validate_nat passes: the
+    definition of a transformation, searched exhaustively instead of
+    built by the library's propagation.
     """
-    unit = fib.FUnit(1)
-
     def candidate(combo) -> fib.NatRep:
-        def comp0(env):
+        def comp(env):
             x = combo[u.index0[env.entries[0]]]
             return fn(terminal0(), fib.evaluate(body, env, u), lambda _: x)
 
-        def comp(env):
-            if env.level == 0:
-                return comp0(env)
-            (r,) = env.entries
-            out = try_rel_mor(fib.evaluate(unit, env, u), fib.evaluate(body, env, u),
-                              comp0(fib.EnvL(0, (r.dom,))),
-                              comp0(fib.EnvL(0, (r.cod,))))
-            if out is None:
-                raise _NoComponent
-            return out
-
-        return fib.NatRep(unit, body, comp, "candidate")
+        return fib.NatRep(fib.FUnit(1), body, comp, u, "candidate")
 
     choices = [fib.evaluate(body, fib.EnvL(0, (a,)), u).elements for a in u.objs0]
-    out = []
-    for combo in itertools.product(*choices):
-        try:
-            if fib.validate_nat(candidate(combo), u).ok:
-                out.append(("fam", combo))
-        except _NoComponent:
-            pass
-    return out
+    return [("fam", combo) for combo in itertools.product(*choices)
+            if fib.validate_nat(candidate(combo)).ok]
 
 
 def expo0_action(d, c):

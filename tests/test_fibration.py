@@ -1,5 +1,6 @@
 """The λ2-fibration's law suite and its reports."""
 
+import itertools
 import json
 import os
 import pathlib
@@ -18,7 +19,9 @@ from param_workbench import interp
 from param_workbench.finmodel import (
     IsoPolicy,
     apply_label,
+    bang1,
     eq_rel,
+    eval1,
     expo0,
     fin_set,
     fn,
@@ -26,8 +29,12 @@ from param_workbench.finmodel import (
     fn_id,
     fn_inverse,
     fn_label,
+    fst1,
     graph_rel,
+    lambda1,
+    pair1,
     rel_mor_id,
+    snd1,
 )
 
 ROUNDTRIP = "adjunction: instantiated packaging is the identity"
@@ -321,11 +328,34 @@ def test_a_component_that_raises_is_not_kept():
         calls.append(env)
         raise fib.ClosureError("not a probe")
 
-    nat = fib.NatRep(P1, P1, comp)
+    nat = fib.NatRep(P1, P1, comp, fib.default_universe())
     for _ in range(2):
         with pytest.raises(fib.ClosureError):
             nat.at(fib.EnvL(0, (fin_set([0]),)))
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("policy", list(IsoPolicy))
+def test_forced_components_are_the_level_one_formers(policy):
+    """At every level-1 probe environment the fiber CCC's components,
+    forced by their faces, are what finmodel's level-1 formers build
+    from the trees' values there (two arrows would make ev list a
+    1,024-element carrier)."""
+    u = fib.graph_universe((1, 2), policy)
+    ccc = fib.FiberCcc(1, u)
+    for x, y in itertools.permutations((P1, fib.FUnit(1), fib.FArrow(P1, P1)), 2):
+        cases = [
+            (ccc.bang(x), lambda r, s: bang1(r)),
+            (ccc.p1(x, y), fst1),
+            (ccc.p2(x, y), snd1),
+            (ccc.swap(x, y), lambda r, s: pair1(snd1(r, s), fst1(r, s))),
+            (ccc.ev(x, y), eval1),
+            (ccc.lam(ccc.p2(x, y)), lambda r, s: lambda1(snd1(r, s), r, s)),
+        ]
+        for env in fib.probe_envs(u, 1, 1):
+            r, s = fib.evaluate(x, env, u), fib.evaluate(y, env, u)
+            for nat, former in cases:
+                assert nat.at(env) == former(r, s), (nat.name, x, y, env)
 
 
 @pytest.mark.parametrize("level", [0, 1])
@@ -341,7 +371,7 @@ def test_transpose_reads_each_component_once(level):
         calls[env] += 1
         return inst.component(env)
 
-    eta = fib.NatRep(inst.source, inst.target, comp, "counted")
+    eta = fib.NatRep(inst.source, inst.target, comp, u, "counted")
     packed = fib.transpose(fib.FForall(SELECTORS), SELECTORS, eta, u)
     assert len(fib.forall0_value(SELECTORS, (), u)) == 2
     packed.at(fib.EnvL(level, ()))
@@ -366,11 +396,10 @@ def test_a_collapsing_transpose_fails_the_round_trip(monkeypatch):
         assert fib.adjunction_roundtrip(u, SELECTORS, fib.Report()).ok
 
     def collapse(f, g, eta, u):
-        def comp0(env):
+        def comp(env):
             fams = fib.forall0_value(g, env.entries, u)
             return fn(fib.evaluate(f, env, u), fams, lambda _: fams.elements[0])
-        return fib._forced_nat(f, fib.FForall(g), comp0, u, "collapse",
-                               ValueError, "collapsed families are unrelated")
+        return fib.NatRep(f, fib.FForall(g), comp, u, "collapse")
 
     monkeypatch.setattr(fib, "transpose", collapse)
     rows = fib.fibration_suite(IsoPolicy.REY, 2, rounds=1).findings

@@ -2,7 +2,9 @@
 so a deletion cannot leave a dead import behind, and no class writes its
 own __eq__ or __hash__, so finmodel.hash_cons stays the one identity
 mechanism.  Nothing sorts by repr but rgalg._rkey, so ordering goes
-through the one key that reads hash_cons's cached repr."""
+through the one key that reads hash_cons's cached repr.  fibration
+builds relation morphisms only where NatRep forces a level-1 component
+and in epsilon_of, so every transformation's level 1 has one source."""
 
 import ast
 from pathlib import Path
@@ -119,3 +121,45 @@ def test_a_repr_sort_key_is_found():
               "e = sorted(xs, key=size, reverse=True)\n"
               "print(repr(xs), f'{xs!r}')\n")
     assert repr_sort_keys(source, frozenset({"_rkey"})) == [9, 10, 11, 12]
+
+
+def relation_morphism_builders(source: str) -> list[str]:
+    """The enclosing function, as Class.method or outer.inner (or
+    <module>), of each call to PropRelMor or try_rel_mor."""
+    out = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                if getattr(f, "id", getattr(f, "attr", None)) in ("PropRelMor",
+                                                                  "try_rel_mor"):
+                    out.append(".".join(scope) or "<module>")
+            inner = (scope + [child.name] if isinstance(
+                child, (ast.ClassDef, ast.FunctionDef)) else scope)
+            walk(child, inner)
+
+    walk(ast.parse(source), [])
+    return out
+
+
+def test_fibration_forces_every_level_one_component_in_one_place():
+    source = (PACKAGE / "fibration.py").read_text(encoding="utf-8")
+    assert sorted(set(relation_morphism_builders(source))) == [
+        "NatRep._forced", "epsilon_of"]
+
+
+def test_a_relation_morphism_builder_is_found():
+    source = ("class NatRep:\n"
+              "    def _forced(self, env):\n"
+              "        return try_rel_mor(a, b, f, g)\n"
+              "def epsilon_of(f) -> PropRelMor:\n"
+              "    return PropRelMor(a, b, c, d)\n"
+              "def pair(m):\n"
+              "    def comp(env):\n"
+              "        return fm.PropRelMor(a, b, c, d)\n"
+              "    return comp\n"
+              "x = try_rel_mor(1, 2, 3, 4)\n"
+              "y = PropRelMor\n")
+    assert relation_morphism_builders(source) == [
+        "NatRep._forced", "epsilon_of", "pair.comp", "<module>"]

@@ -8,7 +8,9 @@ from param_workbench import interp
 from param_workbench import systemf as sf
 from param_workbench.fibration import EnvL, NatRep
 from param_workbench.finmodel import (
+    IsoPolicy,
     PropRel,
+    PropRelMor,
     eq_rel,
     fin_set,
     fn,
@@ -20,6 +22,7 @@ from param_workbench.finmodel import (
 
 DEFS = verdict_rows.corpus_defs()
 
+A1 = fin_set([0])
 A2 = fin_set([0, 1])
 A3 = fin_set([0, 1, 2])
 # a non-identity function graph on a carrier no default probe has
@@ -120,11 +123,31 @@ class TestSkips:
         assert {f.status for f in rep.findings} == {"pass"}
 
 
+class TestProbeArguments:
+    def test_an_argument_whose_relation_is_no_probe_is_refused(self):
+        # F a = (a → ∀c.c) → ∀c.c, under a ⊢ (Λb. λx:b. x) [F a].  With
+        # ∅ a probe, ∀c.c is empty, so F sends ∅ to ∅ and every other
+        # carrier to S = {the empty function}: every level-0 value is a
+        # probe.  At the empty relation ∅ -> {0}, F is the empty relation
+        # ∅ -> S, which is not.
+        empty = fin_set([])
+        s = fin_set([("fn", ())])
+        u = fib.make_universe(
+            IsoPolicy.REY, (empty, A1, s),
+            (eq_rel(empty), eq_rel(A1), eq_rel(s), rel(empty, A1, [])))
+        bottom = sf.ForallT(sf.TVar(0))
+        arg = sf.ArrowT(sf.ArrowT(sf.TVar(0), bottom), bottom)
+        poly_id = sf.TyLam(sf.Lam(sf.TVar(0), sf.Var(0)))
+        with pytest.raises(fib.ClosureError, match="at level 1, "):
+            interp.interp_term(1, (), sf.TyApp(poly_id, arg), u)
+
+
 class TestMutation:
     def test_perturbed_component_is_pinpointed(self):
         # a ⊢ λx:a. x, with its level-0 component at {0,1} replaced by
         # the swap: naturality under REY only sees identities, but the
-        # degeneracy square at {0,1} and the faces over it must fail
+        # level-1 components over the constant graphs into {0,1} cannot
+        # exist, and their absence is a finding, not an exception
         u = fib.default_universe()
         lam = sf.Lam(sf.TVar(0), sf.Var(0))
         good = interp.interp_term(1, (), lam, u)
@@ -137,13 +160,39 @@ class TestMutation:
                 return fn(out.dom, out.cod, lambda _: swap)
             return out
 
-        bad = NatRep(good.source, good.target, comp, "bad")
-        assert fib.validate_nat(good, u).ok
-        rep = fib.validate_nat(bad, u)
+        bad = NatRep(good.source, good.target, comp, u, "bad")
+        assert fib.validate_nat(good).ok
+        rep = fib.validate_nat(bad)
         laws = [f.law for f in rep.failures]
-        assert "bad: degeneracy at ({0,1})" in laws
-        assert any(law.startswith("bad: faces at") for law in laws)
-        assert all("{0,1}" in law for law in laws)
+        assert len(laws) == 4
+        assert all(law.startswith("bad: faces at") and "->{0,1})" in law
+                   for law in laws)
+        assert all(f.detail.startswith("no level-1 component at")
+                   for f in rep.failures)
+        with pytest.raises(fib.ComponentError, match=r"at \(rel1@\{0\}->\{0,1\}\)"):
+            bad.at(EnvL(1, (graph_rel(fn(A1, A2, lambda _: 1)),)))
+
+    def test_comparison_swapping_labels_breaks_degeneracy(self, monkeypatch):
+        # the comparison of a → a at {0,1} with legs exchanging the
+        # identity and the swap: only the degeneracy square of λx:a. x
+        # at {0,1} reads it
+        u = fib.default_universe()
+        good = interp.interp_term(1, (), sf.Lam(sf.TVar(0), sf.Var(0)), u)
+        ident, swap = fn_label(fn_id(A2)), fn_label(fn(A2, A2, lambda v: 1 - v))
+        real = fib.epsilon_of
+
+        def epsilon_of(f, env, u):
+            out = real(f, env, u)
+            if f != good.target or tuple(env) != (A2,):
+                return out
+            trade = {ident: swap, swap: ident}
+            leg = fn(out.f.dom, out.f.cod, lambda x: trade.get(x, x))
+            return PropRelMor(out.src, out.tgt, leg, leg)
+
+        monkeypatch.setattr(fib, "epsilon_of", epsilon_of)
+        rep = fib.validate_nat(good)
+        assert [f.law for f in rep.failures] == [
+            f"{good.name}: degeneracy at ({{0,1}})"]
 
     @staticmethod
     def _iel_with_expo1(monkeypatch, change):
