@@ -55,7 +55,6 @@ from .rgalg import Report
 # ---------------------------------------------------------------------------
 
 @hash_cons
-@dataclass(frozen=True)
 class WitRel:
     """Relation with a finite set of witness labels per related pair."""
     dom: FinSetObj
@@ -110,7 +109,6 @@ def weq(a: FinSetObj) -> WitRel:
 
 
 @hash_cons
-@dataclass(frozen=True)
 class WitRelMor:
     """Boundary maps plus an explicit action on witnesses."""
     src: WitRel
@@ -228,7 +226,6 @@ _FACES = ("top", "left", "bottom", "right")
 
 
 @hash_cons
-@dataclass(frozen=True)
 class TwoRel:
     """Square of witnessed relations with a prop-valued filling predicate."""
     top: WitRel
@@ -276,7 +273,6 @@ def face2(which: str, q: TwoRel) -> WitRel:
 
 
 @hash_cons
-@dataclass(frozen=True)
 class TwoRelMor:
     """Map of squares: edge morphisms sharing corner legs, cells preserved."""
     src: TwoRel

@@ -18,12 +18,12 @@ so every evaluation takes one, and a universe grows only through
 ProbeUniverse.extended.
 
 Trees also act on isomorphisms, but only at level 0 (transport moves
-one element, evaluate_mor tabulates the whole action): the crey
-membership clause and naturality transport along level-0 bijections
-only.  A transformation is given by its level-0 components: relations
-are proof-irrelevant, so a level-1 component is the relation morphism
-whose legs are the level-0 components at its environment's faces, and
-all that is checked at level 1 is that it exists.
+one element along them): the crey membership clause and naturality
+transport along level-0 bijections only.  A transformation is given by
+its level-0 components: relations are proof-irrelevant, so a level-1
+component is the relation morphism whose legs are the level-0
+components at its environment's faces, and all that is checked at
+level 1 is that it exists.
 """
 
 from __future__ import annotations
@@ -90,7 +90,6 @@ class TypeFunctor:
 
 
 @hash_cons
-@dataclass(frozen=True)
 class FProj(TypeFunctor):
     arity: int
     index: int
@@ -101,13 +100,11 @@ class FProj(TypeFunctor):
 
 
 @hash_cons
-@dataclass(frozen=True)
 class FUnit(TypeFunctor):
     arity: int
 
 
 @hash_cons
-@dataclass(frozen=True)
 class FProd(TypeFunctor):
     left: TypeFunctor
     right: TypeFunctor
@@ -122,7 +119,6 @@ class FProd(TypeFunctor):
 
 
 @hash_cons
-@dataclass(frozen=True)
 class FArrow(TypeFunctor):
     dom: TypeFunctor
     cod: TypeFunctor
@@ -137,7 +133,6 @@ class FArrow(TypeFunctor):
 
 
 @hash_cons
-@dataclass(frozen=True)
 class FForall(TypeFunctor):
     body: TypeFunctor  # one extra slot, bound here
 
@@ -187,7 +182,6 @@ def weaken(f: TypeFunctor) -> TypeFunctor:
 # ---------------------------------------------------------------------------
 
 @hash_cons
-@dataclass(frozen=True)
 class EnvL:
     """A tuple of same-level semantic objects to feed a tree's slots.
 
@@ -469,27 +463,6 @@ def transport(f: TypeFunctor, isos: tuple, x, u: ProbeUniverse):
     raise TypeError(f"not a type functor: {f!r}")
 
 
-def evaluate_mor(f: TypeFunctor, isos, u: ProbeUniverse) -> FinFn:
-    """Functorial action on a tuple of level-0 bijections, tabulated.
-
-    The result is the bijection, element by element the one transport
-    gives, between the tree's values at the isos' domains and
-    codomains; tabulating it lists both, so a caller that moves a few
-    elements calls transport instead.  Level 0 is the only level
-    needed: the crey membership clause and naturality transport along
-    level-0 bijections only, and a level-1 morphism is forced by its
-    two level-0 faces.
-    """
-    isos = tuple(isos)
-    if not all(isinstance(m, FinFn) and m.is_bijection for m in isos):
-        raise ValueError("transports must be level-0 bijections")
-    if f.arity != len(isos):
-        raise ValueError(f"arity {f.arity} tree fed {len(isos)} transports")
-    return fn(evaluate(f, EnvL(0, tuple(m.dom for m in isos)), u),
-              evaluate(f, EnvL(0, tuple(m.cod for m in isos)), u),
-              lambda x: transport(f, isos, x, u))
-
-
 # ---------------------------------------------------------------------------
 # quantifier values
 # ---------------------------------------------------------------------------
@@ -727,13 +700,21 @@ def nat_compose(n2: NatRep, n1: NatRep, name: Optional[str] = None) -> NatRep:
 
 
 def nats_agree(n1: NatRep, n2: NatRep) -> Optional[str]:
-    """Extensional comparison over all probe environments; None if equal."""
+    """Extensional comparison over all probe environments; None if equal.
+
+    Level-1 components are forced by the level-0 ones at their faces,
+    so once level 0 agrees they are one record or both missing: there a
+    missing component is the difference reported, never an exception.
+    """
     if (n1.source, n1.target) != (n2.source, n2.target):
         return "endpoint mismatch"
-    for level in (0, 1):
-        for env in probe_envs(n1.universe, n1.arity, level):
-            if n1.at(env) != n2.at(env):
-                return f"components differ at {env.entries!r}"
+    for env in probe_envs(n1.universe, n1.arity, 0):
+        if n1.at(env) != n2.at(env):
+            return f"components differ at {env.entries!r}"
+    for env in probe_envs(n1.universe, n1.arity, 1):
+        why = _missing(n1, env) or _missing(n2, env)
+        if why:
+            return why
     return None
 
 
@@ -784,10 +765,13 @@ def _missing(nat: NatRep, env: EnvL) -> Optional[str]:
 
 
 def _env_tag(env: EnvL) -> str:
+    """Names each entry: a carrier by its elements, a relation by its
+    pairs and then its endpoints, so distinct probes read differently."""
     def one(e):
         if isinstance(e, FinSetObj):
             return "{" + ",".join(map(str, e.elements)) + "}"
-        return f"rel{len(e.entries)}@{one(e.dom)}->{one(e.cod)}"
+        pairs = ",".join(f"({a},{b})" for a, b in e.entries)
+        return f"rel{{{pairs}}}@{one(e.dom)}->{one(e.cod)}"
     return "(" + ";".join(one(e) for e in env.entries) + ")"
 
 

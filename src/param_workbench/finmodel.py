@@ -12,15 +12,19 @@ equalities is an identity: both sides are the same set of pairs.  The
 witnessed relations of the proof-relevant model live in cubemodel.
 Records here and in cubemodel, fibration's type trees and environments,
 and systemf's syntax nodes are hash-consed (hash_cons): one instance per
-value, validated once when first built, so equality is identity and
-the hash is object's; no output order may come from set order.
+value, so equality is identity and the hash is object's, and no output
+order may come from set order.  A record class declares its fields as
+annotations, in order, and is called with them positionally; its
+__post_init__ validates each value once, when first built.  Fields are
+frozen and listed in __match_args__, so match statements read them.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional
@@ -61,51 +65,78 @@ def is_canonical(labels) -> bool:
     return all(map(operator.lt, keys, keys[1:]))
 
 
-# each hash-consed class -> (its repr fields' names, its own repr)
+# each hash-consed class -> the repr that first shows its records
 _SHOWN: dict = {}
 
 
 def hash_cons(cls):
-    """Hash-cons a frozen record class: one instance per value.
+    """Make cls an interned, frozen record class: one instance per value.
 
     Serves these records, cubemodel's, fibration's type trees and
-    environments, and systemf's syntax.  Build records only by the class
-    call, with positional fields (a keyword, so dataclasses.replace too,
-    raises TypeError): equal fields give the stored record, new ones are
-    validated once and kept unless that raised.  So equality is identity,
-    and the hash is object's: set order follows addresses, so every order
-    that reaches an output comes from label_key or rgalg._rkey alone.
-    The repr (the class's own, less dataclass's cycle guard: fields exist
-    before their record) is stored once, children first, so a parent's
-    repr reads its children's stored strings, however deep.
+    environments, and systemf's syntax.  The fields are the names the
+    class itself annotates, in order, and the class call takes them
+    positionally, one value each (a keyword or a wrong count raises
+    TypeError and stores nothing).  Equal fields give the stored
+    record; new ones are set, run through __post_init__ if the class
+    has one (once per value), and kept unless that raised.  Fields can
+    be neither assigned nor deleted (FrozenInstanceError), and
+    __match_args__ lists them for match statements.  Equality is
+    identity and the hash is object's: set order follows addresses, so
+    every order that reaches an output comes from label_key or
+    rgalg._rkey alone.  The repr (the class's own, else dataclass's
+    field list) is stored once, children first, so a parent's repr reads
+    its children's stored strings, however deep.
     """
+    names = tuple(inspect.get_annotations(cls))
+    post = getattr(cls, "__post_init__", None)
+    # object's own setter, past the frozen one, keeps key-sharing dicts
+    set_field = object.__setattr__
     table = {}
-    init = cls.__init__
-    _SHOWN[cls] = (tuple(f.name for f in fields(cls) if f.repr),
-                   getattr(cls.__repr__, "__wrapped__", cls.__repr__))
+    _SHOWN[cls] = cls.__dict__.get("__repr__", _field_repr)
 
     def __new__(c, *values):
         self = table.get(values)
         if self is None:
+            if len(values) != len(names):
+                raise TypeError(f"{cls.__qualname__}() takes {len(names)} "
+                                f"positional arguments but {len(values)} were given")
             self = object.__new__(c)
-            init(self, *values)
+            i = 0  # a counter, not zip: no iterator to build per record
+            for value in values:
+                set_field(self, names[i], value)
+                i += 1
+            if post is not None:
+                post(self)
             table[values] = self
         return self
 
-    def __repr__(self):
-        try:
-            return self._repr
-        except AttributeError:
-            _store_reprs(self)
-            return self._repr
-
     cls.__new__ = staticmethod(__new__)
-    # a no-op: with __new__ overridden, object.__init__ ignores the fields
-    cls.__init__ = object.__init__
-    cls.__eq__ = object.__eq__
-    cls.__hash__ = object.__hash__
-    cls.__repr__ = __repr__
+    cls.__match_args__ = names
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
+    cls.__repr__ = _stored_repr
     return cls
+
+
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _field_repr(self) -> str:
+    shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+    return f"{type(self).__qualname__}({shown})"
+
+
+def _stored_repr(self) -> str:
+    try:
+        return self._repr
+    except AttributeError:
+        _store_reprs(self)
+        return self._repr
 
 
 def _store_reprs(root) -> None:
@@ -116,12 +147,12 @@ def _store_reprs(root) -> None:
     while stack:
         x, ready = stack.pop()
         if ready:
-            x.__dict__["_repr"] = _SHOWN[type(x)][1](x)
+            x.__dict__["_repr"] = _SHOWN[type(x)](x)
         elif isinstance(x, tuple):
             stack.extend((c, False) for c in x)
         elif type(x) in _SHOWN and "_repr" not in x.__dict__:
             stack.append((x, True))
-            stack.extend((getattr(x, n), False) for n in _SHOWN[type(x)][0])
+            stack.extend((getattr(x, n), False) for n in x.__match_args__)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +160,6 @@ def _store_reprs(root) -> None:
 # ---------------------------------------------------------------------------
 
 @hash_cons
-@dataclass(frozen=True)
 class FinSetObj:
     """Finite set; elements stored in canonical label order."""
     elements: tuple
@@ -157,7 +187,6 @@ def fin_set(labels) -> FinSetObj:
 
 
 @hash_cons
-@dataclass(frozen=True)
 class FinFn:
     """Total function between finite sets, tabulated."""
     dom: FinSetObj
@@ -204,13 +233,6 @@ def fn_compose(g: FinFn, f: FinFn) -> FinFn:
     return fn(f.dom, g.cod, lambda x: g(f(x)))
 
 
-def fn_inverse(f: FinFn) -> FinFn:
-    if not f.is_bijection:
-        raise ValueError("not a bijection")
-    return FinFn(f.cod, f.dom, tuple(sorted(((y, x) for x, y in f.table),
-                                            key=lambda p: label_key(p[0]))))
-
-
 @lru_cache(maxsize=4096)
 def _fn_space(a: FinSetObj, b: FinSetObj) -> tuple:
     return tuple(FinFn(a, b, tuple(zip(a.elements, images)))
@@ -226,7 +248,6 @@ def all_functions(a: FinSetObj, b: FinSetObj) -> Iterator[FinFn]:
 # ---------------------------------------------------------------------------
 
 @hash_cons
-@dataclass(frozen=True)
 class PropRel:
     """A relation between two finite sets: exactly its related pairs.
 
@@ -279,7 +300,6 @@ def eq_rel(a: FinSetObj) -> PropRel:
 
 
 @hash_cons
-@dataclass(frozen=True)
 class PropRelMor:
     """Relation morphism: two legs that carry related pairs to related pairs."""
     src: PropRel

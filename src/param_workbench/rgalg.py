@@ -664,17 +664,6 @@ def id_functor(rg: RgCategory, arity: int) -> RgFunctorTab:
         name=f"id^{arity}")
 
 
-def proj_functor(rg: RgCategory, arity: int, i: int) -> RgFunctorTab:
-    if not 0 <= i < arity:
-        raise ValueError("projection index out of range")
-    return RgFunctorTab(
-        rg, arity, 1,
-        obj0=lambda t: (t[i],), mor0=lambda t: (t[i],),
-        obj1=lambda t: (t[i],), mor1=lambda t: (t[i],),
-        eps=lambda t: (rg.level1.id_of[rg.degen.on_obj[t[i]]],),
-        name=f"pr{arity}_{i}")
-
-
 def compose_functor(g: RgFunctorTab, f: RgFunctorTab) -> RgFunctorTab:
     """Levelwise composition; the mediating iso of the composite
     factors as (image of f's iso) after (g's iso at f's objects)."""
@@ -768,16 +757,6 @@ def whisker(side: str, fun: RgFunctorTab, nat: RgNatTab) -> RgNatTab:
             eta1=lambda t: fun.mor1(nat.eta1(t)),
             name=f"({fun.name} . {nat.name})")
     raise ValueError("side must be 'left' or 'right'")
-
-
-def tuple_nat(nats: list[RgNatTab]) -> RgNatTab:
-    if not nats:
-        raise ValueError("empty transformation tuples are not used")
-    return RgNatTab(
-        tuple_functor([n.src for n in nats]), tuple_functor([n.tgt for n in nats]),
-        eta0=lambda t: tuple(x for n in nats for x in n.eta0(t)),
-        eta1=lambda t: tuple(x for n in nats for x in n.eta1(t)),
-        name="<" + ", ".join(n.name for n in nats) + ">")
 
 
 # ---------------------------------------------------------------------------
@@ -1022,26 +1001,3 @@ def law_suite(rg: RgCategory, sub: Optional[IsoSubcategory],
 
     check_seven_maps(rg, report)
     return report
-
-
-# ---------------------------------------------------------------------------
-# mutation helpers (for sensitivity checks; they break invariants on purpose)
-# ---------------------------------------------------------------------------
-
-def override_eps(f: RgFunctorTab, env: tuple, value: tuple) -> RgFunctorTab:
-    base = f.eps
-    return RgFunctorTab(
-        f.rg, f.arity_in, f.arity_out, obj0=f.obj0, mor0=f.mor0,
-        obj1=f.obj1, mor1=f.mor1,
-        eps=lambda t: value if t == env else base(t),
-        name=f"{f.name}[eps!]")
-
-
-def override_nat_component(nat: RgNatTab, level: int, env: tuple,
-                           value: tuple) -> RgNatTab:
-    e0, e1 = nat.eta0, nat.eta1
-    if level == 0:
-        e0 = lambda t, _b=nat.eta0: value if t == env else _b(t)
-    else:
-        e1 = lambda t, _b=nat.eta1: value if t == env else _b(t)
-    return RgNatTab(nat.src, nat.tgt, eta0=e0, eta1=e1, name=f"{nat.name}[!]")

@@ -28,20 +28,17 @@ DEFAULT_FUEL = 10**6
 # ---------------------------------------------------------------------------
 
 @hash_cons
-@dataclass(frozen=True)
 class TVar:
     """Type variable (de Bruijn index, 0 = innermost binder)."""
     index: int
 
 
 @hash_cons
-@dataclass(frozen=True)
 class UnitT:
     """The unit type."""
 
 
 @hash_cons
-@dataclass(frozen=True)
 class ProdT:
     """Binary product type."""
     left: Type
@@ -49,7 +46,6 @@ class ProdT:
 
 
 @hash_cons
-@dataclass(frozen=True)
 class ArrowT:
     """Function type."""
     dom: Type
@@ -57,7 +53,6 @@ class ArrowT:
 
 
 @hash_cons
-@dataclass(frozen=True)
 class ForallT:
     """Universal type; body lives under one extra type binder."""
     body: Type
@@ -67,58 +62,49 @@ Type = Union[TVar, UnitT, ProdT, ArrowT, ForallT]
 
 
 @hash_cons
-@dataclass(frozen=True)
 class Var:
     index: int
 
 
 @hash_cons
-@dataclass(frozen=True)
 class Lam:
     annot: Type
     body: Term
 
 
 @hash_cons
-@dataclass(frozen=True)
 class App:
     fn: Term
     arg: Term
 
 
 @hash_cons
-@dataclass(frozen=True)
 class Pair:
     left: Term
     right: Term
 
 
 @hash_cons
-@dataclass(frozen=True)
 class Fst:
     body: Term
 
 
 @hash_cons
-@dataclass(frozen=True)
 class Snd:
     body: Term
 
 
 @hash_cons
-@dataclass(frozen=True)
 class UnitV:
     pass
 
 
 @hash_cons
-@dataclass(frozen=True)
 class TyLam:
     body: Term
 
 
 @hash_cons
-@dataclass(frozen=True)
 class TyApp:
     fn: Term
     arg: Type
@@ -128,45 +114,38 @@ Term = Union[Var, Lam, App, Pair, Fst, Snd, UnitV, TyLam, TyApp]
 
 
 @hash_cons
-@dataclass(frozen=True)
 class UVar:
     index: int
 
 
 @hash_cons
-@dataclass(frozen=True)
 class ULam:
     body: UntypedTerm
 
 
 @hash_cons
-@dataclass(frozen=True)
 class UApp:
     fn: UntypedTerm
     arg: UntypedTerm
 
 
 @hash_cons
-@dataclass(frozen=True)
 class UPair:
     left: UntypedTerm
     right: UntypedTerm
 
 
 @hash_cons
-@dataclass(frozen=True)
 class UFst:
     body: UntypedTerm
 
 
 @hash_cons
-@dataclass(frozen=True)
 class USnd:
     body: UntypedTerm
 
 
 @hash_cons
-@dataclass(frozen=True)
 class UUnit:
     pass
 

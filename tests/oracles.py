@@ -14,9 +14,11 @@ import itertools
 from param_workbench import cubemodel as cb
 from param_workbench import fibration as fib
 from param_workbench import systemf as sf
-from param_workbench.finmodel import (all_functions, apply_label, expo0, fn,
-                                      fn_id, fn_inverse, fn_label, prod_fn, rel,
-                                      terminal0, try_rel_mor)
+from param_workbench.finmodel import (FinFn, all_functions, apply_label, expo0,
+                                      fn, fn_id, fn_label, label_key, prod_fn,
+                                      rel, terminal0, try_rel_mor)
+from param_workbench.rgalg import (RgCategory, RgFunctorTab, RgNatTab,
+                                   tuple_functor)
 
 # Semantic types are tuples:
 #   ("atom", level) | ("unit",) | ("prod", l, r) | ("arrow", d, c)
@@ -157,6 +159,13 @@ def componentwise_families(u: fib.ProbeUniverse, body: fib.TypeFunctor) -> list:
             if fib.validate_nat(candidate(combo)).ok]
 
 
+def fn_inverse(f: FinFn) -> FinFn:
+    if not f.is_bijection:
+        raise ValueError("not a bijection")
+    return FinFn(f.cod, f.dom, tuple(sorted(((y, x) for x, y in f.table),
+                                            key=lambda p: label_key(p[0]))))
+
+
 def expo0_action(d, c):
     """The exponential's action on a pair of bijections, tabulated: every
     table lbl of (d.dom ⇒ c.dom) goes to c∘lbl∘d⁻¹."""
@@ -166,6 +175,20 @@ def expo0_action(d, c):
         return fn_label(fn(d.cod, c.cod, lambda x: c(apply_label(lbl, back(x)))))
 
     return fn(expo0(d.dom, c.dom), expo0(d.cod, c.cod), go)
+
+
+def evaluate_mor(f: fib.TypeFunctor, isos, u: fib.ProbeUniverse) -> FinFn:
+    """A tree's action on a tuple of level-0 bijections, tabulated
+    through the library's transport: the bijection between the tree's
+    values at the isos' domains and codomains."""
+    isos = tuple(isos)
+    if not all(isinstance(m, FinFn) and m.is_bijection for m in isos):
+        raise ValueError("transports must be level-0 bijections")
+    if f.arity != len(isos):
+        raise ValueError(f"arity {f.arity} tree fed {len(isos)} transports")
+    return fn(fib.evaluate(f, fib.EnvL(0, tuple(m.dom for m in isos)), u),
+              fib.evaluate(f, fib.EnvL(0, tuple(m.cod for m in isos)), u),
+              lambda x: fib.transport(f, isos, x, u))
 
 
 def tabulated_action(f: fib.TypeFunctor, isos: tuple, u: fib.ProbeUniverse):
@@ -282,6 +305,51 @@ def erases_to(t, u) -> bool:
     if isinstance(t, sf.Snd):
         return isinstance(u, sf.USnd) and erases_to(t.body, u.body)
     raise TypeError(f"not a term: {t!r}")
+
+
+# ---------------------------------------------------------------------------
+# reflexive-graph tables only the tests build: a projection, a tuple of
+# transformations, and mutants that break one entry on purpose
+# ---------------------------------------------------------------------------
+
+def proj_functor(rg: RgCategory, arity: int, i: int) -> RgFunctorTab:
+    if not 0 <= i < arity:
+        raise ValueError("projection index out of range")
+    return RgFunctorTab(
+        rg, arity, 1,
+        obj0=lambda t: (t[i],), mor0=lambda t: (t[i],),
+        obj1=lambda t: (t[i],), mor1=lambda t: (t[i],),
+        eps=lambda t: (rg.level1.id_of[rg.degen.on_obj[t[i]]],),
+        name=f"pr{arity}_{i}")
+
+
+def tuple_nat(nats: list[RgNatTab]) -> RgNatTab:
+    if not nats:
+        raise ValueError("empty transformation tuples are not used")
+    return RgNatTab(
+        tuple_functor([n.src for n in nats]), tuple_functor([n.tgt for n in nats]),
+        eta0=lambda t: tuple(x for n in nats for x in n.eta0(t)),
+        eta1=lambda t: tuple(x for n in nats for x in n.eta1(t)),
+        name="<" + ", ".join(n.name for n in nats) + ">")
+
+
+def override_eps(f: RgFunctorTab, env: tuple, value: tuple) -> RgFunctorTab:
+    base = f.eps
+    return RgFunctorTab(
+        f.rg, f.arity_in, f.arity_out, obj0=f.obj0, mor0=f.mor0,
+        obj1=f.obj1, mor1=f.mor1,
+        eps=lambda t: value if t == env else base(t),
+        name=f"{f.name}[eps!]")
+
+
+def override_nat_component(nat: RgNatTab, level: int, env: tuple,
+                           value: tuple) -> RgNatTab:
+    e0, e1 = nat.eta0, nat.eta1
+    if level == 0:
+        e0 = lambda t, _b=nat.eta0: value if t == env else _b(t)
+    else:
+        e1 = lambda t, _b=nat.eta1: value if t == env else _b(t)
+    return RgNatTab(nat.src, nat.tgt, eta0=e0, eta1=e1, name=f"{nat.name}[!]")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Finite relational layer: equality, closure, comparison isos, policies."""
 
 import dataclasses
+import inspect
 import itertools
 
 import pytest
@@ -415,8 +416,9 @@ def _full(a: FinSetObj) -> PropRel:
     return rel(a, a, itertools.product(a, a))
 
 
-# each builder builds a record of one hash_cons class from its fields,
-# past the per-argument caches of weq, eq_wmor, degen2 and connection
+# for every hash_cons class of the package, a builder of one record from
+# its fields, past the per-argument caches of weq, eq_wmor, degen2 and
+# connection
 RECORD_BUILDERS = {
     "FinSetObj": lambda: FinSetObj((0, 1)),
     "FinFn": _swap,
@@ -428,9 +430,30 @@ RECORD_BUILDERS = {
     "TwoRel": lambda: cm.two_rel(
         *[cm.weq(A2)] * 4, [((x,) * 4, (refl(x),) * 4) for x in A2]),
     "TwoRelMor": lambda: cm.degen2_mor("vertical", cm.eq_wmor(_swap())),
-    "App": lambda: sf.App(sf.Var(0), sf.UnitV()),
-    "ULam": lambda: sf.ULam(sf.UVar(0)),
+    "TVar": lambda: sf.TVar(1),
+    "UnitT": sf.UnitT,
+    "ProdT": lambda: sf.ProdT(sf.TVar(0), sf.UnitT()),
     "ArrowT": lambda: sf.ArrowT(sf.TVar(0), sf.UnitT()),
+    "ForallT": lambda: sf.ForallT(sf.ArrowT(sf.TVar(0), sf.TVar(0))),
+    "Var": lambda: sf.Var(2),
+    "Lam": lambda: sf.Lam(sf.UnitT(), sf.Var(0)),
+    "App": lambda: sf.App(sf.Var(0), sf.UnitV()),
+    "Pair": lambda: sf.Pair(sf.UnitV(), sf.Var(0)),
+    "Fst": lambda: sf.Fst(sf.Var(0)),
+    "Snd": lambda: sf.Snd(sf.Var(0)),
+    "UnitV": sf.UnitV,
+    "TyLam": lambda: sf.TyLam(sf.Lam(sf.TVar(0), sf.Var(0))),
+    "TyApp": lambda: sf.TyApp(sf.Var(0), sf.UnitT()),
+    "UVar": lambda: sf.UVar(3),
+    "ULam": lambda: sf.ULam(sf.UVar(0)),
+    "UApp": lambda: sf.UApp(sf.UVar(0), sf.UUnit()),
+    "UPair": lambda: sf.UPair(sf.UUnit(), sf.UVar(0)),
+    "UFst": lambda: sf.UFst(sf.UVar(0)),
+    "USnd": lambda: sf.USnd(sf.UVar(0)),
+    "UUnit": sf.UUnit,
+    "FProj": lambda: fib.FProj(2, 1),
+    "FUnit": lambda: fib.FUnit(2),
+    "FProd": lambda: fib.FProd(fib.FProj(1, 0), fib.FUnit(1)),
     "FArrow": lambda: fib.FArrow(fib.FProj(1, 0), fib.FUnit(1)),
     "FForall": lambda: fib.FForall(fib.FArrow(fib.FProj(1, 0), fib.FProj(1, 0))),
     "EnvL": lambda: fib.EnvL(1, (graph_rel(_swap()),)),
@@ -508,6 +531,16 @@ REJECTED_THEN_VALID = {
 }
 
 
+def _dataclass_twin(cls):
+    """A @dataclass(frozen=True) class of cls's name and annotations."""
+    twin = type(cls.__name__, (), {"__annotations__": inspect.get_annotations(cls)})
+    return dataclasses.dataclass(frozen=True)(twin)
+
+
+def _fields(x) -> list:
+    return [getattr(x, n) for n in type(x).__match_args__]
+
+
 class TestHashOnce:
     """Equal fields give one record, hashed by identity, whose repr is
     computed once."""
@@ -539,17 +572,16 @@ class TestHashOnce:
 
     @pytest.mark.parametrize("name", sorted(RECORD_BUILDERS))
     def test_repr_is_the_generated_one_computed_once(self, name):
+        # dataclass's, byte for byte: rgalg._rkey orders by it
         x = RECORD_BUILDERS[name]()
-        shown = ", ".join(f"{f.name}={getattr(x, f.name)!r}"
-                          for f in dataclasses.fields(x) if f.repr)
-        assert repr(x) == f"{type(x).__qualname__}({shown})"
+        twin = _dataclass_twin(type(x))
+        assert repr(x) == repr(twin(*_fields(x)))
         assert repr(x) is repr(x)
 
     def test_a_shared_child_is_shown_once(self):
         calls = []
 
         @fm.hash_cons
-        @dataclasses.dataclass(frozen=True)
         class Leaf:
             n: int
 
@@ -558,7 +590,6 @@ class TestHashOnce:
                 return f"Leaf({self.n})"
 
         @fm.hash_cons
-        @dataclasses.dataclass(frozen=True)
         class Node:
             child: Leaf
             tag: int
@@ -573,7 +604,6 @@ class TestHashOnce:
         # printed recursively, 600 levels of two or more frames each would
         # pass the default recursion limit
         @fm.hash_cons
-        @dataclasses.dataclass(frozen=True)
         class Chain:
             kids: tuple
 
@@ -583,12 +613,87 @@ class TestHashOnce:
         assert repr(x).count("Chain(kids=(") == 601
 
 
+class TestRecordProtocol:
+    """Annotated fields, given positionally, frozen, matched in order,
+    validated once per value and shown as dataclass would show them."""
+
+    def test_every_interned_class_has_a_builder(self):
+        interned = {c.__name__ for c in fm._SHOWN
+                    if c.__module__.startswith("param_workbench.")}
+        assert interned == set(RECORD_BUILDERS)
+        assert len(interned) == 35
+
+    @pytest.mark.parametrize("name", sorted(RECORD_BUILDERS))
+    def test_match_args_are_the_dataclass_field_order(self, name):
+        cls = type(RECORD_BUILDERS[name]())
+        twin = _dataclass_twin(cls)
+        assert cls.__match_args__ == tuple(f.name for f in dataclasses.fields(twin))
+
+    @pytest.mark.parametrize("name", sorted(RECORD_BUILDERS))
+    def test_fields_can_be_neither_assigned_nor_deleted(self, name):
+        x = RECORD_BUILDERS[name]()
+        before = repr(x)
+        field = (type(x).__match_args__ or ("extra",))[0]
+        with pytest.raises(dataclasses.FrozenInstanceError, match="cannot assign"):
+            setattr(x, field, None)
+        with pytest.raises(dataclasses.FrozenInstanceError, match="cannot delete"):
+            delattr(x, field)
+        assert repr(x) == before and RECORD_BUILDERS[name]() is x
+
+    @pytest.mark.parametrize("name", sorted(RECORD_BUILDERS))
+    def test_a_keyword_or_a_wrong_count_raises_and_stores_nothing(self, name):
+        x = RECORD_BUILDERS[name]()
+        cls, values = type(x), _fields(x)
+        calls = [lambda: cls(*values, values[-1] if values else 0)]
+        if values:
+            calls += [lambda: cls(*values[:-1]),
+                      lambda: cls(*values[:-1], **{cls.__match_args__[-1]: values[-1]})]
+        for call in calls:
+            # a stored record would come back from the table without raising
+            for _ in range(2):
+                with pytest.raises(TypeError):
+                    call()
+        assert cls(*values) is x
+
+    def test_match_reads_the_fields_in_annotation_order(self):
+        @fm.hash_cons
+        class Point:
+            y: int
+            x: int
+
+        assert Point.__match_args__ == ("y", "x")
+        match Point(1, 2):
+            case Point(a, b):
+                assert (a, b) == (1, 2)
+        match sf.ArrowT(sf.TVar(0), sf.UnitT()):
+            case sf.ArrowT(dom, cod):
+                assert (dom, cod) == (sf.TVar(0), sf.UnitT())
+
+    def test_post_init_runs_once_per_value_and_again_after_a_reject(self):
+        seen = []
+
+        @fm.hash_cons
+        class Even:
+            n: int
+
+            def __post_init__(self):
+                seen.append(self.n)
+                if self.n % 2:
+                    raise ValueError("odd")
+
+        assert Even(2) is Even(2)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                Even(3)
+        assert seen == [2, 3, 3]
+
+
 class TestHashCons:
     @pytest.mark.parametrize("name", sorted(ONE_FIELD_APART))
     def test_records_one_field_apart_are_distinct(self, name):
         x, y = ONE_FIELD_APART[name]()
         assert type(x).__name__ == type(y).__name__ == name
-        names = [f.name for f in dataclasses.fields(x)]
+        names = list(type(x).__match_args__)
         assert [n for n in names if getattr(x, n) != getattr(y, n)] == names[-1:]
         assert x is not y
         assert x != y

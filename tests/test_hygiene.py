@@ -4,9 +4,14 @@ own __eq__ or __hash__, so finmodel.hash_cons stays the one identity
 mechanism.  Nothing sorts by repr but rgalg._rkey, so ordering goes
 through the one key that reads hash_cons's cached repr.  fibration
 builds relation morphisms only where NatRep forces a level-1 component
-and in epsilon_of, so every transformation's level 1 has one source."""
+and in epsilon_of, so every transformation's level 1 has one source.
+Interned records are built by hash_cons alone, not by dataclass code
+generation."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -163,3 +168,24 @@ def test_a_relation_morphism_builder_is_found():
               "y = PropRelMor\n")
     assert relation_morphism_builders(source) == [
         "NatRep._forced", "epsilon_of", "pair.comp", "<module>"]
+
+
+def test_importing_the_package_generates_only_the_plain_dataclasses():
+    # in a fresh interpreter, so every module is imported here
+    script = ("import dataclasses\n"
+              "made = []\n"
+              "real = dataclasses._process_class\n"
+              "def count(cls, *args, **kwargs):\n"
+              "    made.append(cls)\n"
+              "    return real(cls, *args, **kwargs)\n"
+              "dataclasses._process_class = count\n"
+              "import param_workbench\n"
+              "from param_workbench import finmodel\n"
+              "interned = [c for c in finmodel._SHOWN if dataclasses.is_dataclass(c)]\n"
+              "print(len(made), len(finmodel._SHOWN), len(interned))\n")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=120, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.split() == ["17", "35", "0"]

@@ -164,13 +164,19 @@ class TestMutation:
         assert fib.validate_nat(good).ok
         rep = fib.validate_nat(bad)
         laws = [f.law for f in rep.failures]
-        assert len(laws) == 4
+        assert len(laws) == len(set(laws)) == 4
         assert all(law.startswith("bad: faces at") and "->{0,1})" in law
                    for law in laws)
         assert all(f.detail.startswith("no level-1 component at")
                    for f in rep.failures)
-        with pytest.raises(fib.ComponentError, match=r"at \(rel1@\{0\}->\{0,1\}\)"):
+        with pytest.raises(fib.ComponentError,
+                           match=r"at \(rel\{\(0,1\)\}@\{0\}->\{0,1\}\)"):
             bad.at(EnvL(1, (graph_rel(fn(A1, A2, lambda _: 1)),)))
+        # compared, the mutant differs at level 0; against itself its
+        # level 0 agrees and its missing level-1 component is the answer
+        assert fib.nats_agree(bad, good) == f"components differ at {(A2,)!r}"
+        assert fib.nats_agree(bad, bad).startswith(
+            "no level-1 component at (rel{(0,0)}@{0}->{0,1})")
 
     def test_comparison_swapping_labels_breaks_degeneracy(self, monkeypatch):
         # the comparison of a → a at {0,1} with legs exchanging the

@@ -30,11 +30,7 @@ from param_workbench.rgalg import (
     make_cat_functor,
     make_category,
     nats_equal,
-    override_eps,
-    override_nat_component,
-    proj_functor,
     tuple_functor,
-    tuple_nat,
     validate_rg,
     whisker,
 )
@@ -291,7 +287,7 @@ class TestComposeFunctor:
     def test_arity_mismatch_raises(self, rey_instance):
         rg, _ = rey_instance
         with pytest.raises(ValueError):
-            compose_functor(proj_functor(rg, 2, 0), id_functor(rg, 1))
+            compose_functor(oracles.proj_functor(rg, 2, 0), id_functor(rg, 1))
 
 
 class TestComposeNat:
@@ -372,7 +368,8 @@ class TestWhisker:
 class TestTuple:
     def test_projection_tuple_is_identity(self, rey_instance, rey_probes):
         rg, _ = rey_instance
-        both = tuple_functor([proj_functor(rg, 2, 0), proj_functor(rg, 2, 1)])
+        both = tuple_functor([oracles.proj_functor(rg, 2, 0),
+                              oracles.proj_functor(rg, 2, 1)])
         assert functors_equal(both, id_functor(rg, 2), rey_probes) is None
 
     def test_projection_after_tuple_gives_component(self, rey_instance,
@@ -382,7 +379,7 @@ class TestTuple:
         f0, f1 = stock(rng), stock(rng)
         pair = tuple_functor([f0, f1])
         for i, want in ((0, f0), (1, f1)):
-            got = compose_functor(proj_functor(rg, 2, i), pair)
+            got = compose_functor(oracles.proj_functor(rg, 2, i), pair)
             assert functors_equal(got, want, rey_probes) is None
 
     def test_tuple_eps_face_images_identity_componentwise(
@@ -407,7 +404,7 @@ class TestTuple:
 
     def test_tuple_of_transformations_is_natural(self, rey_probes, chains):
         rng = random.Random(43)
-        tn = tuple_nat([chains(rng, 1)[0], chains(rng, 1)[0]])
+        tn = oracles.tuple_nat([chains(rng, 1)[0], chains(rng, 1)[0]])
         rep = Report()
         check_nat_tab(tn, rep, rey_probes)
         assert rep.ok, [f.row() for f in rep.failures]
@@ -462,7 +459,7 @@ class TestLawSuite:
         env = (fm.fin_set([0]),)
         wrong = (rg.level1.id_of[fm.eq_rel(fm.fin_set([0]))],)
         rep = Report()
-        check_functor_tab(override_eps(fun, env, wrong), rep, rey_probes, sub)
+        check_functor_tab(oracles.override_eps(fun, env, wrong), rep, rey_probes, sub)
         assert not rep.ok
         assert any("eps" in f.law and repr(env[0]) in f.detail
                    for f in rep.failures)
@@ -473,7 +470,7 @@ class TestLawSuite:
         e = chains(random.Random(44), 1)[0]
         env = (fm.fin_set([0, 1]),)
         wrong = (rg.level0.id_of[fm.fin_set([0])],)
-        bad = override_nat_component(e, 0, env, wrong)
+        bad = oracles.override_nat_component(e, 0, env, wrong)
         rep = Report()
         check_nat_tab(bad, rep, rey_probes)
         assert not rep.ok
