@@ -8,12 +8,12 @@ tuples: witnesses are data on edges but mere conditions one dimension
 up.
 
 Relations replicate and connect into squares, and equality_suite
-checks the face laws of those constructions over a finite stock.  The
-witnessed exponential wexpo has no caller in the package; it stays
-because perfbench's tracer names it.  No type is interpreted here:
-fibration evaluates type trees over finite sets and propositional
-relations only, so quantifiers have no witnessed or square-level
-reading.
+checks the face laws of those constructions over a finite stock,
+against faces it writes out itself.  The witnessed exponential wexpo
+has no caller in the package; it stays because perfbench's tracer
+names it.  No type is interpreted here: fibration evaluates type trees
+over finite sets and propositional relations only, so quantifiers have
+no witnessed or square-level reading.
 
 The records are hash-consed like finmodel's (equality is identity), and
 the square constructions are cached, so each is built and validated once.
@@ -22,6 +22,16 @@ Edge geometry is fixed throughout. A square has corners a, b, c, d
 with top : a <-> b, left : a <-> c, bottom : c <-> d, right : b <-> d,
 and boundary tuples are written ((a, b, c, d), (p, q, r, s)) with p on
 top, q on left, r on bottom and s on right.
+
+The four squares on a relation r : A <-> B are one table, _SQUARES,
+from tag to (edges, cell): the horizontal and vertical replications
+(degeneracies) and the upper and lower connections.  edges(x, d, c)
+returns the (top, left, bottom, right) edges, with x on the edges that
+carry the relation and d, c on those that carry the equalities on its
+domain A and codomain B.  Given r, weq A and weq B it lays out the
+square; given a morphism m and the eq_wmor images of its legs, the
+square morphism.  cell(a, b, w) is the boundary tuple that a witness w
+of (a, b) in r fills, so a square holds one cell per witness of r.
 """
 
 from __future__ import annotations
@@ -265,13 +275,6 @@ def two_rel(top: WitRel, left: WitRel, bottom: WitRel, right: WitRel, cells) -> 
                   tuple(sorted(set(cells), key=label_key)))
 
 
-def face2(which: str, q: TwoRel) -> WitRel:
-    """Project out the named edge of a square."""
-    if which not in _FACES:
-        raise ValueError(f"unknown face {which!r}")
-    return getattr(q, which)
-
-
 @hash_cons
 class TwoRelMor:
     """Map of squares: edge morphisms sharing corner legs, cells preserved."""
@@ -341,77 +344,40 @@ def two_mor_compose(m2: TwoRelMor, m1: TwoRelMor) -> TwoRelMor:
 # degeneracies and connections
 # ---------------------------------------------------------------------------
 
-SQUARE_TAGS = ("horizontal", "vertical", "upper", "lower")
+# tag -> (edges, cell); see the module docstring
+_SQUARES = {
+    "horizontal": (lambda x, d, c: (x, d, x, c),
+                   lambda a, b, w: ((a, b, a, b), (w, refl(a), w, refl(b)))),
+    "vertical": (lambda x, d, c: (d, x, c, x),
+                 lambda a, b, w: ((a, a, b, b), (refl(a), w, refl(b), w))),
+    "upper": (lambda x, d, c: (x, x, c, c),
+              lambda a, b, w: ((a, b, b, b), (w, w, refl(b), refl(b)))),
+    "lower": (lambda x, d, c: (d, d, x, x),
+              lambda a, b, w: ((a, a, a, b), (refl(a), refl(a), w, w))),
+}
+SQUARE_TAGS = tuple(_SQUARES)
+
+
+def _layout(tag: str) -> tuple:
+    if tag not in _SQUARES:
+        raise ValueError(f"unknown square construction {tag!r}")
+    return _SQUARES[tag]
 
 
 @lru_cache(maxsize=None)
-def degen2(which: str, r: WitRel) -> TwoRel:
-    """Replicate a relation into a square.
-
-    "horizontal" puts r on top and bottom with endpoint equalities as
-    sides; a cell asks the two copies to carry the same witness.
-    "vertical" is the transposed layout.
-    """
-    ed, ec = weq(r.dom), weq(r.cod)
-    if which == "horizontal":
-        cells = [((a, b, a, b), (w, refl(a), w, refl(b))) for a, b, w in r.triples()]
-        return two_rel(r, ed, r, ec, cells)
-    if which == "vertical":
-        cells = [((a, a, b, b), (refl(a), w, refl(b), w)) for a, b, w in r.triples()]
-        return two_rel(ed, r, ec, r, cells)
-    raise ValueError(f"unknown replication {which!r}")
-
-
-@lru_cache(maxsize=None)
-def connection(which: str, r: WitRel) -> TwoRel:
-    """Fold a relation against the equality on one of its endpoints.
-
-    "upper" puts r on top and left with the codomain equality on the
-    other two edges; a cell asks the two copies to agree. "lower" puts
-    r on bottom and right with the domain equality opposite.
-    """
-    if which == "upper":
-        e = weq(r.cod)
-        cells = [((a, b, b, b), (w, w, refl(b), refl(b))) for a, b, w in r.triples()]
-        return two_rel(r, r, e, e, cells)
-    if which == "lower":
-        e = weq(r.dom)
-        cells = [((a, a, a, b), (refl(a), refl(a), w, w)) for a, b, w in r.triples()]
-        return two_rel(e, e, r, r, cells)
-    raise ValueError(f"unknown connection {which!r}")
-
-
-def degen2_mor(which: str, m: WitRelMor) -> TwoRelMor:
-    src, tgt = degen2(which, m.src), degen2(which, m.tgt)
-    ed, ec = eq_wmor(m.f), eq_wmor(m.g)
-    if which == "horizontal":
-        return TwoRelMor(src, tgt, m, ed, m, ec)
-    return TwoRelMor(src, tgt, ed, m, ec, m)
-
-
-def connection_mor(which: str, m: WitRelMor) -> TwoRelMor:
-    src, tgt = connection(which, m.src), connection(which, m.tgt)
-    if which == "upper":
-        e = eq_wmor(m.g)
-        return TwoRelMor(src, tgt, m, m, e, e)
-    e = eq_wmor(m.f)
-    return TwoRelMor(src, tgt, e, e, m, m)
-
-
 def square_on(tag: str, r: WitRel) -> TwoRel:
-    if tag in ("horizontal", "vertical"):
-        return degen2(tag, r)
-    if tag in ("upper", "lower"):
-        return connection(tag, r)
-    raise ValueError(f"unknown square construction {tag!r}")
+    """The tag's square on r, one cell per witness of r."""
+    edges, cell = _layout(tag)
+    return two_rel(*edges(r, weq(r.dom), weq(r.cod)),
+                   [cell(a, b, w) for a, b, w in r.triples()])
 
 
 def square_mor_on(tag: str, m: WitRelMor) -> TwoRelMor:
-    if tag in ("horizontal", "vertical"):
-        return degen2_mor(tag, m)
-    if tag in ("upper", "lower"):
-        return connection_mor(tag, m)
-    raise ValueError(f"unknown square construction {tag!r}")
+    """The tag's square morphism on m: m on the relation's edges and the
+    eq_wmor images of its legs on the endpoint equalities."""
+    edges, _ = _layout(tag)
+    return TwoRelMor(square_on(tag, m.src), square_on(tag, m.tgt),
+                     *edges(m, eq_wmor(m.f), eq_wmor(m.g)))
 
 
 # ---------------------------------------------------------------------------
@@ -466,33 +432,33 @@ def equality_suite(universe: CubeUniverse) -> Report:
 
     def faces_equal(sq: TwoRel, expected: dict) -> Optional[str]:
         for name, want in expected.items():
-            if face2(name, sq) != want:
+            if getattr(sq, name) != want:
                 return f"{name} face differs"
         return None
 
     check_family(
         "horizontal replication: top and bottom faces restore the relation",
-        lambda r: faces_equal(degen2("horizontal", r), {"top": r, "bottom": r}))
+        lambda r: faces_equal(square_on("horizontal", r), {"top": r, "bottom": r}))
     check_family(
         "horizontal replication: side faces are endpoint equalities",
-        lambda r: faces_equal(degen2("horizontal", r),
+        lambda r: faces_equal(square_on("horizontal", r),
                               {"left": weq(r.dom), "right": weq(r.cod)}))
     check_family(
         "vertical replication: side faces restore the relation",
-        lambda r: faces_equal(degen2("vertical", r), {"left": r, "right": r}))
+        lambda r: faces_equal(square_on("vertical", r), {"left": r, "right": r}))
     check_family(
         "vertical replication: top and bottom faces are endpoint equalities",
-        lambda r: faces_equal(degen2("vertical", r),
+        lambda r: faces_equal(square_on("vertical", r),
                               {"top": weq(r.dom), "bottom": weq(r.cod)}))
     check_family(
         "connections: faces along the folded corner restore the relation",
-        lambda r: faces_equal(connection("upper", r), {"top": r, "left": r})
-        or faces_equal(connection("lower", r), {"bottom": r, "right": r}))
+        lambda r: faces_equal(square_on("upper", r), {"top": r, "left": r})
+        or faces_equal(square_on("lower", r), {"bottom": r, "right": r}))
     check_family(
         "connections: opposite faces are endpoint equalities",
-        lambda r: faces_equal(connection("upper", r),
+        lambda r: faces_equal(square_on("upper", r),
                               {"bottom": weq(r.cod), "right": weq(r.cod)})
-        or faces_equal(connection("lower", r),
+        or faces_equal(square_on("lower", r),
                        {"top": weq(r.dom), "left": weq(r.dom)}))
 
     bad = None

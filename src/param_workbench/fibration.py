@@ -710,7 +710,7 @@ def nats_agree(n1: NatRep, n2: NatRep) -> Optional[str]:
         return "endpoint mismatch"
     for env in probe_envs(n1.universe, n1.arity, 0):
         if n1.at(env) != n2.at(env):
-            return f"components differ at {env.entries!r}"
+            return f"components differ at {_env_tag(env)}"
     for env in probe_envs(n1.universe, n1.arity, 1):
         why = _missing(n1, env) or _missing(n2, env)
         if why:
@@ -764,14 +764,21 @@ def _missing(nat: NatRep, env: EnvL) -> Optional[str]:
     return None
 
 
+def _carrier_tag(elements) -> str:
+    return "{" + ",".join(map(str, elements)) + "}"
+
+
+def _pairs_tag(r: PropRel) -> str:
+    return "{" + ",".join(f"({a},{b})" for a, b in r.entries) + "}"
+
+
 def _env_tag(env: EnvL) -> str:
     """Names each entry: a carrier by its elements, a relation by its
     pairs and then its endpoints, so distinct probes read differently."""
     def one(e):
         if isinstance(e, FinSetObj):
-            return "{" + ",".join(map(str, e.elements)) + "}"
-        pairs = ",".join(f"({a},{b})" for a, b in e.entries)
-        return f"rel{{{pairs}}}@{one(e.dom)}->{one(e.cod)}"
+            return _carrier_tag(e)
+        return f"rel{_pairs_tag(e)}@{one(e.dom)}->{one(e.cod)}"
     return "(" + ";".join(one(e) for e in env.entries) + ")"
 
 
@@ -852,61 +859,59 @@ def theta_inv(x: TypeFunctor) -> CtxMor:
 # fiberwise cartesian closed structure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class FiberCcc:
-    """CCC structure on the fiber of arity-n trees.
+# Object formers are the AST constructors; the morphism combinators
+# build NatReps whose level-0 components are the pointwise finite-set
+# CCC maps, their level-1 components forced as always.  A tree carries
+# its arity and a NatRep its universe, so only the maps built from
+# trees alone take the universe.
 
-    Object formers are the AST constructors; morphism combinators build
-    NatReps whose level-0 components are the pointwise finite-set CCC
-    maps, their level-1 components forced as always.
-    """
-    arity: int
-    universe: ProbeUniverse
+def _pointwise(name: str, source: TypeFunctor, target: TypeFunctor,
+               parts: tuple, at0: Callable, u: ProbeUniverse) -> NatRep:
+    """The transformation whose component applies at0 to the values of
+    parts."""
+    return NatRep(source, target,
+                  lambda env: at0(*(evaluate(p, env, u) for p in parts)), u, name)
 
-    def _pointwise(self, name: str, source: TypeFunctor, target: TypeFunctor,
-                   parts: tuple, at0: Callable) -> NatRep:
-        """The transformation whose component applies at0 to the values
-        of parts."""
-        u = self.universe
-        return NatRep(source, target,
-                      lambda env: at0(*(evaluate(p, env, u) for p in parts)), u, name)
 
-    def terminal(self) -> TypeFunctor:
-        return FUnit(self.arity)
+def bang(x: TypeFunctor, u: ProbeUniverse) -> NatRep:
+    return _pointwise("!", x, FUnit(x.arity), (x,), bang0, u)
 
-    def bang(self, x: TypeFunctor) -> NatRep:
-        return self._pointwise("!", x, self.terminal(), (x,), bang0)
 
-    def p1(self, x: TypeFunctor, y: TypeFunctor) -> NatRep:
-        return self._pointwise("p1", FProd(x, y), x, (x, y), fst0)
+def p1(x: TypeFunctor, y: TypeFunctor, u: ProbeUniverse) -> NatRep:
+    return _pointwise("p1", FProd(x, y), x, (x, y), fst0, u)
 
-    def p2(self, x: TypeFunctor, y: TypeFunctor) -> NatRep:
-        return self._pointwise("p2", FProd(x, y), y, (x, y), snd0)
 
-    def pair(self, f: NatRep, g: NatRep) -> NatRep:
-        if f.source != g.source:
-            raise ValueError("pairing needs a common source")
-        return NatRep(f.source, FProd(f.target, g.target),
-                      lambda env: pair0(f.at(env), g.at(env)), self.universe,
-                      f"<{f.name},{g.name}>")
+def p2(x: TypeFunctor, y: TypeFunctor, u: ProbeUniverse) -> NatRep:
+    return _pointwise("p2", FProd(x, y), y, (x, y), snd0, u)
 
-    def ev(self, x: TypeFunctor, y: TypeFunctor) -> NatRep:
-        return self._pointwise("ev", FProd(FArrow(x, y), x), y, (x, y), eval0)
 
-    def lam(self, f: NatRep) -> NatRep:
-        """Curry f : Z × X -> Y into Z -> (X ⇒ Y)."""
-        if not isinstance(f.source, FProd):
-            raise ValueError("currying needs a product source")
-        z, x = f.source.left, f.source.right
-        u = self.universe
+def pair(f: NatRep, g: NatRep) -> NatRep:
+    if f.source != g.source:
+        raise ValueError("pairing needs a common source")
+    return NatRep(f.source, FProd(f.target, g.target),
+                  lambda env: pair0(f.at(env), g.at(env)), f.universe,
+                  f"<{f.name},{g.name}>")
 
-        def comp(env: EnvL):
-            return lambda0(f.at(env), evaluate(z, env, u), evaluate(x, env, u))
 
-        return NatRep(z, FArrow(x, f.target), comp, u, f"cur({f.name})")
+def ev(x: TypeFunctor, y: TypeFunctor, u: ProbeUniverse) -> NatRep:
+    return _pointwise("ev", FProd(FArrow(x, y), x), y, (x, y), eval0, u)
 
-    def swap(self, x: TypeFunctor, y: TypeFunctor) -> NatRep:
-        return self.pair(self.p2(x, y), self.p1(x, y))
+
+def lam(f: NatRep) -> NatRep:
+    """Curry f : Z × X -> Y into Z -> (X ⇒ Y)."""
+    if not isinstance(f.source, FProd):
+        raise ValueError("currying needs a product source")
+    z, x = f.source.left, f.source.right
+    u = f.universe
+
+    def comp(env: EnvL):
+        return lambda0(f.at(env), evaluate(z, env, u), evaluate(x, env, u))
+
+    return NatRep(z, FArrow(x, f.target), comp, u, f"cur({f.name})")
+
+
+def swap(x: TypeFunctor, y: TypeFunctor, u: ProbeUniverse) -> NatRep:
+    return pair(p2(x, y, u), p1(x, y, u))
 
 
 # ---------------------------------------------------------------------------
@@ -1166,16 +1171,15 @@ def fibration_suite(policy: IsoPolicy = IsoPolicy.REY, bound: int = 2,
                reindex(fmor, FForall(body)) == FForall(reindex(lifted, body)))
 
     # fiber beta laws over the one-slot fiber
-    ccc = FiberCcc(1, u)
     a, b = FProj(1, 0), FUnit(1)
-    fpair = ccc.pair(ccc.p2(a, b), ccc.p1(a, b))
-    beta1 = nats_agree(nat_compose(ccc.p1(b, a), fpair), ccc.p2(a, b))
+    fpair = pair(p2(a, b, u), p1(a, b, u))
+    beta1 = nats_agree(nat_compose(p1(b, a, u), fpair), p2(a, b, u))
     report.check("fiber: first projection beta law", beta1)
-    beta2 = nats_agree(nat_compose(ccc.p2(b, a), fpair), ccc.p1(a, b))
+    beta2 = nats_agree(nat_compose(p2(b, a, u), fpair), p1(a, b, u))
     report.check("fiber: second projection beta law", beta2)
-    curried = ccc.lam(ccc.p2(b, a))
-    lhs = nat_compose(ccc.ev(a, a), _nat_cross(ccc, curried, nat_id(a, u)))
-    beta3 = nats_agree(lhs, ccc.p2(b, a))
+    curried = lam(p2(b, a, u))
+    lhs = nat_compose(ev(a, a, u), _nat_cross(curried, nat_id(a, u)))
+    beta3 = nats_agree(lhs, p2(b, a, u))
     report.check("fiber: exponential beta law", beta3)
 
     # quantifier benchmarks over the default universe
@@ -1201,7 +1205,7 @@ def fibration_suite(policy: IsoPolicy = IsoPolicy.REY, bound: int = 2,
     return adjunction_roundtrip(u, g, report)
 
 
-def _nat_cross(ccc: FiberCcc, f: NatRep, g: NatRep) -> NatRep:
+def _nat_cross(f: NatRep, g: NatRep) -> NatRep:
     """f × g on a product source."""
-    a, b = f.source, g.source
-    return ccc.pair(nat_compose(f, ccc.p1(a, b)), nat_compose(g, ccc.p2(a, b)))
+    a, b, u = f.source, g.source, f.universe
+    return pair(nat_compose(f, p1(a, b, u)), nat_compose(g, p2(a, b, u)))

@@ -671,36 +671,20 @@ def relevant_iso_check(policy: IsoPolicy, m) -> bool:
 # atom renaming (transport along a global permutation of atom labels)
 # ---------------------------------------------------------------------------
 
-def rename_label(sigma: dict, x: Label) -> Label:
-    if isinstance(x, int):
-        return sigma.get(x, x)
-    if isinstance(x, str):
-        return x
-    if isinstance(x, tuple):
-        if x and isinstance(x[0], str):
-            tag = x[0]
-            body = tuple(rename_label(sigma, c) for c in x[1:])
-            if tag == "fn":
-                # tabulated labels keep their key order canonical
-                body = (tuple(sorted(body[0], key=lambda e: label_key(e[0]))),)
-            return (tag,) + body
-        return tuple(rename_label(sigma, c) for c in x)
-    raise TypeError(f"unsupported label: {x!r}")
-
+# The labels renamed are build_instance's elements, integer atoms only.
 
 def rename_obj(sigma: dict, a: FinSetObj) -> FinSetObj:
-    return fin_set(rename_label(sigma, x) for x in a)
+    return fin_set(sigma[x] for x in a)
 
 
 def rename_fn(sigma: dict, f: FinFn) -> FinFn:
-    table = {rename_label(sigma, x): rename_label(sigma, y) for x, y in f.table}
-    return fn(rename_obj(sigma, f.dom), rename_obj(sigma, f.cod), table)
+    return fn(rename_obj(sigma, f.dom), rename_obj(sigma, f.cod),
+              {sigma[x]: sigma[y] for x, y in f.table})
 
 
 def rename_rel(sigma: dict, r: PropRel) -> PropRel:
     return rel(rename_obj(sigma, r.dom), rename_obj(sigma, r.cod),
-               [(rename_label(sigma, a), rename_label(sigma, b))
-                for a, b in r.entries])
+               [(sigma[a], sigma[b]) for a, b in r.entries])
 
 
 # ---------------------------------------------------------------------------
@@ -827,15 +811,12 @@ def conj_shift_nat(rg, f_src, f_tgt, sig: dict, tau: dict):
 
     def eta0(t):
         a = t[0]
-        return (fn(rename_obj(sig, a), rename_obj(tau, a),
-                   lambda x: rename_label(comp, x)),)
+        return (fn(rename_obj(sig, a), rename_obj(tau, a), comp),)
 
     def eta1(t):
         r = t[0]
-        u = fn(rename_obj(sig, r.dom), rename_obj(tau, r.dom),
-               lambda x: rename_label(comp, x))
-        v = fn(rename_obj(sig, r.cod), rename_obj(tau, r.cod),
-               lambda x: rename_label(comp, x))
+        u = fn(rename_obj(sig, r.dom), rename_obj(tau, r.dom), comp)
+        v = fn(rename_obj(sig, r.cod), rename_obj(tau, r.cod), comp)
         return (PropRelMor(rename_rel(sig, r), rename_rel(tau, r), u, v),)
 
     return rgalg.RgNatTab(f_src, f_tgt, eta0=eta0, eta1=eta1,

@@ -42,7 +42,6 @@ from .fibration import (
     FProd,
     FProj,
     FUnit,
-    FiberCcc,
     NatRep,
     ProbeUniverse,
     Report,
@@ -138,37 +137,36 @@ def interp_term(tyctx_depth: int, termctx: Sequence[sf.Type], t: sf.Term,
 
 
 def _interp(n: int, ctx: tuple, t: sf.Term, u: ProbeUniverse) -> NatRep:
-    ccc = FiberCcc(n, u)
     c = context_functor(n, ctx)
     match t:
         case sf.Var(i):
             nat = None
             cur = c
             for _ in range(i):
-                step = ccc.p2(cur.left, cur.right)
+                step = fib.p2(cur.left, cur.right, u)
                 nat = step if nat is None else nat_compose(step, nat)
                 cur = cur.right
-            head = ccc.p1(cur.left, cur.right)
+            head = fib.p1(cur.left, cur.right, u)
             return head if nat is None else nat_compose(head, nat)
         case sf.Lam(annot, body):
             a = interp_type(n, annot)
             inner = _interp(n, (annot,) + ctx, body, u)
-            return ccc.lam(nat_compose(inner, ccc.swap(c, a)))
+            return fib.lam(nat_compose(inner, fib.swap(c, a, u)))
         case sf.App(f, x):
             nf = _interp(n, ctx, f, u)
             nx = _interp(n, ctx, x, u)
             arr = nf.target
-            return nat_compose(ccc.ev(arr.dom, arr.cod), ccc.pair(nf, nx))
+            return nat_compose(fib.ev(arr.dom, arr.cod, u), fib.pair(nf, nx))
         case sf.Pair(l, r):
-            return ccc.pair(_interp(n, ctx, l, u), _interp(n, ctx, r, u))
+            return fib.pair(_interp(n, ctx, l, u), _interp(n, ctx, r, u))
         case sf.Fst(b):
             nb = _interp(n, ctx, b, u)
-            return nat_compose(ccc.p1(nb.target.left, nb.target.right), nb)
+            return nat_compose(fib.p1(nb.target.left, nb.target.right, u), nb)
         case sf.Snd(b):
             nb = _interp(n, ctx, b, u)
-            return nat_compose(ccc.p2(nb.target.left, nb.target.right), nb)
+            return nat_compose(fib.p2(nb.target.left, nb.target.right, u), nb)
         case sf.UnitV():
-            return ccc.bang(c)
+            return fib.bang(c, u)
         case sf.TyLam(body):
             shifted = tuple(sf.shift_type(ty, 1) for ty in ctx)
             inner = _interp(n + 1, shifted, body, u)
@@ -311,17 +309,9 @@ def abstraction_check(t: sf.Term, u: ProbeUniverse,
     return report
 
 
-def _pairs_tag(r: PropRel) -> str:
-    return "{" + ",".join(f"({a},{b})" for a, b in r.entries) + "}"
-
-
-def _carrier_tag(a: tuple) -> str:
-    return "{" + ",".join(map(str, a)) + "}"
-
-
 def _rel_tag(r: PropRel) -> str:
-    return (f"{_pairs_tag(r)} on {_carrier_tag(r.dom.elements)}"
-            f"->{_carrier_tag(r.cod.elements)}")
+    return (f"{fib._pairs_tag(r)} on {fib._carrier_tag(r.dom)}"
+            f"->{fib._carrier_tag(r.cod)}")
 
 
 # ---------------------------------------------------------------------------
@@ -455,10 +445,10 @@ def free_theorem_check(t: sf.Term,
                 if out != _atom(0, k):
                     mism = f"image of {x!r} is {out!r}"
                     break
-            report.add(f"acts as the identity on {_carrier_tag(a)}",
+            report.add(f"acts as the identity on {fib._carrier_tag(a)}",
                        not mism, mism)
             if mism and not bad:
-                bad = f"{_carrier_tag(a)}: {mism}"
+                bad = f"{fib._carrier_tag(a)}: {mism}"
         report.add("verdict", not bad,
                    "identity" if not bad else f"unclassified: {bad}")
     elif ty == _CHOOSE_SHAPE:
@@ -476,7 +466,7 @@ def free_theorem_check(t: sf.Term,
                         local.discard("second")
                     if not local and not cex:
                         cex = f"image of ({x!r}, {y!r}) is {out!r}"
-            report.add(f"projects one argument on {_carrier_tag(a)}",
+            report.add(f"projects one argument on {fib._carrier_tag(a)}",
                        bool(local), cex if not local else "")
             overall &= local
         if not overall:
@@ -498,7 +488,7 @@ def free_theorem_check(t: sf.Term,
     for combo in itertools.product(relations, repeat=slots):
         skips: list[str] = []
         why = _check_related(body, combo, er, er, skips)
-        tag = "*".join(_pairs_tag(r) for r in combo)
+        tag = "*".join(fib._pairs_tag(r) for r in combo)
         report.add(f"related to itself at {tag}", why is None, why or "")
         for reason in skips:
             report.skip(f"related to itself at {tag}", reason)

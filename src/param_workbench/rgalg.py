@@ -71,9 +71,6 @@ class Report:
     def failures(self) -> list[Finding]:
         return [f for f in self.findings if not f.passed]
 
-    def extend(self, other: Report) -> None:
-        self.findings.extend(other.findings)
-
 
 # ---------------------------------------------------------------------------
 # finite categories over opaque ids
@@ -325,8 +322,8 @@ def check_cat_functor(f: CatFunctor, dom: FinCategory, cod: FinCategory,
         if fm is None or fm not in cod.src:
             witness = f"morphism {m!r} unmapped"
             break
-        if (cod.src[fm] != f.on_obj[dom.src[m]]
-                or cod.tgt[fm] != f.on_obj[dom.tgt[m]]):
+        if (cod.src[fm] != f.on_obj.get(dom.src[m])
+                or cod.tgt[fm] != f.on_obj.get(dom.tgt[m])):
             witness = f"boundary not preserved at {m!r}"
             break
     report.check(f"{tag}: morphism boundaries", witness)
@@ -335,7 +332,7 @@ def check_cat_functor(f: CatFunctor, dom: FinCategory, cod: FinCategory,
 
     on = f.on_mor   # a broken dom may name morphisms the table lacks
     witness = next((f"identity not preserved at {o!r}" for o in dom.objects
-                    if on.get(dom.id_of.get(o)) != cod.id_of.get(f.on_obj[o])),
+                    if on.get(dom.id_of.get(o)) != cod.id_of.get(f.on_obj.get(o))),
                    None)
     report.check(f"{tag}: preserves identities", witness)
 
@@ -824,6 +821,8 @@ def check_functor_tab(f: RgFunctorTab, report: Report,
                     != f.obj0(tuple(face.on_obj[o] for o in t))):
                 witness = f"face_{face_name} broken on objects at {t!r}"
                 break
+        if witness:  # an object counterexample is not overwritten
+            break
         for t in probes.mor_tuples(1, n):
             if (tuple(face.on_mor.get(m) for m in f.mor1(t))
                     != f.mor0(tuple(face.on_mor[m] for m in t))):

@@ -333,6 +333,16 @@ def tuple_nat(nats: list[RgNatTab]) -> RgNatTab:
         name="<" + ", ".join(n.name for n in nats) + ">")
 
 
+def remap_tables(f: RgFunctorTab, **renamings) -> RgFunctorTab:
+    """f with each named table (obj0, mor0, obj1 or mor1) followed by a
+    renaming of single ids; an id a renaming lacks stays."""
+    tabs = {n: getattr(f, n) for n in ("obj0", "mor0", "obj1", "mor1")}
+    for n, ren in renamings.items():
+        tabs[n] = lambda t, base=tabs[n], ren=ren: tuple(ren.get(x, x) for x in base(t))
+    return RgFunctorTab(f.rg, f.arity_in, f.arity_out, **tabs, eps=f.eps,
+                        name=f"{f.name}[!]")
+
+
 def override_eps(f: RgFunctorTab, env: tuple, value: tuple) -> RgFunctorTab:
     base = f.eps
     return RgFunctorTab(

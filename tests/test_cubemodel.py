@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import verdict_rows
 from param_workbench import cubemodel as cm
 from param_workbench.finmodel import (
     all_functions,
@@ -129,18 +130,13 @@ class TestSquares:
         with pytest.raises(ValueError):
             cm.two_rel(r, cm.weq(A2), r, cm.weq(BX), cells)
 
-    def test_face2_projects_each_edge(self):
+    def test_horizontal_square_edges(self):
         r = self.two_wit()
-        sq = cm.degen2("horizontal", r)
-        assert cm.face2("top", sq) == r
-        assert cm.face2("bottom", sq) == r
-        assert cm.face2("left", sq) == cm.weq(A2)
-        assert cm.face2("right", sq) == cm.weq(BX)
-        with pytest.raises(ValueError):
-            cm.face2("diagonal", sq)
+        sq = cm.square_on("horizontal", r)
+        assert (sq.top, sq.left, sq.bottom, sq.right) == (r, cm.weq(A2), r, cm.weq(BX))
 
     def test_replicating_an_equality_gives_the_all_refl_square(self):
-        sq = cm.degen2("horizontal", cm.weq(A2))
+        sq = cm.square_on("horizontal", cm.weq(A2))
         want = tuple(sorted(
             (((a, a, a, a), (refl(a), refl(a), refl(a), refl(a))) for a in A2),
             key=label_key))
@@ -148,27 +144,27 @@ class TestSquares:
 
     def test_two_witness_pair_fills_two_of_four(self):
         # direct enumeration of the candidate top/bottom witness pairs
-        sq = cm.degen2("horizontal", self.two_wit())
+        sq = cm.square_on("horizontal", self.two_wit())
         filled = [(p, r) for p, r in itertools.product((W0, W1), repeat=2)
                   if sq.holds((0, "x", 0, "x"), (p, refl(0), r, refl("x")))]
         assert filled == [(W0, W0), (W1, W1)]
 
     def test_vertical_is_the_transpose_of_horizontal(self):
         r = self.two_wit()
-        assert (oracles.transpose2(cm.degen2("horizontal", r))
-                == cm.degen2("vertical", r))
+        assert (oracles.transpose2(cm.square_on("horizontal", r))
+                == cm.square_on("vertical", r))
 
     def test_connection_folds_toward_the_named_corner(self):
         r = self.two_wit()
-        up = cm.connection("upper", r)
+        up = cm.square_on("upper", r)
         assert (up.top, up.left) == (r, r)
         assert (up.bottom, up.right) == (cm.weq(BX), cm.weq(BX))
-        low = cm.connection("lower", r)
+        low = cm.square_on("lower", r)
         assert (low.bottom, low.right) == (r, r)
         assert (low.top, low.left) == (cm.weq(A2), cm.weq(A2))
 
     def test_connecting_an_equality_gives_the_all_diagonal_square(self):
-        sq = cm.connection("upper", cm.weq(A2))
+        sq = cm.square_on("upper", cm.weq(A2))
         want = tuple(sorted(
             (((a, a, a, a), (refl(a), refl(a), refl(a), refl(a))) for a in A2),
             key=label_key))
@@ -176,18 +172,17 @@ class TestSquares:
 
     def test_unknown_tags_are_rejected(self):
         r = self.two_wit()
-        for bad_call in (lambda: cm.degen2("upper", r),
-                         lambda: cm.connection("horizontal", r),
-                         lambda: cm.square_on("slanted", r)):
-            with pytest.raises(ValueError):
-                bad_call()
+        with pytest.raises(ValueError, match="slanted"):
+            cm.square_on("slanted", r)
+        with pytest.raises(ValueError, match="slanted"):
+            cm.square_mor_on("slanted", cm.wit_mor_id(r))
 
     @settings(max_examples=60, deadline=None)
     @given(small_wit_rels())
     def test_face_equations_hold_for_any_relation(self, r):
         ed, ec = cm.weq(r.dom), cm.weq(r.cod)
-        h, v = cm.degen2("horizontal", r), cm.degen2("vertical", r)
-        up, low = cm.connection("upper", r), cm.connection("lower", r)
+        h, v, up, low = (cm.square_on(tag, r)
+                         for tag in ("horizontal", "vertical", "upper", "lower"))
         assert (h.top, h.bottom, h.left, h.right) == (r, r, ed, ec)
         assert (v.left, v.right, v.top, v.bottom) == (r, r, ed, ec)
         assert (up.top, up.left, up.bottom, up.right) == (r, r, ec, ec)
@@ -233,7 +228,7 @@ class TestSquareMorphisms:
 
     def test_square_morphisms_must_share_corners(self):
         r1, _ = self.stock()
-        sq = cm.degen2("horizontal", r1)
+        sq = cm.square_on("horizontal", r1)
         i = cm.wit_mor_id(r1)
         other = cm.eq_wmor(fn(A2, A2, {0: 0, 1: 0}))
         with pytest.raises(ValueError, match="corner"):
@@ -248,6 +243,11 @@ def suite():
 class TestEqualitySuite:
     def test_all_laws_pass_on_the_bound_two_universe(self, suite):
         assert suite.ok, [f.law for f in suite.failures]
+
+    def test_rows_and_squares_match_the_frozen_table(self, suite):
+        assert verdict_rows.rows(suite) == verdict_rows.frozen("equality_suite:2")
+        assert (verdict_rows.square_rows(cm.cube_universe(2))
+                == verdict_rows.frozen("squares:2"))
 
     def test_the_six_face_families_are_present(self, suite):
         laws = [f.law for f in suite.findings]
@@ -271,16 +271,43 @@ class TestEqualitySuite:
                 assert iso.is_identity
 
     def test_failures_carry_counterexamples(self, monkeypatch):
-        # vertical replication with its faces kept but its cells dropped
-        real = cm.degen2
+        # each square in turn with its edges kept but its cells dropped
+        real = cm.square_on
+        for tag in cm.SQUARE_TAGS:
+            def unfilled(t, r, tag=tag):
+                sq = real(t, r)
+                if t != tag:
+                    return sq
+                return cm.two_rel(sq.top, sq.left, sq.bottom, sq.right, [])
 
-        def unfilled(which, r):
-            if which != "vertical":
-                return real(which, r)
-            return cm.two_rel(cm.weq(r.dom), r, cm.weq(r.cod), r, [])
+            with monkeypatch.context() as mp:
+                mp.setattr(cm, "square_on", unfilled)
+                rep = cm.equality_suite(cm.cube_universe(1))
+            (bad,) = [f for f in rep.failures
+                      if f.law == "equality squares: all four constructions coincide"]
+            assert repr(A1) in bad.detail, tag
 
-        monkeypatch.setattr(cm, "degen2", unfilled)
-        rep = cm.equality_suite(cm.cube_universe(1))
-        (bad,) = [f for f in rep.failures
-                  if f.law == "equality squares: all four constructions coincide"]
-        assert repr(A1) in bad.detail
+
+@pytest.fixture
+def fresh_squares():
+    """square_on's cache emptied before and after, so a patched layout
+    table is read and none of its squares outlive the test."""
+    cm.square_on.cache_clear()
+    yield
+    cm.square_on.cache_clear()
+
+
+def test_each_layout_needs_its_own_edges(monkeypatch, fresh_squares):
+    # a tag's cells on another tag's edges are not boundary-typed on a
+    # relation that is not an equality; on an equality every layout
+    # builds the same square, so there the swap goes unseen
+    r = cm.wrel(A2, BX, {(0, "x"): (W0, W1)})
+    at_eq = cm.square_on("horizontal", cm.weq(A2))
+    table = dict(cm._SQUARES)
+    for tag, other in itertools.permutations(cm.SQUARE_TAGS, 2):
+        with monkeypatch.context() as mp:
+            mp.setitem(cm._SQUARES, tag, (table[other][0], table[tag][1]))
+            cm.square_on.cache_clear()
+            with pytest.raises(ValueError, match="not boundary-typed"):
+                cm.square_on(tag, r)
+            assert cm.square_on(tag, cm.weq(A2)) == at_eq, (tag, other)

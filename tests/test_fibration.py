@@ -341,15 +341,14 @@ def test_forced_components_are_the_level_one_formers(policy):
     from the trees' values there (two arrows would make ev list a
     1,024-element carrier)."""
     u = fib.graph_universe((1, 2), policy)
-    ccc = fib.FiberCcc(1, u)
     for x, y in itertools.permutations((P1, fib.FUnit(1), fib.FArrow(P1, P1)), 2):
         cases = [
-            (ccc.bang(x), lambda r, s: bang1(r)),
-            (ccc.p1(x, y), fst1),
-            (ccc.p2(x, y), snd1),
-            (ccc.swap(x, y), lambda r, s: pair1(snd1(r, s), fst1(r, s))),
-            (ccc.ev(x, y), eval1),
-            (ccc.lam(ccc.p2(x, y)), lambda r, s: lambda1(snd1(r, s), r, s)),
+            (fib.bang(x, u), lambda r, s: bang1(r)),
+            (fib.p1(x, y, u), fst1),
+            (fib.p2(x, y, u), snd1),
+            (fib.swap(x, y, u), lambda r, s: pair1(snd1(r, s), fst1(r, s))),
+            (fib.ev(x, y, u), eval1),
+            (fib.lam(fib.p2(x, y, u)), lambda r, s: lambda1(snd1(r, s), r, s)),
         ]
         for env in fib.probe_envs(u, 1, 1):
             r, s = fib.evaluate(x, env, u), fib.evaluate(y, env, u)

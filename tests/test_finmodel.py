@@ -417,8 +417,7 @@ def _full(a: FinSetObj) -> PropRel:
 
 
 # for every hash_cons class of the package, a builder of one record from
-# its fields, past the per-argument caches of weq, eq_wmor, degen2 and
-# connection
+# its fields, past the per-argument caches of weq, eq_wmor and square_on
 RECORD_BUILDERS = {
     "FinSetObj": lambda: FinSetObj((0, 1)),
     "FinFn": _swap,
@@ -429,7 +428,7 @@ RECORD_BUILDERS = {
                                     lambda a, b, w: refl(1 - a)),
     "TwoRel": lambda: cm.two_rel(
         *[cm.weq(A2)] * 4, [((x,) * 4, (refl(x),) * 4) for x in A2]),
-    "TwoRelMor": lambda: cm.degen2_mor("vertical", cm.eq_wmor(_swap())),
+    "TwoRelMor": lambda: cm.square_mor_on("vertical", cm.eq_wmor(_swap())),
     "TVar": lambda: sf.TVar(1),
     "UnitT": sf.UnitT,
     "ProdT": lambda: sf.ProdT(sf.TVar(0), sf.UnitT()),
@@ -491,7 +490,7 @@ ONE_FIELD_APART = {
                    fn_id(A1), fn_id(A1), lambda a, b, w, v=v: v)
         for v in (W0, W1)),
     "TwoRel": lambda: (
-        cm.degen2("horizontal", cm.weq(A2)),
+        cm.square_on("horizontal", cm.weq(A2)),
         cm.two_rel(*[cm.weq(A2)] * 4, [((0,) * 4, (refl(0),) * 4)])),
     "TwoRelMor": lambda: (_right_edge_mor(lambda a, b, w: w),
                           _right_edge_mor(lambda a, b, w: W1 if w == W0 else W0)),
@@ -522,9 +521,9 @@ REJECTED_THEN_VALID = {
     "TwoRel": (lambda: cm.TwoRel(cm.weq(A1), cm.weq(A2), cm.weq(A2),
                                  cm.weq(A1), ()),
                lambda: cm.TwoRel(*[cm.weq(A1)] * 4, ())),
-    "TwoRelMor": (lambda: cm.TwoRelMor(*[cm.degen2("horizontal", cm.weq(A1))] * 2,
+    "TwoRelMor": (lambda: cm.TwoRelMor(*[cm.square_on("horizontal", cm.weq(A1))] * 2,
                                        *[cm.wit_mor_id(cm.weq(A2))] * 4),
-                  lambda: cm.two_mor_id(cm.degen2("horizontal", cm.weq(A1)))),
+                  lambda: cm.two_mor_id(cm.square_on("horizontal", cm.weq(A1)))),
     "FProj": (lambda: fib.FProj(1, 1), lambda: fib.FProj(1, 0)),
     "FForall": (lambda: fib.FForall(fib.FUnit(0)), lambda: fib.FForall(fib.FUnit(1))),
     "EnvL": (lambda: fib.EnvL(0, (eq_rel(A2),)), lambda: fib.EnvL(1, (eq_rel(A2),))),

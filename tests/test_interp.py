@@ -174,7 +174,7 @@ class TestMutation:
             bad.at(EnvL(1, (graph_rel(fn(A1, A2, lambda _: 1)),)))
         # compared, the mutant differs at level 0; against itself its
         # level 0 agrees and its missing level-1 component is the answer
-        assert fib.nats_agree(bad, good) == f"components differ at {(A2,)!r}"
+        assert fib.nats_agree(bad, good) == "components differ at ({0,1})"
         assert fib.nats_agree(bad, bad).startswith(
             "no level-1 component at (rel{(0,0)}@{0}->{0,1})")
 
@@ -237,6 +237,56 @@ class TestMutation:
         assert "iel a -> a at ({0,1}): witness action is a bijection" in laws
         assert all("({0,1})" in law for law in laws)
 
+
+
+def _answer_once(monkeypatch, name: str, args: tuple, out) -> None:
+    """sf.unormalize, but with the erased normal form of the named
+    definition applied to args answered by out."""
+    real = sf.unormalize
+    target = real(sf.erase(DEFS[name].term))
+    for a in args:
+        target = sf.UApp(target, a)
+    monkeypatch.setattr(sf, "unormalize", lambda t, fuel=None: (
+        out if t is target else real(t, fuel)))
+
+
+def _failed(rep) -> list:
+    return [(f.law, f.detail) for f in rep.failures]
+
+
+# the element 3 of {0,1,2,3}: only that carrier has it, so one finding
+# reads what the patched normal form answers there
+THREE, TWO = interp._atom(0, 3), interp._atom(0, 2)
+AT_ZERO = [rel(A1, A1, [(0, 0)])]
+
+
+class TestErasedWitnesses:
+    @pytest.mark.parametrize("out, why", [
+        (THREE, f"values are not pairs: {THREE!r} / {THREE!r}"),
+        (sf.UPair(sf.UUnit(), sf.UUnit()), "values are not carrier atoms: "
+         f"{sf.UUnit()!r} / {sf.UUnit()!r}"),
+        (sf.UPair(TWO, TWO), "(2, 2) is not in the relation")])
+    def test_a_wrong_value_fails_one_relational_finding(self, monkeypatch, out, why):
+        _answer_once(monkeypatch, "diag", (THREE,), out)
+        rep = interp.free_theorem_check(DEFS["diag"].term)
+        assert _failed(rep) == [("related to itself at {(3,3)}",
+                                 f"at arguments ({THREE!r}, {THREE!r}): {why}")]
+
+    def test_a_moved_element_fails_the_identity_classification(self, monkeypatch):
+        # the verdict summarises the per-carrier findings, so it fails too
+        _answer_once(monkeypatch, "id", (THREE,), TWO)
+        rep = interp.free_theorem_check(DEFS["id"].term, relations=AT_ZERO)
+        mism = f"image of 3 is {TWO!r}"
+        assert _failed(rep) == [
+            ("acts as the identity on {0,1,2,3}", mism),
+            ("verdict", f"unclassified: {{0,1,2,3}}: {mism}")]
+
+    def test_a_third_answer_fails_the_projection_classification(self, monkeypatch):
+        _answer_once(monkeypatch, "tru", (THREE, TWO), interp._atom(0, 1))
+        rep = interp.free_theorem_check(DEFS["tru"].term, relations=AT_ZERO)
+        cex = f"image of (3, 2) is {interp._atom(0, 1)!r}"
+        assert _failed(rep) == [("projects one argument on {0,1,2,3}", cex),
+                                ("verdict", f"unclassified: {cex}")]
 
 
 class TestRelationData:

@@ -475,3 +475,230 @@ class TestLawSuite:
         check_nat_tab(bad, rep, rey_probes)
         assert not rep.ok
         assert any(repr(env[0]) in f.detail for f in rep.failures)
+
+
+# ---------------------------------------------------------------------------
+# witness branches: each mutant fails exactly the finding named
+# ---------------------------------------------------------------------------
+
+def _discrete(*objs) -> rgalg.FinCategory:
+    """Objects with identities only, each named by its lowercase."""
+    return make_category(list(objs), {o.lower(): (o, o) for o in objs},
+                         {o: o.lower() for o in objs},
+                         {(o.lower(), o.lower()): o.lower() for o in objs})
+
+
+def _monoid(obj: str, comp: dict) -> rgalg.FinCategory:
+    """One object whose morphisms compose by comp; its lowercase is the
+    identity."""
+    mors = {m: (obj, obj) for pair in comp for m in pair}
+    return make_category([obj], mors, {obj: obj.lower()}, comp)
+
+
+def _over_a_point(comp: dict) -> RgCategory:
+    """Level 1 the monoid comp on R, level 0 a point; both faces
+    collapse it, the degeneracy picks its identity."""
+    l1 = _monoid("R", comp)
+    down = lambda: make_cat_functor({"R": "A"}, {m: "a" for m in l1.mor_ids})
+    return RgCategory(_discrete("A"), l1, down(), down(),
+                      make_cat_functor({"A": "R"}, {"a": "r"}))
+
+
+def _failed(f, probes, sub=None) -> list:
+    rep = Report()
+    check_functor_tab(f, rep, probes, sub, tag="F")
+    return [(x.law, x.detail) for x in rep.failures]
+
+
+# r the identity, e idempotent; r, g, h the cyclic group of order 3
+IDEMPOTENT = {("r", "r"): "r", ("e", "r"): "e", ("r", "e"): "e", ("e", "e"): "e"}
+CYCLIC3 = {("r", "r"): "r", ("g", "r"): "g", ("r", "g"): "g", ("h", "r"): "h",
+           ("r", "h"): "h", ("g", "g"): "h", ("g", "h"): "r", ("h", "g"): "r",
+           ("h", "h"): "g"}
+# unital, but x(yy) = x and (xy)y = y
+NON_ASSOCIATIVE = {("1", "1"): "1", ("x", "1"): "x", ("1", "x"): "x",
+                   ("y", "1"): "y", ("1", "y"): "y", ("x", "x"): "1",
+                   ("x", "y"): "1", ("y", "x"): "1", ("y", "y"): "1"}
+
+
+class TestWitnessBranches:
+    def test_a_missing_composite_fails_totality_alone(self):
+        comp = dict(IDEMPOTENT)
+        del comp[("e", "e")]
+        rep = Report()
+        rgalg.check_category(_monoid("R", comp), rep, "x")
+        assert [(f.law, f.detail) for f in rep.failures] == [
+            ("x: compose total on composable pairs",
+             "compose missing on composable ('e', 'e')")]
+
+    @pytest.mark.parametrize("limit, law", [
+        (rgalg.ASSOC_EXHAUSTIVE_LIMIT, "x: associativity (exhaustive, 27 triples)"),
+        (26, "x: associativity (sampled 26 of 27 triples)")])
+    def test_a_non_associative_table_fails_associativity_alone(self, limit, law):
+        cat = make_category(["A"], {m: ("A", "A") for m in "1xy"}, {"A": "1"},
+                            NON_ASSOCIATIVE)
+        rep = Report()
+        rgalg.check_category(cat, rep, "x", limit)
+        assert [f.law for f in rep.failures] == [law]
+        assert rep.failures[0].detail.startswith("associativity fails at")
+
+    def test_an_object_outside_the_codomain_fails_the_object_check_alone(self):
+        # the codomain's object table drops Z, which its morphism z
+        # still names, so every other check can still look Z up
+        cod = make_category(["A"], {"a": ("A", "A"), "z": ("Z", "Z")},
+                            {"A": "a", "Z": "z"}, {("a", "a"): "a", ("z", "z"): "z"})
+        f = make_cat_functor({"A": "A", "O": "Z"}, {"a": "a", "o": "z"})
+        rep = Report()
+        rgalg.check_cat_functor(f, _discrete("A", "O"), cod, rep, "f")
+        assert [(x.law, x.detail) for x in rep.failures] == [
+            ("f: object table total",
+             "object 'O' unmapped or maps outside the codomain")]
+
+    def test_an_unmapped_object_is_a_finding_not_a_lookup_error(self):
+        f = make_cat_functor({"A": "A"}, {"a": "a", "o": "a"})
+        rep = Report()
+        rgalg.check_cat_functor(f, _discrete("A", "O"), _discrete("A"), rep, "f")
+        assert [(x.law, x.detail) for x in rep.failures] == [
+            ("f: object table total", "object 'O' unmapped or maps outside the codomain"),
+            ("f: morphism boundaries", "boundary not preserved at 'o'")]
+        # O with no morphisms at all, not even an identity
+        bare = make_category(["A", "O"], {"a": ("A", "A")}, {"A": "a"},
+                             {("a", "a"): "a"})
+        rep = Report()
+        rgalg.check_cat_functor(make_cat_functor({"A": "A"}, {"a": "a"}), bare,
+                                _discrete("A"), rep, "f")
+        assert [x.law for x in rep.failures] == ["f: object table total"]
+
+    def test_a_moved_boundary_fails_the_boundary_check_alone(self):
+        cat = make_category(["A", "B"], {"a": ("A", "A"), "b": ("B", "B"),
+                                         "m": ("A", "B")},
+                            {"A": "a", "B": "b"},
+                            {("a", "a"): "a", ("b", "b"): "b", ("m", "a"): "m",
+                             ("b", "m"): "m"})
+        f = make_cat_functor({"A": "A", "B": "B"}, {"a": "a", "b": "b", "m": "a"})
+        rep = Report()
+        rgalg.check_cat_functor(f, cat, cat, rep, "f")
+        assert [(x.law, x.detail) for x in rep.failures] == [
+            ("f: morphism boundaries", "boundary not preserved at 'm'")]
+
+    def test_a_functor_off_its_boundaries_fails_them_alone(self, rey_instance,
+                                                           rey_probes):
+        # composition preserved on every pair and identities preserved
+        # force boundaries, so the moved morphism is one no sampled
+        # composable pair names; its image keeps its face images
+        rg, sub = rey_instance
+        cat, top, bot = rg.level1, rg.face_top.on_mor, rg.face_bot.on_mor
+        named = {m for g, f in rey_probes.composable_pairs(1, 1)
+                 for m in (g[0], f[0], cat.comp[(g[0], f[0])])}
+        named.update(cat.id_of.values())
+        m, image = next(
+            (m, m2) for (m,) in rey_probes.mor_tuples(1, 1) if m not in named
+            for m2 in cat.mor_ids
+            if (top[m2], bot[m2]) == (top[m], bot[m])
+            and (cat.src[m2], cat.tgt[m2]) != (cat.src[m], cat.tgt[m]))
+        f = oracles.remap_tables(id_functor(rg, 1), mor1={m: image})
+        assert _failed(f, rey_probes, sub) == [
+            ("F: level-1 boundaries", f"boundary broken at {(m,)!r}")]
+
+    def test_an_identity_sent_to_an_idempotent_fails_identities_alone(self):
+        rg = _over_a_point(IDEMPOTENT)
+        f = oracles.remap_tables(id_functor(rg, 1), mor1={"r": "e"})
+        assert _failed(f, rgalg.Probes(rg)) == [
+            ("F: level-1 identities", "identity broken at ('R',)")]
+
+    def test_a_non_homomorphism_fails_composition_alone(self):
+        rg = _over_a_point(CYCLIC3)
+        f = oracles.remap_tables(id_functor(rg, 1), mor1={"h": "g"})
+        ((law, detail),) = _failed(f, rgalg.Probes(rg))
+        assert law == "F: level-1 composition"
+        assert detail.startswith("composition broken at")
+
+    def test_swapped_objects_over_different_faces_fail_faces_alone(self):
+        # SA and SB lie over A and B and are no degeneracy's image
+        l1 = _discrete("RA", "RB", "SA", "SB")
+        down = lambda: make_cat_functor(
+            {o: o[1] for o in l1.objects}, {m: m[1] for m in l1.mor_ids})
+        rg = RgCategory(_discrete("A", "B"), l1, down(), down(),
+                        make_cat_functor({"A": "RA", "B": "RB"},
+                                         {"a": "ra", "b": "rb"}))
+        f = oracles.remap_tables(id_functor(rg, 1), obj1={"SA": "SB", "SB": "SA"},
+                                 mor1={"sa": "sb", "sb": "sa"})
+        assert _failed(f, rgalg.Probes(rg)) == [
+            ("F: face preservation", "face_top broken on objects at ('SA',)")]
+
+    def test_swapped_parallel_morphisms_fail_faces_alone(self):
+        # level 1 a primed copy of two parallel arrows m, n : A -> B
+        mors = {"a": ("A", "A"), "b": ("B", "B"), "m": ("A", "B"), "n": ("A", "B")}
+        comp = {("a", "a"): "a", ("b", "b"): "b", ("m", "a"): "m", ("b", "m"): "m",
+                ("n", "a"): "n", ("b", "n"): "n"}
+        ids = {"A": "a", "B": "b"}
+
+        def prime(x):
+            return x + "'"
+
+        l1 = make_category([prime(o) for o in ids],
+                           {prime(m): (prime(s), prime(t)) for m, (s, t) in mors.items()},
+                           {prime(o): prime(i) for o, i in ids.items()},
+                           {(prime(g), prime(f)): prime(h) for (g, f), h in comp.items()})
+        down = lambda: make_cat_functor({prime(o): o for o in ids},
+                                        {prime(m): m for m in mors})
+        rg = RgCategory(make_category(list(ids), mors, ids, comp), l1, down(), down(),
+                        make_cat_functor({o: prime(o) for o in ids},
+                                         {m: prime(m) for m in mors}))
+        f = oracles.remap_tables(id_functor(rg, 1), mor1={"m'": "n'", "n'": "m'"})
+        assert _failed(f, rgalg.Probes(rg)) == [
+            ("F: face preservation", "face_top broken on morphisms at (\"m'\",)")]
+
+    def test_a_comparison_with_swapping_faces_fails_eps_coherence_alone(
+            self, rey_instance, rey_probes):
+        rg, sub = rey_instance
+        a2 = fm.fin_set([0, 1])
+        swap = fm.eq_mor(fm.fn(a2, a2, lambda x: 1 - x))
+        f = oracles.override_eps(id_functor(rg, 1), (a2,), (swap,))
+        assert _failed(f, rey_probes, sub) == [
+            ("F: eps coherence", f"eps face image not an identity at {(a2,)!r}")]
+
+    def test_an_unselected_comparison_fails_eps_coherence_alone(
+            self, rey_instance, rey_probes):
+        rg, sub = rey_instance
+        a1 = fm.fin_set([0])
+        dropped = IsoSubcategory(
+            sub.selected0, sub.selected1 - {rg.level1.id_of[fm.eq_rel(a1)]})
+        assert _failed(id_functor(rg, 1), rey_probes, dropped) == [
+            ("F: eps coherence", f"eps not selected at {(a1,)!r}")]
+
+    def test_functors_equal_names_each_difference(self, rey_instance, rey_probes):
+        rg, _ = rey_instance
+        a1, a2 = fm.fin_set([0]), fm.fin_set([0, 1])
+        e1, e2 = fm.eq_rel(a1), fm.eq_rel(a2)
+        same = id_functor(rg, 1)
+        mutants = [
+            (id_functor(rg, 2), "arity mismatch"),
+            (oracles.remap_tables(same, obj0={a1: a2}),
+             f"object tables differ at level 0 on {(a1,)!r}"),
+            (oracles.remap_tables(same, mor0={fm.fn_id(a1): fm.fn_id(a2)}),
+             f"morphism tables differ at level 0 on {(fm.fn_id(a1),)!r}"),
+            (oracles.remap_tables(same, obj1={e1: e2}),
+             f"object tables differ at level 1 on {(e1,)!r}"),
+            (oracles.remap_tables(same, mor1={fm.rel_mor_id(e1): fm.rel_mor_id(e2)}),
+             f"morphism tables differ at level 1 on {(fm.rel_mor_id(e1),)!r}"),
+            (oracles.override_eps(same, (a1,), ()), f"eps tables differ at {(a1,)!r}"),
+        ]
+        for mutant, why in mutants:
+            assert functors_equal(same, mutant, rey_probes) == why
+        assert functors_equal(same, id_functor(rg, 1), rey_probes) is None
+
+    def test_nats_equal_names_each_difference(self, rey_instance, rey_probes):
+        rg, _ = rey_instance
+        a1, e1 = fm.fin_set([0]), fm.eq_rel(fm.fin_set([0]))
+        same = id_nat(id_functor(rg, 1))
+        mutants = [
+            (id_nat(id_functor(rg, 2)), "arity mismatch"),
+            (oracles.override_nat_component(same, 0, (a1,), ()),
+             f"level-0 components differ at {(a1,)!r}"),
+            (oracles.override_nat_component(same, 1, (e1,), ()),
+             f"level-1 components differ at {(e1,)!r}"),
+        ]
+        for mutant, why in mutants:
+            assert nats_equal(same, mutant, rey_probes) == why
+        assert nats_equal(same, id_nat(id_functor(rg, 1)), rey_probes) is None

@@ -14,7 +14,8 @@ import verdict_rows
 # recomputed in each child of the layout test
 LAYOUT_KEYS = ("validate_rg:rey:2", "build_instance:rey:2", "build_instance:crey:2",
                "fibration_suite:rey:2", "abstraction_check:tru",
-               "iel_check:pick_fst", "free_theorem_check:konst")
+               "iel_check:pick_fst", "free_theorem_check:konst",
+               "equality_suite:2", "squares:2")
 
 # argv: the number of junk tuples to allocate first, then LAYOUT_KEYS as JSON
 LAYOUT_CHILD = textwrap.dedent("""\

@@ -7,7 +7,9 @@ verdict_rows.json holds every (law, status, detail) row of:
 * fibration_suite(policy, bound, rounds=1) for every policy at bounds 1-2;
 * validate_rg on the REY bound-2 instance, associativity sampled;
 * build_instance(policy, bound) for every policy at bounds 1-2, as a
-  sha256 of its tables and selection plus each level's sizes.
+  sha256 of its tables and selection plus each level's sizes;
+* equality_suite over the bound-2 cube universe, and that universe's
+  squares and square morphisms as a sha256 of their reprs plus counts.
 
 The tests that run these reports compare them with the file, so a
 refactor that moves a single row fails tier-1.  Regenerate the file only
@@ -31,6 +33,7 @@ CORPUS = HERE.parent / "corpus"
 FIB_BOUNDS = (1, 2)
 INSTANCE_BOUNDS = (1, 2)
 ASSOC_LIMIT = 20_000
+CUBE_BOUND = 2
 
 
 def corpus_defs() -> dict:
@@ -80,9 +83,27 @@ def instance_rows(rg, sub) -> list:
         for i, c in enumerate(levels)]
 
 
+def square_rows(universe) -> list:
+    """A sha256 over the reprs of every square construction on every
+    relation of universe, then of every construction's action on the
+    equality image of every function, with both counts.  Reprs are
+    built from canonically ordered tables, so the digest does not
+    depend on the hash seed."""
+    from param_workbench import cubemodel as cm
+
+    squares = [repr(cm.square_on(tag, r))
+               for tag in cm.SQUARE_TAGS for r in universe.relations]
+    mors = [repr(cm.square_mor_on(tag, cm.eq_wmor(u)))
+            for tag in cm.SQUARE_TAGS for u in universe.functions]
+    digest = hashlib.sha256("\n".join(squares + mors).encode("utf-8")).hexdigest()
+    return [["sha256", digest], ["squares", len(squares)],
+            ["square_morphisms", len(mors)]]
+
+
 def reports():
     """Each key of the file with a thunk that computes its rows, in file
     order.  Listing the keys parses the corpus but runs no report."""
+    from param_workbench import cubemodel as cm
     from param_workbench import fibration as fib
     from param_workbench import finmodel as fm
     from param_workbench import interp
@@ -107,6 +128,9 @@ def reports():
         for bound in INSTANCE_BOUNDS:
             yield instance_key(policy, bound), lambda p=policy, b=bound: (
                 instance_rows(*fm.build_instance(p, b)))
+    yield f"equality_suite:{CUBE_BOUND}", lambda: rows(
+        cm.equality_suite(cm.cube_universe(CUBE_BOUND)))
+    yield f"squares:{CUBE_BOUND}", lambda: square_rows(cm.cube_universe(CUBE_BOUND))
 
 
 def generate() -> dict:
