@@ -37,7 +37,7 @@ of (a, b) in r fills, so a square holds one cell per witness of r.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
@@ -387,12 +387,8 @@ def square_mor_on(tag: str, m: WitRelMor) -> TwoRelMor:
 WIT_ALPHABET = (("w", 0), ("w", 1))
 
 
-@dataclass(frozen=True)
-class CubeUniverse:
-    """Finite probe stock for the square laws."""
-    objects: tuple
-    relations: tuple
-    functions: tuple
+# finite probe stock for the square laws
+CubeUniverse = namedtuple("CubeUniverse", "objects relations functions")
 
 
 def all_wit_rels(a: FinSetObj, b: FinSetObj) -> Iterator[WitRel]:

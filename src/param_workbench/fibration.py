@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cache, cached_property
 from typing import Callable, Optional, Sequence
 
@@ -218,7 +218,6 @@ def _face_env(e: EnvL, side: str) -> EnvL:
 # probe universes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class ProbeUniverse:
     """The fixed finite range of every quantifier in this module.
 
@@ -226,19 +225,17 @@ class ProbeUniverse:
     part of the universe's identity; two universes with permuted probes
     give distinct (if isomorphic) quantifier values.
     """
-    policy: IsoPolicy
-    objs0: tuple
-    objs1: tuple
-    _cache: dict = field(default_factory=dict, repr=False)
 
-    def __post_init__(self):
-        seen0 = set(self.objs0)
-        for r in self.objs1:
+    def __init__(self, policy: IsoPolicy, objs0: tuple, objs1: tuple):
+        seen0 = set(objs0)
+        for r in objs1:
             if r.dom not in seen0 or r.cod not in seen0:
                 raise ValueError("every probe relation needs probe endpoints")
-        for a in self.objs0:
-            if eq_rel(a) not in self.objs1:
+        for a in objs0:
+            if eq_rel(a) not in objs1:
                 raise ValueError(f"missing equality probe for {a.elements!r}")
+        self.policy, self.objs0, self.objs1 = policy, objs0, objs1
+        self._cache = {}
 
     @cached_property
     def index0(self) -> dict:
@@ -642,7 +639,6 @@ def epsilon_of(f: TypeFunctor, env: tuple, u: ProbeUniverse) -> PropRelMor:
 # natural transformations as queryable components
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class NatRep:
     """A transformation between two same-arity trees, read in a universe.
 
@@ -655,16 +651,15 @@ class NatRep:
     computed once per environment and kept: a component is pure,
     because the universe it reads is fixed.
     """
-    source: TypeFunctor
-    target: TypeFunctor
-    component: Callable[[EnvL], FinFn]
-    universe: ProbeUniverse
-    name: str = "nat"
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
-    def __post_init__(self):
-        if self.source.arity != self.target.arity:
+    def __init__(self, source: TypeFunctor, target: TypeFunctor,
+                 component: Callable[[EnvL], FinFn], universe: ProbeUniverse,
+                 name: str = "nat"):
+        if source.arity != target.arity:
             raise ValueError("transformation endpoints disagree on arity")
+        self.source, self.target, self.component = source, target, component
+        self.universe, self.name = universe, name
+        self._memo = {}
 
     @property
     def arity(self) -> int:
@@ -786,19 +781,16 @@ def _env_tag(env: EnvL) -> str:
 # the base category of slot counts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CtxMor:
+class CtxMor(namedtuple("CtxMor", "src tgt comps")):
     """A morphism n -> m of the base: one arity-n tree per target slot."""
-    src: int
-    tgt: int
-    comps: tuple
 
-    def __post_init__(self):
-        if len(self.comps) != self.tgt:
+    def __new__(cls, src: int, tgt: int, comps: tuple):
+        if len(comps) != tgt:
             raise ValueError("component count must match the target")
-        for c in self.comps:
-            if c.arity != self.src:
+        for c in comps:
+            if c.arity != src:
                 raise ValueError("component arity must match the source")
+        return super().__new__(cls, src, tgt, comps)
 
 
 def ctx_id(n: int) -> CtxMor:
@@ -1009,12 +1001,11 @@ MAX_RELATIONS = 48
 MAX_ROUNDS = 4
 
 
-@dataclass(frozen=True, eq=False)
 class ClosureResult:
-    universe: ProbeUniverse
-    ok: bool
-    rounds: int
-    reason: Optional[str] = None
+    def __init__(self, universe: ProbeUniverse, ok: bool, rounds: int,
+                 reason: Optional[str] = None):
+        self.universe, self.ok = universe, ok
+        self.rounds, self.reason = rounds, reason
 
 
 def universe_closure(ty_args: Sequence[TypeFunctor],

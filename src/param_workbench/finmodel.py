@@ -17,14 +17,17 @@ order may come from set order.  A record class declares its fields as
 annotations, in order, and is called with them positionally; its
 __post_init__ validates each value once, when first built.  Fields are
 frozen and listed in __match_args__, so match statements read them.
+The other records of the package are not interned: those compared by
+value (rgalg's findings, categories and functors, cubemodel's universe,
+fibration's context morphisms, systemf's tokens and definitions) are
+namedtuples, and those compared by identity are plain classes.  The
+package imports neither dataclasses nor inspect.
 """
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import operator
-from dataclasses import FrozenInstanceError
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional
@@ -69,6 +72,10 @@ def is_canonical(labels) -> bool:
 _SHOWN: dict = {}
 
 
+class FrozenInstanceError(AttributeError):
+    """Raised on assigning or deleting a hash-consed record's field."""
+
+
 def hash_cons(cls):
     """Make cls an interned, frozen record class: one instance per value.
 
@@ -83,11 +90,16 @@ def hash_cons(cls):
     __match_args__ lists them for match statements.  Equality is
     identity and the hash is object's: set order follows addresses, so
     every order that reaches an output comes from label_key or
-    rgalg._rkey alone.  The repr (the class's own, else dataclass's
-    field list) is stored once, children first, so a parent's repr reads
-    its children's stored strings, however deep.
+    rgalg._rkey alone.  The repr (the class's own, else the field list
+    in dataclass's format) is stored once, children first, so a parent's
+    repr reads its children's stored strings, however deep.  Records
+    whose equal values must stay distinct objects, or that are built
+    per result, are namedtuples instead: interning would merge the two
+    declared faces rgalg.check_faces_distinct tells apart, and keep
+    every finding in a table for good.
     """
-    names = tuple(inspect.get_annotations(cls))
+    # a class's own annotations only, not its bases', since Python 3.10
+    names = tuple(cls.__annotations__)
     post = getattr(cls, "__post_init__", None)
     # object's own setter, past the frozen one, keeps key-sharing dicts
     set_field = object.__setattr__

@@ -26,7 +26,6 @@ the erased-term checker remains the fallback route.
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 from typing import Optional, Sequence
 
 from . import fibration as fib
@@ -133,7 +132,8 @@ def interp_term(tyctx_depth: int, termctx: Sequence[sf.Type], t: sf.Term,
     sf.typecheck(tyctx_depth, ctx, t)
     nat = _interp(tyctx_depth, ctx, t, u)
     pretty = sf.pretty_term(t, tyctx_depth, len(ctx))
-    return replace(nat, name=f"interp({pretty})")
+    return NatRep(nat.source, nat.target, nat.component, nat.universe,
+                  f"interp({pretty})")
 
 
 def _interp(n: int, ctx: tuple, t: sf.Term, u: ProbeUniverse) -> NatRep:

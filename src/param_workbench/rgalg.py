@@ -13,13 +13,19 @@ in the sorted object and morphism tables, never by repr of pairs, and
 counterexamples are sought in that order: ids may hash by address, so
 neither depends on set order, nor on how callers list entries.  A
 compose table built from compose_fn is listed in rank order at once.
+
+Findings, categories, functors, structures and selections are
+namedtuples: equal by value and hashed by their field tuple, but not
+interned, so two equal functors built apart stay two objects.  Reports,
+probe stocks and the tabulated functors and transformations are plain
+classes, compared by identity.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cache, cached_property
 from typing import Callable, Iterable, Optional
 
@@ -27,11 +33,8 @@ from typing import Callable, Iterable, Optional
 # reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Finding:
-    law: str
-    status: str  # "pass", "fail" or "skip"
-    detail: str = ""
+class Finding(namedtuple("Finding", "law status detail", defaults=("",))):
+    """One law's verdict: status is "pass", "fail" or "skip"."""
 
     @property
     def passed(self) -> bool:
@@ -43,9 +46,9 @@ class Finding:
                 "detail": self.detail}
 
 
-@dataclass
 class Report:
-    findings: list[Finding] = field(default_factory=list)
+    def __init__(self):
+        self.findings: list[Finding] = []
 
     def add(self, law: str, passed: bool, detail: str = "") -> None:
         self.findings.append(Finding(law, "pass" if passed else "fail", detail))
@@ -80,12 +83,11 @@ def _rkey(x) -> str:
     return repr(x)
 
 
-@dataclass(frozen=True)
-class FinCategory:
-    objects: tuple                  # object ids
-    morphisms: tuple                # ((mor id, src id, tgt id), ...)
-    identity: tuple                 # ((obj id, mor id), ...)
-    compose: tuple                  # (((g id, f id), gf id), ...)
+class FinCategory(namedtuple("FinCategory",
+                             "objects morphisms identity compose")):
+    """objects: (obj id, ...); morphisms: ((mor id, src id, tgt id), ...);
+    identity: ((obj id, mor id), ...); compose: (((g id, f id), gf id),
+    ...)."""
 
     @cached_property
     def src(self) -> dict:
@@ -274,10 +276,8 @@ def check_category(c: FinCategory, report: Report, tag: str,
 # functors between finite categories (used for faces and the degeneracy)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CatFunctor:
-    obj_map: tuple   # ((obj id, obj id), ...)
-    mor_map: tuple   # ((mor id, mor id), ...)
+class CatFunctor(namedtuple("CatFunctor", "obj_map mor_map")):
+    """obj_map: ((obj id, obj id), ...); mor_map: ((mor id, mor id), ...)."""
 
     @cached_property
     def on_obj(self) -> dict:
@@ -310,8 +310,9 @@ def cat_functor_id(c: FinCategory) -> CatFunctor:
 def check_cat_functor(f: CatFunctor, dom: FinCategory, cod: FinCategory,
                       report: Report, tag: str) -> None:
     witness = None
+    cod_objects = set(cod.objects)
     for o in dom.objects:
-        if f.on_obj.get(o) not in set(cod.objects):
+        if f.on_obj.get(o) not in cod_objects:
             witness = f"object {o!r} unmapped or maps outside the codomain"
             break
     report.check(f"{tag}: object table total", witness)
@@ -348,19 +349,9 @@ def check_cat_functor(f: CatFunctor, dom: FinCategory, cod: FinCategory,
 # the two-level structure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RgCategory:
-    level0: FinCategory
-    level1: FinCategory
-    face_top: CatFunctor      # level1 -> level0
-    face_bot: CatFunctor      # level1 -> level0
-    degen: CatFunctor         # level0 -> level1
-
-
-@dataclass(frozen=True)
-class IsoSubcategory:
-    selected0: frozenset
-    selected1: frozenset
+# both faces run level1 -> level0, the degeneracy level0 -> level1
+RgCategory = namedtuple("RgCategory", "level0 level1 face_top face_bot degen")
+IsoSubcategory = namedtuple("IsoSubcategory", "selected0 selected1")
 
 
 def _closure_of_maps(rg: RgCategory) -> set:
@@ -522,7 +513,6 @@ def _tuples(items: tuple, n: int) -> list:
     return out
 
 
-@dataclass
 class Probes:
     """Enumerations the law harness quantifies over.
 
@@ -536,9 +526,9 @@ class Probes:
     tuples.  Each enumeration depends only on (level, arity), so it is
     built once per instance and handed out as a tuple.
     """
-    rg: RgCategory
 
-    def __post_init__(self):
+    def __init__(self, rg: RgCategory):
+        self.rg = rg
         self.obj_tuples = cache(self.obj_tuples)
         self.mor_tuples = cache(self.mor_tuples)
         self.composable_pairs = cache(self.composable_pairs)
@@ -567,7 +557,6 @@ class Probes:
 # tabulated functors between powers of the structure
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
 class RgFunctorTab:
     """Functor from the arity_in-th power to the arity_out-th power.
 
@@ -577,40 +566,30 @@ class RgFunctorTab:
     mediating between the degeneracy of the image and the image of the
     degeneracies.
     """
-    rg: RgCategory
-    arity_in: int
-    arity_out: int
-    obj0: Callable
-    mor0: Callable
-    obj1: Callable
-    mor1: Callable
-    eps: Callable
-    name: str = "functor"
 
-    def __post_init__(self):
-        self.obj0 = cache(self.obj0)
-        self.mor0 = cache(self.mor0)
-        self.obj1 = cache(self.obj1)
-        self.mor1 = cache(self.mor1)
-        self.eps = cache(self.eps)
+    def __init__(self, rg: RgCategory, arity_in: int, arity_out: int,
+                 obj0: Callable, mor0: Callable, obj1: Callable,
+                 mor1: Callable, eps: Callable, name: str = "functor"):
+        self.rg, self.name = rg, name
+        self.arity_in, self.arity_out = arity_in, arity_out
+        self.obj0 = cache(obj0)
+        self.mor0 = cache(mor0)
+        self.obj1 = cache(obj1)
+        self.mor1 = cache(mor1)
+        self.eps = cache(eps)
 
 
-@dataclass(eq=False)
 class RgNatTab:
     """Transformation between functors with a common boundary; eta0 and
     eta1 assign component morphism tuples to object tuples."""
-    src: RgFunctorTab
-    tgt: RgFunctorTab
-    eta0: Callable
-    eta1: Callable
-    name: str = "nat"
 
-    def __post_init__(self):
-        if (self.src.arity_in != self.tgt.arity_in
-                or self.src.arity_out != self.tgt.arity_out):
+    def __init__(self, src: RgFunctorTab, tgt: RgFunctorTab, eta0: Callable,
+                 eta1: Callable, name: str = "nat"):
+        if src.arity_in != tgt.arity_in or src.arity_out != tgt.arity_out:
             raise ValueError("boundary mismatch")
-        self.eta0 = cache(self.eta0)
-        self.eta1 = cache(self.eta1)
+        self.src, self.tgt, self.name = src, tgt, name
+        self.eta0 = cache(eta0)
+        self.eta1 = cache(eta1)
 
     @property
     def rg(self) -> RgCategory:
@@ -680,31 +659,6 @@ def compose_functor(g: RgFunctorTab, f: RgFunctorTab) -> RgFunctorTab:
         obj0=lambda t: g.obj0(f.obj0(t)), mor0=lambda t: g.mor0(f.mor0(t)),
         obj1=lambda t: g.obj1(f.obj1(t)), mor1=lambda t: g.mor1(f.mor1(t)),
         eps=eps, name=f"({g.name} . {f.name})")
-
-
-def tuple_functor(funs: list[RgFunctorTab], rg: Optional[RgCategory] = None,
-                  arity_in: Optional[int] = None) -> RgFunctorTab:
-    """Pair components into the product; empty input needs rg and arity."""
-    if not funs:
-        if rg is None or arity_in is None:
-            raise ValueError("empty tuple needs explicit structure and arity")
-        return RgFunctorTab(rg, arity_in, 0,
-                            obj0=lambda t: (), mor0=lambda t: (),
-                            obj1=lambda t: (), mor1=lambda t: (),
-                            eps=lambda t: (), name="<>")
-    n = funs[0].arity_in
-    if any(f.arity_in != n for f in funs):
-        raise ValueError("tuple components need a common domain arity")
-
-    def fan(call):
-        return lambda t: tuple(x for f in funs for x in call(f)(t))
-
-    return RgFunctorTab(
-        funs[0].rg, n, sum(f.arity_out for f in funs),
-        obj0=fan(lambda f: f.obj0), mor0=fan(lambda f: f.mor0),
-        obj1=fan(lambda f: f.obj1), mor1=fan(lambda f: f.mor1),
-        eps=fan(lambda f: f.eps),
-        name="<" + ", ".join(f.name for f in funs) + ">")
 
 
 def id_nat(f: RgFunctorTab) -> RgNatTab:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .finmodel import hash_cons
@@ -607,12 +606,7 @@ _TOKEN_RE = re.compile(r"""
 _KEYWORDS = {"forall", "unit", "fst", "snd"}
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str
-    text: str
-    line: int
-    col: int
+_Tok = namedtuple("_Tok", "kind text line col")
 
 
 def _tokenize(src: str) -> list[_Tok]:
@@ -818,11 +812,7 @@ def parse_term_str(src: str, defs: Optional[dict[str, Term]] = None) -> Term:
     return t
 
 
-@dataclass(frozen=True)
-class Definition:
-    name: str
-    declared: Type
-    term: Term
+Definition = namedtuple("Definition", "name declared term")
 
 
 def parse_program(src: str) -> list[Definition]:

@@ -10,6 +10,7 @@ shift/substitute typechecker is evidence rather than tautology.
 from __future__ import annotations
 
 import itertools
+from typing import Optional
 
 from param_workbench import cubemodel as cb
 from param_workbench import fibration as fib
@@ -17,8 +18,7 @@ from param_workbench import systemf as sf
 from param_workbench.finmodel import (FinFn, all_functions, apply_label, expo0,
                                       fn, fn_id, fn_label, label_key, prod_fn,
                                       rel, terminal0, try_rel_mor)
-from param_workbench.rgalg import (RgCategory, RgFunctorTab, RgNatTab,
-                                   tuple_functor)
+from param_workbench.rgalg import RgCategory, RgFunctorTab, RgNatTab
 
 # Semantic types are tuples:
 #   ("atom", level) | ("unit",) | ("prod", l, r) | ("arrow", d, c)
@@ -308,8 +308,9 @@ def erases_to(t, u) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# reflexive-graph tables only the tests build: a projection, a tuple of
-# transformations, and mutants that break one entry on purpose
+# reflexive-graph tables only the tests build: a projection, tuples of
+# functors and of transformations, and mutants that break one entry on
+# purpose
 # ---------------------------------------------------------------------------
 
 def proj_functor(rg: RgCategory, arity: int, i: int) -> RgFunctorTab:
@@ -321,6 +322,31 @@ def proj_functor(rg: RgCategory, arity: int, i: int) -> RgFunctorTab:
         obj1=lambda t: (t[i],), mor1=lambda t: (t[i],),
         eps=lambda t: (rg.level1.id_of[rg.degen.on_obj[t[i]]],),
         name=f"pr{arity}_{i}")
+
+
+def tuple_functor(funs: list[RgFunctorTab], rg: Optional[RgCategory] = None,
+                  arity_in: Optional[int] = None) -> RgFunctorTab:
+    """Pair components into the product; empty input needs rg and arity."""
+    if not funs:
+        if rg is None or arity_in is None:
+            raise ValueError("empty tuple needs explicit structure and arity")
+        return RgFunctorTab(rg, arity_in, 0,
+                            obj0=lambda t: (), mor0=lambda t: (),
+                            obj1=lambda t: (), mor1=lambda t: (),
+                            eps=lambda t: (), name="<>")
+    n = funs[0].arity_in
+    if any(f.arity_in != n for f in funs):
+        raise ValueError("tuple components need a common domain arity")
+
+    def fan(call):
+        return lambda t: tuple(x for f in funs for x in call(f)(t))
+
+    return RgFunctorTab(
+        funs[0].rg, n, sum(f.arity_out for f in funs),
+        obj0=fan(lambda f: f.obj0), mor0=fan(lambda f: f.mor0),
+        obj1=fan(lambda f: f.obj1), mor1=fan(lambda f: f.mor1),
+        eps=fan(lambda f: f.eps),
+        name="<" + ", ".join(f.name for f in funs) + ">")
 
 
 def tuple_nat(nats: list[RgNatTab]) -> RgNatTab:

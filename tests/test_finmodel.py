@@ -531,8 +531,11 @@ REJECTED_THEN_VALID = {
 
 
 def _dataclass_twin(cls):
-    """A @dataclass(frozen=True) class of cls's name and annotations."""
-    twin = type(cls.__name__, (), {"__annotations__": inspect.get_annotations(cls)})
+    """A @dataclass(frozen=True) class of cls's name and fields: a
+    namedtuple's _fields, else the class's own annotations."""
+    fields = (dict.fromkeys(cls._fields, "object") if hasattr(cls, "_fields")
+              else inspect.get_annotations(cls))
+    twin = type(cls.__name__, (), {"__annotations__": fields})
     return dataclasses.dataclass(frozen=True)(twin)
 
 
@@ -633,9 +636,9 @@ class TestRecordProtocol:
         x = RECORD_BUILDERS[name]()
         before = repr(x)
         field = (type(x).__match_args__ or ("extra",))[0]
-        with pytest.raises(dataclasses.FrozenInstanceError, match="cannot assign"):
+        with pytest.raises(fm.FrozenInstanceError, match="cannot assign"):
             setattr(x, field, None)
-        with pytest.raises(dataclasses.FrozenInstanceError, match="cannot delete"):
+        with pytest.raises(fm.FrozenInstanceError, match="cannot delete"):
             delattr(x, field)
         assert repr(x) == before and RECORD_BUILDERS[name]() is x
 
@@ -685,6 +688,67 @@ class TestRecordProtocol:
             with pytest.raises(ValueError):
                 Even(3)
         assert seen == [2, 3, 3]
+
+
+def _one_object_category() -> rgalg.FinCategory:
+    return rgalg.make_category({0}, {"i": (0, 0)}, {0: "i"}, {("i", "i"): "i"})
+
+
+def _one_object_functor() -> rgalg.CatFunctor:
+    return rgalg.make_cat_functor({0: 0}, {"i": "i"})
+
+
+# each value-compared namedtuple class -> a builder of a value, called
+# twice for two equal values built apart, and one of a different value
+VALUE_BUILDERS = {
+    "Finding": (lambda: rgalg.Finding("law", "pass"),
+                lambda: rgalg.Finding("law", "fail", "at 0")),
+    "FinCategory": (_one_object_category,
+                    lambda: rgalg.make_category({1}, {"i": (1, 1)}, {1: "i"},
+                                                {("i", "i"): "i"})),
+    "CatFunctor": (_one_object_functor,
+                   lambda: rgalg.make_cat_functor({0: 1}, {"i": "i"})),
+    "RgCategory": (lambda: rgalg.RgCategory(_one_object_category(),
+                                            _one_object_category(),
+                                            *[_one_object_functor()] * 3),
+                   lambda: rgalg.RgCategory(*[_one_object_category()] * 2,
+                                            *[_one_object_functor()] * 2,
+                                            rgalg.make_cat_functor({0: 1}, {}))),
+    "IsoSubcategory": (lambda: rgalg.IsoSubcategory(frozenset({0}), frozenset({"i"})),
+                       lambda: rgalg.IsoSubcategory(frozenset({0}), frozenset())),
+    "CubeUniverse": (lambda: cm.CubeUniverse((A1,), (cm.weq(A1),), (fn_id(A1),)),
+                     lambda: cm.CubeUniverse((A1, A2), (cm.weq(A1),), ())),
+    "CtxMor": (lambda: fib.ctx_id(1), lambda: fib.ctx_proj(1)),
+    "_Tok": (lambda: sf._tokenize("x")[0], lambda: sf._tokenize(" x")[0]),
+    "Definition": (lambda: sf.parse_program("i : forall a. a -> a = /\\a. \\x:a. x")[0],
+                   lambda: sf.parse_program("u : unit = ()")[0]),
+}
+
+
+class TestValueRecords:
+    """The records compared by value read, hash and compare as their
+    frozen dataclasses did, and equal ones built apart stay two objects."""
+
+    @pytest.mark.parametrize("name", sorted(VALUE_BUILDERS))
+    def test_repr_hash_and_equality_are_the_dataclass_ones(self, name):
+        build, build_other = VALUE_BUILDERS[name]
+        x, y, z = build(), build(), build_other()
+        assert type(x).__name__ == type(z).__name__ == name
+        twin = _dataclass_twin(type(x))
+        tx, ty, tz = (twin(*_fields(v)) for v in (x, y, z))
+        assert [repr(v) for v in (x, y, z)] == [repr(v) for v in (tx, ty, tz)]
+        assert [hash(v) for v in (x, y, z)] == [hash(v) for v in (tx, ty, tz)]
+        assert (x == y, x == z, x != z) == (tx == ty, tx == tz, tx != tz) == (
+            True, False, True)
+
+    def test_equal_functors_built_apart_stay_two_objects(self):
+        # check_faces_distinct reads face_top is face_bot
+        f, g = _one_object_functor(), _one_object_functor()
+        assert f == g and f is not g
+        rg = rgalg.RgCategory(*[_one_object_category()] * 2, f, g, f)
+        rep = rgalg.Report()
+        rgalg.check_faces_distinct(rg, rep)
+        assert rep.ok
 
 
 class TestHashCons:

@@ -5,8 +5,8 @@ mechanism.  Nothing sorts by repr but rgalg._rkey, so ordering goes
 through the one key that reads hash_cons's cached repr.  fibration
 builds relation morphisms only where NatRep forces a level-1 component
 and in epsilon_of, so every transformation's level 1 has one source.
-Interned records are built by hash_cons alone, not by dataclass code
-generation."""
+Importing the package loads neither dataclasses nor inspect, so no
+record class is built by dataclass code generation."""
 
 import ast
 import os
@@ -170,22 +170,32 @@ def test_a_relation_morphism_builder_is_found():
         "NatRep._forced", "epsilon_of", "pair.comp", "<module>"]
 
 
-def test_importing_the_package_generates_only_the_plain_dataclasses():
-    # in a fresh interpreter, so every module is imported here
-    script = ("import dataclasses\n"
-              "made = []\n"
-              "real = dataclasses._process_class\n"
-              "def count(cls, *args, **kwargs):\n"
-              "    made.append(cls)\n"
-              "    return real(cls, *args, **kwargs)\n"
-              "dataclasses._process_class = count\n"
-              "import param_workbench\n"
-              "from param_workbench import finmodel\n"
-              "interned = [c for c in finmodel._SHOWN if dataclasses.is_dataclass(c)]\n"
-              "print(len(made), len(finmodel._SHOWN), len(interned))\n")
+def _fresh_import(script: str) -> list[str]:
+    """What script prints, split, run in a fresh interpreter."""
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent),
                                          os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, timeout=120, check=True,
                          env={**os.environ, "PYTHONPATH": path})
-    assert out.stdout.split() == ["16", "35", "0"]
+    return out.stdout.split()
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    # in fresh interpreters, so every module is imported here
+    generated = ("import dataclasses\n"
+                 "made = []\n"
+                 "real = dataclasses._process_class\n"
+                 "def count(cls, *args, **kwargs):\n"
+                 "    made.append(cls)\n"
+                 "    return real(cls, *args, **kwargs)\n"
+                 "dataclasses._process_class = count\n"
+                 "import param_workbench\n"
+                 "from param_workbench import finmodel\n"
+                 "print(len(made), len(finmodel._SHOWN))\n")
+    assert _fresh_import(generated) == ["0", "35"]
+    added = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "import param_workbench\n"
+             "print('loaded:', *sorted({'dataclasses', 'inspect'}\n"
+             "                         & (set(sys.modules) - before)))\n")
+    assert _fresh_import(added) == ["loaded:"]

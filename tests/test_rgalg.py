@@ -10,6 +10,7 @@ import pytest
 
 import oracles
 import verdict_rows
+from oracles import tuple_functor
 import param_workbench
 from param_workbench import finmodel as fm
 from param_workbench import rgalg
@@ -30,7 +31,6 @@ from param_workbench.rgalg import (
     make_cat_functor,
     make_category,
     nats_equal,
-    tuple_functor,
     validate_rg,
     whisker,
 )
