@@ -372,8 +372,9 @@ def _enumerate_related(ty: sf.Type, rho: Sequence[PropRel]):
 
 
 def _check_related(ty: sf.Type, rho: Sequence[PropRel], lhs, rhs,
-                   skips: list) -> Optional[str]:
-    """None when the two normal forms are related; else a counterexample."""
+                   skips: list, norm) -> Optional[str]:
+    """None when the two normal forms are related; else a counterexample.
+    norm normalizes the erased applications."""
     match ty:
         case sf.TVar(i):
             slot = len(rho) - 1 - i
@@ -390,8 +391,8 @@ def _check_related(ty: sf.Type, rho: Sequence[PropRel], lhs, rhs,
         case sf.ProdT(l, r):
             if not (isinstance(lhs, sf.UPair) and isinstance(rhs, sf.UPair)):
                 return f"values are not pairs: {lhs!r} / {rhs!r}"
-            return (_check_related(l, rho, lhs.left, rhs.left, skips)
-                    or _check_related(r, rho, lhs.right, rhs.right, skips))
+            return (_check_related(l, rho, lhs.left, rhs.left, skips, norm)
+                    or _check_related(r, rho, lhs.right, rhs.right, skips, norm))
         case sf.ArrowT(d, c):
             args = _enumerate_related(d, rho)
             if args is None:
@@ -399,9 +400,8 @@ def _check_related(ty: sf.Type, rho: Sequence[PropRel], lhs, rhs,
                              "is not finitely enumerable from the instances")
                 return None
             for ua, ub in args:
-                la = sf.unormalize(sf.UApp(lhs, ua))
-                rb = sf.unormalize(sf.UApp(rhs, ub))
-                why = _check_related(c, rho, la, rb, skips)
+                la, rb = norm(sf.UApp(lhs, ua)), norm(sf.UApp(rhs, ub))
+                why = _check_related(c, rho, la, rb, skips, norm)
                 if why is not None:
                     return f"at arguments ({ua!r}, {ub!r}): {why}"
             return None
@@ -428,12 +428,24 @@ def free_theorem_check(t: sf.Term,
     finding computed by direct normalization: "identity" for the
     one-argument shape, a projection classification for the
     two-argument one.  May raise FuelExhausted on runaway terms.
+
+    The verdict loops and the per-carrier diagonals ask for the same
+    erased applications again and again, so normal forms are memoized in
+    a dict that lives only for this call: each is computed once.
     """
     report = Report()
     ty = sf.typecheck(0, (), t)
     if not isinstance(ty, sf.ForallT):
         raise ValueError("free theorems want a quantified type")
-    er = sf.unormalize(sf.erase(t))
+    memo: dict = {}
+
+    def norm(u):
+        nf = memo.get(u)
+        if nf is None:
+            nf = memo[u] = sf.unormalize(u)  # the module attribute, patchable
+        return nf
+
+    er = norm(sf.erase(t))
     sets = [tuple(range(k)) for k in (1, 2, 3, 4)]
 
     if ty == _ID_SHAPE:
@@ -441,7 +453,7 @@ def free_theorem_check(t: sf.Term,
         for a in sets:
             mism = ""
             for k, x in enumerate(a):
-                out = sf.unormalize(sf.UApp(er, _atom(0, k)))
+                out = norm(sf.UApp(er, _atom(0, k)))
                 if out != _atom(0, k):
                     mism = f"image of {x!r} is {out!r}"
                     break
@@ -458,8 +470,7 @@ def free_theorem_check(t: sf.Term,
             local = {"first", "second"}
             for i, x in enumerate(a):
                 for j, y in enumerate(a):
-                    out = sf.unormalize(
-                        sf.UApp(sf.UApp(er, _atom(0, i)), _atom(0, j)))
+                    out = norm(sf.UApp(sf.UApp(er, _atom(0, i)), _atom(0, j)))
                     if out != _atom(0, i):
                         local.discard("first")
                     if out != _atom(0, j):
@@ -487,7 +498,7 @@ def free_theorem_check(t: sf.Term,
                      for a in sets for x in a]
     for combo in itertools.product(relations, repeat=slots):
         skips: list[str] = []
-        why = _check_related(body, combo, er, er, skips)
+        why = _check_related(body, combo, er, er, skips, norm)
         tag = "*".join(fib._pairs_tag(r) for r in combo)
         report.add(f"related to itself at {tag}", why is None, why or "")
         for reason in skips:

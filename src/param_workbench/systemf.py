@@ -5,6 +5,12 @@ typechecking is syntax-directed. Both binder kinds use de Bruijn
 indices; the pretty-printer regenerates fresh names. `normalize` and
 `unormalize` share one NbE core.
 
+The hot walkers (`_eval`, `_normal_form`, `erase`) dispatch on
+`type(t)` with an `is` chain, most frequent case first: a `match` class
+pattern costs an isinstance call per arm tried plus an attribute read
+per captured field, and App would be its seventh arm. Cold paths
+(typechecking, printing, type substitution) keep `match`.
+
 Syntax nodes are interned (finmodel.hash_cons) and built by positional
 fields only, so `==` is identity and the hash is the identity hash: a
 normal form deeper than the recursion limit compares and hashes without
@@ -343,6 +349,10 @@ def unormalize(t: UntypedTerm, fuel: Optional[int] = None) -> UntypedTerm:
 # closure of a Lam, ULam or TyLam, a pair of thunks, UnitV() or UUnit(), a
 # variable level (negative when free), or a neutral: a value and the ctor and
 # argument (thunk, (type, tyenv) or None) of an elimination it cannot contract.
+# Thunks are call-by-need: each one entered in head position is given the
+# weak head value once it is known. _eval and _normal_form branch on the
+# exact class (no subclasses exist) in order of frequency, as the module
+# docstring says. Only _eval recurses, on the fn or body it eliminates.
 
 _Clo = namedtuple("_Clo", "lam env tyenv")
 _TyClo = namedtuple("_TyClo", "body env tyenv")
@@ -358,58 +368,66 @@ class _Thunk:
         self.term, self.env, self.tyenv, self.value = term, env, tyenv, value
 
 
-def _memo(forced: list, v):
-    for th in forced:
-        th.value = v
-    return v
-
-
 def _eval(t, env: tuple, tyenv: tuple, fuel: list):
     """Weak head value of a term or thunk. Contractions and thunks in head
     position loop instead of recursing; each thunk entered gets the value."""
-    forced: list = []
+    forced = None
     while True:
-        match t:
-            case _Thunk() if t.value is None:
-                forced.append(t)
-                t, env, tyenv = t.term, t.env, t.tyenv
-                continue
-            case _Thunk():
-                return _memo(forced, t.value)
-            case Var(i) | UVar(i) if i < len(env):
+        c = type(t)
+        if c is _Thunk:
+            if t.value is not None:
+                v = t.value
+                break
+            forced = forced or []
+            forced.append(t)
+            t, env, tyenv = t.term, t.env, t.tyenv
+            continue
+        if c is App or c is UApp:
+            v, arg = _eval(t.fn, env, tyenv, fuel), _Thunk(t.arg, env, tyenv)
+            if type(v) is not _Clo:
+                v = _Neu(v, c, arg)
+                break
+            t, env, tyenv = v.lam.body, (arg,) + v.env, v.tyenv
+        elif c is Var or c is UVar:
+            i = t.index
+            if i < len(env):
                 t = env[i]
                 continue
-            case Var(i) | UVar(i):
-                return _memo(forced, len(env) - 1 - i)
-            case Lam() | ULam():
-                return _memo(forced, _Clo(t, env, tyenv))
-            case TyLam(b):
-                return _memo(forced, _TyClo(b, env, tyenv))
-            case Pair(l, r) | UPair(l, r):
-                pair = _PairV(type(t), _Thunk(l, env, tyenv), _Thunk(r, env, tyenv))
-                return _memo(forced, pair)
-            case UnitV() | UUnit():
-                return _memo(forced, t)
-            case App(f, x) | UApp(f, x):
-                v, arg = _eval(f, env, tyenv, fuel), _Thunk(x, env, tyenv)
-                if not isinstance(v, _Clo):
-                    return _memo(forced, _Neu(v, type(t), arg))
-                t, env, tyenv = v.lam.body, (arg,) + v.env, v.tyenv
-            case TyApp(f, ty):
-                v = _eval(f, env, tyenv, fuel)
-                if not isinstance(v, _TyClo):
-                    return _memo(forced, _Neu(v, TyApp, (ty, tyenv)))
-                t, env, tyenv = v.body, v.env, ((ty, tyenv),) + v.tyenv
-            case Fst(b) | UFst(b) | Snd(b) | USnd(b):
-                v = _eval(b, env, tyenv, fuel)
-                if not isinstance(v, _PairV):
-                    return _memo(forced, _Neu(v, type(t), None))
-                t = v.left if isinstance(t, (Fst, UFst)) else v.right
-            case _:
-                raise TypeError(f"not a term: {t!r}")
+            v = len(env) - 1 - i
+            break
+        elif c is Lam or c is ULam:
+            v = _Clo(t, env, tyenv)
+            break
+        elif c is TyApp:
+            v = _eval(t.fn, env, tyenv, fuel)
+            if type(v) is not _TyClo:
+                v = _Neu(v, TyApp, (t.arg, tyenv))
+                break
+            t, env, tyenv = v.body, v.env, ((t.arg, tyenv),) + v.tyenv
+        elif c is TyLam:
+            v = _TyClo(t.body, env, tyenv)
+            break
+        elif c is Pair or c is UPair:
+            v = _PairV(c, _Thunk(t.left, env, tyenv), _Thunk(t.right, env, tyenv))
+            break
+        elif c is UnitV or c is UUnit:
+            v = t
+            break
+        elif c is Fst or c is UFst or c is Snd or c is USnd:
+            v = _eval(t.body, env, tyenv, fuel)
+            if type(v) is not _PairV:
+                v = _Neu(v, c, None)
+                break
+            t = v.left if c is Fst or c is UFst else v.right
+        else:
+            raise TypeError(f"not a term: {t!r}")
         fuel[0] -= 1  # one beta, type-beta or projection contraction
         if fuel[0] < 0:
             raise FuelExhausted("no normal form within fuel bound")
+    if forced is not None:
+        for th in forced:
+            th.value = v
+    return v
 
 
 def _quote_type(ty: Type, tyenv: tuple, depth: int) -> Type:
@@ -431,73 +449,78 @@ def _normal_form(t, fuel: Optional[int], typed: bool):
     """Evaluate t and read it back with a stack of (value or thunk, term
     depth, type depth) items and (None, n, build) ones that build from n outputs."""
     budget = [DEFAULT_FUEL if fuel is None else fuel]
+    var = Var if typed else UVar
     out: list = []
     todo: list = [(_Thunk(t, (), ()), 0, 0)]
     while todo:
         v, d, dd = todo.pop()
-        if v is None:
-            out[len(out) - d:] = [dd(*out[len(out) - d:])]
+        if v is None:  # build over the last d outputs, in place
+            out[-1] = dd(out[-1]) if d == 1 else dd(out.pop(-2), out[-1])
             continue
-        v = _eval(v, (), (), budget) if isinstance(v, _Thunk) else v
-        match v:
-            case int():
-                out.append((Var if typed else UVar)(d - 1 - v))
-            case _Clo(lam, env, tyenv):
-                x = _Thunk(None, (), (), d)
-                build = (ULam if isinstance(lam, ULam)
-                         else lambda b, a=_quote_type(lam.annot, tyenv, dd): Lam(a, b))
-                todo += [(None, 1, build), (_Thunk(lam.body, (x,) + env, tyenv), d + 1, dd)]
-            case _TyClo(body, env, tyenv):
-                todo += [(None, 1, TyLam), (_Thunk(body, env, (dd,) + tyenv), d, dd + 1)]
-            case _PairV(ctor, l, r):
-                todo += [(None, 2, ctor), (r, d, dd), (l, d, dd)]
-            case _Neu(head, ctor, None):
-                todo += [(None, 1, ctor), (head, d, dd)]
-            case _Neu(head, ctor, arg):
-                todo += [(None, 2, ctor), (arg, d, dd), (head, d, dd)]
-            case (ty, tyenv):  # the type argument of a stuck TyApp
-                out.append(_quote_type(ty, tyenv, dd))
-            case _:
-                out.append(v)
+        c = type(v)
+        if c is _Thunk:
+            v = _eval(v, (), (), budget)
+            c = type(v)
+        if c is _Neu:
+            if v.arg is None:
+                todo += [(None, 1, v.ctor), (v.head, d, dd)]
+            else:
+                todo += [(None, 2, v.ctor), (v.arg, d, dd), (v.head, d, dd)]
+        elif c is int:
+            out.append(var(d - 1 - v))
+        elif c is _Clo:
+            lam, x = v.lam, _Thunk(None, (), (), d)
+            build = (ULam if type(lam) is ULam
+                     else lambda b, a=_quote_type(lam.annot, v.tyenv, dd): Lam(a, b))
+            todo += [(None, 1, build), (_Thunk(lam.body, (x,) + v.env, v.tyenv), d + 1, dd)]
+        elif c is _TyClo:
+            todo += [(None, 1, TyLam), (_Thunk(v.body, v.env, (dd,) + v.tyenv), d, dd + 1)]
+        elif c is _PairV:
+            todo += [(None, 2, v.ctor), (v.right, d, dd), (v.left, d, dd)]
+        elif c is tuple:  # the type argument of a stuck TyApp
+            out.append(_quote_type(*v, dd))
+        else:
+            out.append(v)
     return out[0]
+
+
+_ERASED = {Lam: ULam, Fst: UFst, Snd: USnd, App: UApp, Pair: UPair}
 
 
 def erase(t: Term) -> UntypedTerm:
     """Forget types: TyLam/TyApp vanish, the term skeleton remains.
 
-    Post-order over an explicit stack, as in iter_subterms: an untyped
-    constructor waits on the stack under its children and is applied
-    to their erasures once they are done.
+    Post-order over an explicit stack and the hash-consed DAG: a node
+    stays on the stack until its children have erasures in `done`, so
+    a subterm shared n times is erased once, not n times.
     """
+    done: dict = {}
     todo: list = [t]
-    done: list = []
     while todo:
-        t = todo.pop()
-        match t:
-            case Var(i):
-                done.append(UVar(i))
-            case UnitV():
-                done.append(UUnit())
-            case TyLam(b) | TyApp(b, _):
+        t = todo[-1]
+        c = type(t)
+        if c is App or c is Pair:
+            l, r = (t.fn, t.arg) if c is App else (t.left, t.right)
+            el, er = done.get(l), done.get(r)
+            if el is None or er is None:
+                todo += (r, l)
+                continue
+            done[t] = _ERASED[c](el, er)
+        elif c is Var:
+            done[t] = UVar(t.index)
+        elif c is Lam or c is TyLam or c is TyApp or c is Fst or c is Snd:
+            b = t.fn if c is TyApp else t.body
+            eb = done.get(b)
+            if eb is None:
                 todo.append(b)
-            case Lam(_, b):
-                todo += (ULam, b)
-            case Fst(b):
-                todo += (UFst, b)
-            case Snd(b):
-                todo += (USnd, b)
-            case App(f, x):
-                todo += (UApp, x, f)
-            case Pair(l, r):
-                todo += (UPair, r, l)
-            case type() if t in (UApp, UPair):
-                right = done.pop()
-                done.append(t(done.pop(), right))
-            case type():
-                done.append(t(done.pop()))
-            case _:
-                raise TypeError(f"not a term: {t!r}")
-    return done.pop()
+                continue
+            done[t] = eb if c is TyLam or c is TyApp else _ERASED[c](eb)
+        elif c is UnitV:
+            done[t] = UUnit()
+        else:
+            raise TypeError(f"not a term: {t!r}")
+        todo.pop()
+    return done[t]
 
 
 def term_size(t: Union[Term, UntypedTerm]) -> int:

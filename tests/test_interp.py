@@ -289,6 +289,20 @@ class TestErasedWitnesses:
                                 ("verdict", f"unclassified: {cex}")]
 
 
+class TestNormalizedOnce:
+    @pytest.mark.parametrize("name", ["konst", "swap2"])
+    def test_no_term_is_normalized_twice(self, monkeypatch, name):
+        # at the parent each diagonal {(a, a)} normalized its application
+        # twice (lhs and rhs are one term), and once more per carrier
+        seen = []
+        real = sf.unormalize
+        monkeypatch.setattr(sf, "unormalize", lambda t, fuel=None: (
+            seen.append(t) or real(t, fuel)))
+        rep = interp.free_theorem_check(DEFS[name].term)
+        assert rep.ok and len(seen) > 1
+        assert len(seen) == len(set(seen))
+
+
 class TestRelationData:
     @pytest.mark.parametrize("item", [
         {"dom": [0], "cod": [0]},

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import pathlib
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -393,7 +395,11 @@ def church_value(nf, typed: bool) -> int:
     if typed:
         assert isinstance(nf, TyLam)
         nf = nf.body
-    assert isinstance(nf, lam) and isinstance(nf.body, lam)
+    assert isinstance(nf, lam)
+    if isinstance(nf.body, var):  # the eta-short one, /\a. \f. f
+        assert nf.body.index == 0
+        return 1
+    assert isinstance(nf.body, lam)
     t, n = nf.body.body, 0
     while isinstance(t, app):
         assert isinstance(t.fn, var) and t.fn.index == 1
@@ -444,6 +450,48 @@ class TestDeepChurch:
         assert sf.pretty_term(nf) == f"/\\a. \\x:a -> a. \\y:a. {spine}"
 
 
+ARITH = {d.name: d.term for d in sf.parse_program("\n".join(
+    [f"c{k} : {NAT} = /\\a. \\f:a -> a. \\x:a. " + "f (" * k + "x" + ")" * k
+     for k in range(6)]
+    + [f"add : ({NAT}) -> ({NAT}) -> {NAT} = "
+       f"\\m:{NAT}. \\n:{NAT}. /\\a. \\f:a -> a. \\x:a. m [a] f (n [a] f x)",
+       f"mul : ({NAT}) -> ({NAT}) -> {NAT} = "
+       f"\\m:{NAT}. \\n:{NAT}. /\\a. \\f:a -> a. m [a] (n [a] f)",
+       f"exp : ({NAT}) -> ({NAT}) -> {NAT} = "
+       f"\\m:{NAT}. \\n:{NAT}. /\\a. n [a -> a] (m [a])"]))}
+OPS = {"add": lambda m, n: m + n, "mul": lambda m, n: m * n,
+       "exp": lambda m, n: m ** n}
+
+
+def arith(op: str, m: int, n: int) -> sf.Term:
+    return App(App(ARITH[op], ARITH[f"c{m}"]), ARITH[f"c{n}"])
+
+
+class TestChurchArithmetic:
+    @pytest.mark.parametrize("op, m, n",
+                             list(itertools.product(OPS, range(5), range(5))))
+    def test_normal_forms_denote_the_result(self, op, m, n):
+        # exp c_m c0 normalizes to the eta-short one, /\a. \f. f
+        t = arith(op, m, n)
+        assert church_value(sf.normalize(t), typed=True) == OPS[op](m, n)
+        assert church_value(sf.unormalize(sf.erase(t)), typed=False) == OPS[op](m, n)
+
+    # The least fuel that normalizes each term, typed and erased. Forced
+    # thunks keep their weak head values (call-by-need); without that
+    # write-back the normal forms are the same but the typed counts rise
+    # to 8, 13, 123 and 1,026, so these pin the sharing.
+    @pytest.mark.parametrize("op, m, n, typed, erased", [
+        ("add", 3, 4, 8, 6), ("mul", 3, 4, 9, 7),
+        ("exp", 3, 4, 48, 46), ("exp", 4, 5, 350, 348)])
+    def test_contraction_counts(self, op, m, n, typed, erased):
+        t = arith(op, m, n)
+        for nf, term, fuel in ((sf.normalize, t, typed),
+                               (sf.unormalize, sf.erase(t), erased)):
+            assert nf(term, fuel=fuel) is nf(term)
+            with pytest.raises(sf.FuelExhausted):
+                nf(term, fuel=fuel - 1)
+
+
 # ---------------------------------------------------------------------------
 # erasure
 # ---------------------------------------------------------------------------
@@ -480,6 +528,19 @@ class TestErase:
             via_typed = sf.unormalize(sf.erase(sf.normalize(d.term)))
             via_untyped = sf.unormalize(sf.erase(d.term))
             assert via_typed == via_untyped
+
+    def test_a_shared_subterm_is_erased_once(self):
+        # 2^40 tree nodes, 41 distinct ones: a tree walk would not finish
+        s, u = UnitV(), UUnit()
+        for _ in range(40):
+            s, u = Pair(s, s), UPair(u, u)
+        start = time.perf_counter()
+        assert sf.erase(s) is u
+        assert time.perf_counter() - start < 1.0
+
+    def test_an_erased_term_is_not_a_term(self):
+        with pytest.raises(TypeError, match="not a term"):
+            sf.erase(UVar(0))
 
     @given(scoped_terms())
     @settings(max_examples=60)
