@@ -1,15 +1,17 @@
-"""Type constructors as data, and the indexed structure built over them.
+"""System F types read as type functors, and the indexed structure built over them.
 
-A TypeFunctor is a closed syntax tree with n parameter slots.  Evaluated
-at level 0 it produces a finite set, at level 1 a propositional
+A type functor of arity n is a systemf type well scoped at depth n: its
+slot k is TVar(n-1-k), so a walker reads TVar(i) as entry -1-i of its
+environment, and the arity is the environment's length.  Evaluated at
+level 0 a type produces a finite set, at level 1 a propositional
 relation; these are the only two levels.  Natural numbers form the base
-category: a morphism n -> m is an m-tuple of arity-n trees, composition
-is substitution, and the fiber over n is the CCC of arity-n trees.  All
-of that substitution machinery is structural, which is what makes the
-reindexing functors split on the nose.
+category: a morphism n -> m is an m-tuple of types at depth n,
+composition is systemf.subst_types, and the fiber over n is the CCC of
+those types.  All of that substitution machinery is structural, which is
+what makes the reindexing functors split on the nose.
 
 Quantifiers are the one non-structural ingredient.  There is no honest
-way to range over "all" sets here, so a quantified tree is read against
+way to range over "all" sets here, so a quantified type is read against
 a fixed finite ProbeUniverse: a family element must pick a value at
 every probe object, carry every probe relation, and (under the crey
 policy) commute with the universe's relevant bijections.  Every claim
@@ -17,7 +19,7 @@ this module checks about quantified types is relative to that universe,
 so every evaluation takes one, and a universe grows only through
 ProbeUniverse.extended.
 
-Trees also act on isomorphisms, but only at level 0 (transport moves
+Types also act on isomorphisms, but only at level 0 (transport moves
 one element along them): the crey membership clause and naturality
 transport along level-0 bijections only.  A transformation is given by
 its level-0 components: relations are proof-irrelevant, so a level-1
@@ -35,6 +37,7 @@ from functools import cache, cached_property
 from typing import Callable, Optional, Sequence
 
 from . import rgalg
+from . import systemf as sf
 from .finmodel import (
     FinFn,
     FinSetObj,
@@ -80,110 +83,12 @@ class ComponentError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# the type-constructor trees
-# ---------------------------------------------------------------------------
-
-class TypeFunctor:
-    """Base class; every node knows its arity and is immutable."""
-
-    arity: int
-
-
-@hash_cons
-class FProj(TypeFunctor):
-    arity: int
-    index: int
-
-    def __post_init__(self):
-        if not 0 <= self.index < self.arity:
-            raise ValueError("projection index out of range")
-
-
-@hash_cons
-class FUnit(TypeFunctor):
-    arity: int
-
-
-@hash_cons
-class FProd(TypeFunctor):
-    left: TypeFunctor
-    right: TypeFunctor
-
-    def __post_init__(self):
-        if self.left.arity != self.right.arity:
-            raise ValueError("pair components disagree on arity")
-
-    @property
-    def arity(self) -> int:
-        return self.left.arity
-
-
-@hash_cons
-class FArrow(TypeFunctor):
-    dom: TypeFunctor
-    cod: TypeFunctor
-
-    def __post_init__(self):
-        if self.dom.arity != self.cod.arity:
-            raise ValueError("arrow sides disagree on arity")
-
-    @property
-    def arity(self) -> int:
-        return self.dom.arity
-
-
-@hash_cons
-class FForall(TypeFunctor):
-    body: TypeFunctor  # one extra slot, bound here
-
-    def __post_init__(self):
-        if self.body.arity < 1:
-            raise ValueError("quantifier body must have a slot to bind")
-
-    @property
-    def arity(self) -> int:
-        return self.body.arity - 1
-
-
-def substitute(g: TypeFunctor, args: Sequence[TypeFunctor],
-               out_arity: Optional[int] = None) -> TypeFunctor:
-    """Plug args into g's slots."""
-    args = tuple(args)
-    if len(args) != g.arity:
-        raise ValueError(f"expected {g.arity} arguments, got {len(args)}")
-    if args:
-        n = args[0].arity
-    elif out_arity is None:
-        raise ValueError("nullary substitution needs an explicit output arity")
-    else:
-        n = out_arity
-    if isinstance(g, FProj):
-        return args[g.index]
-    if isinstance(g, FUnit):
-        return FUnit(n)
-    if isinstance(g, FProd):
-        return FProd(substitute(g.left, args, n), substitute(g.right, args, n))
-    if isinstance(g, FArrow):
-        return FArrow(substitute(g.dom, args, n), substitute(g.cod, args, n))
-    if isinstance(g, FForall):
-        lifted = tuple(weaken(a) for a in args) + (FProj(n + 1, n),)
-        return FForall(substitute(g.body, lifted, n + 1))
-    raise TypeError(f"not a type functor: {g!r}")
-
-
-def weaken(f: TypeFunctor) -> TypeFunctor:
-    """Add one unused slot at the end."""
-    n = f.arity
-    return substitute(f, tuple(FProj(n + 1, i) for i in range(n)), n + 1)
-
-
-# ---------------------------------------------------------------------------
 # environments
 # ---------------------------------------------------------------------------
 
 @hash_cons
 class EnvL:
-    """A tuple of same-level semantic objects to feed a tree's slots.
+    """A tuple of same-level semantic objects to feed a type's slots.
 
     Level 0 entries are finite sets, level 1 entries are propositional
     relations.
@@ -386,13 +291,15 @@ def load_universe(path: str) -> ProbeUniverse:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _check_arity(f: TypeFunctor, env: EnvL) -> None:
-    if f.arity != len(env.entries):
-        raise ValueError(f"arity {f.arity} tree fed {len(env.entries)} entries")
+def _require_scoped(f: sf.Type, arity: int) -> None:
+    """Reject a type that is not a type functor of the given arity; read
+    unchecked, TVar(-1) would silently stand for slot 0."""
+    if not sf.type_well_scoped(f, arity):
+        raise ValueError(f"{f!r} is not well scoped at arity {arity}")
 
 
-def evaluate(f: TypeFunctor, env: EnvL, u: ProbeUniverse):
-    """Read the tree at the environment's level, relative to u.
+def evaluate(f: sf.Type, env: EnvL, u: ProbeUniverse):
+    """Read the type at the environment's level, relative to u.
 
     Both levels follow the finite-set CCC: level 0 over finite sets,
     level 1 over propositional relations; quantifier nodes range over
@@ -414,27 +321,29 @@ def _formers(env: EnvL) -> tuple:
     return terminal1, product1, expo1
 
 
-def _evaluate(f: TypeFunctor, env: EnvL, u: ProbeUniverse):
-    _check_arity(f, env)
-    if isinstance(f, FProj):
-        return env.entries[f.index]
-    if isinstance(f, FForall):
+def _evaluate(f: sf.Type, env: EnvL, u: ProbeUniverse):
+    # every variable read is checked where it is read, so each node is
+    # walked once, however deep the type
+    if isinstance(f, sf.TVar):
+        _require_scoped(f, len(env.entries))
+        return env.entries[-1 - f.index]
+    if isinstance(f, sf.ForallT):
         if env.level == 0:
             return forall0_value(f.body, env.entries, u)
         return forall1_value(f.body, env.entries, u)
     unit, prod, expo = _formers(env)
-    if isinstance(f, FUnit):
+    if isinstance(f, sf.UnitT):
         return unit()
-    if isinstance(f, FProd):
+    if isinstance(f, sf.ProdT):
         return prod(evaluate(f.left, env, u), evaluate(f.right, env, u))
-    if isinstance(f, FArrow):
+    if isinstance(f, sf.ArrowT):
         return expo(evaluate(f.dom, env, u), evaluate(f.cod, env, u))
-    raise TypeError(f"not a type functor: {f!r}")
+    raise TypeError(f"not a type: {f!r}")
 
 
-def transport(f: TypeFunctor, isos: tuple, x, u: ProbeUniverse):
+def transport(f: sf.Type, isos: tuple, x, u: ProbeUniverse):
     """Move one element of f's level-0 value at the isos' domains to the
-    value at their codomains, along the tree's action.
+    value at their codomains, along the type's action.
 
     The move is structural and lists nothing: a slot applies its iso, a
     product moves its pair, an arrow conjugates its table (each argument
@@ -443,21 +352,21 @@ def transport(f: TypeFunctor, isos: tuple, x, u: ProbeUniverse):
     """
     if all(m.is_identity for m in isos):
         return x
-    if isinstance(f, FProj):
-        return isos[f.index](x)
-    if isinstance(f, FUnit):
+    if isinstance(f, sf.TVar):
+        return isos[-1 - f.index](x)
+    if isinstance(f, sf.UnitT):
         return x
-    if isinstance(f, FProd):
+    if isinstance(f, sf.ProdT):
         return ("pr", transport(f.left, isos, x[1], u),
                 transport(f.right, isos, x[2], u))
-    if isinstance(f, FArrow):
+    if isinstance(f, sf.ArrowT):
         moved = ((transport(f.dom, isos, a, u), transport(f.cod, isos, b, u))
                  for a, b in x[1])
         return ("fn", tuple(sorted(moved, key=lambda p: label_key(p[0]))))
-    if isinstance(f, FForall):
+    if isinstance(f, sf.ForallT):
         return ("fam", tuple(transport(f.body, isos + (fn_id(a),), c, u)
                              for a, c in zip(u.objs0, x[1])))
-    raise TypeError(f"not a type functor: {f!r}")
+    raise TypeError(f"not a type: {f!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -487,33 +396,33 @@ def transport(f: TypeFunctor, isos: tuple, x, u: ProbeUniverse):
 # commute with the universe's bijections, moved one component at a time
 # by transport.
 
-def _level1(f: TypeFunctor, rbar: tuple, u: ProbeUniverse) -> PropRel:
+def _level1(f: sf.Type, rbar: tuple, u: ProbeUniverse) -> PropRel:
     """f's level-1 value at rbar; a slot's relation is read directly,
     without interning an environment and a memo key for it."""
-    if isinstance(f, FProj):
-        return rbar[f.index]
+    if isinstance(f, sf.TVar):
+        return rbar[-1 - f.index]
     return evaluate(f, EnvL(1, rbar), u)
 
 
-def related(f: TypeFunctor, rbar: tuple, x, y, u: ProbeUniverse) -> bool:
-    """evaluate(f, EnvL(1, rbar), u).holds(x, y), decided on the tree
+def related(f: sf.Type, rbar: tuple, x, y, u: ProbeUniverse) -> bool:
+    """evaluate(f, EnvL(1, rbar), u).holds(x, y), decided on the type
     without listing an exponential's pairs: an arrow relates two
     functions when they carry every pair of its domain's small level-1
     value to related results."""
-    if isinstance(f, FProj):
-        return rbar[f.index].holds(x, y)
-    if isinstance(f, FUnit):
+    if isinstance(f, sf.TVar):
+        return rbar[-1 - f.index].holds(x, y)
+    if isinstance(f, sf.UnitT):
         return True
-    if isinstance(f, FProd):
+    if isinstance(f, sf.ProdT):
         return (related(f.left, rbar, x[1], y[1], u)
                 and related(f.right, rbar, x[2], y[2], u))
-    if isinstance(f, FArrow):
+    if isinstance(f, sf.ArrowT):
         fx, gy = dict(x[1]), dict(y[1])
         return all(related(f.cod, rbar, fx[a], gy[b], u)
                    for a, b in _level1(f.dom, rbar, u).entries)
-    if isinstance(f, FForall):
+    if isinstance(f, sf.ForallT):
         return evaluate(f, EnvL(1, rbar), u).holds(x, y)
-    raise TypeError(f"not a type functor: {f!r}")
+    raise TypeError(f"not a type: {f!r}")
 
 
 def _probe_relations(u: ProbeUniverse) -> list:
@@ -541,14 +450,14 @@ def _assignments(vals: list, checks: list):
     return go(0)
 
 
-def _held_at(f: TypeFunctor, rbar: tuple, xs: tuple, ys: tuple,
+def _held_at(f: sf.Type, rbar: tuple, xs: tuple, ys: tuple,
              u: ProbeUniverse) -> Callable:
     """related at rbar between positions of xs and ys, each pair decided
     once."""
     return cache(lambda p, q: related(f, rbar, xs[p], ys[q], u))
 
 
-def _respects_isos(body: TypeFunctor, base: tuple, u: ProbeUniverse,
+def _respects_isos(body: sf.Type, base: tuple, u: ProbeUniverse,
                    f0: tuple) -> bool:
     """Whether an element choice commutes with the universe's relevant
     bijections; only crey has any besides identities."""
@@ -557,13 +466,13 @@ def _respects_isos(body: TypeFunctor, base: tuple, u: ProbeUniverse,
                == f0[u.index0[i.cod]] for i in u.isos0 if not i.is_identity)
 
 
-def forall0_value(body: TypeFunctor, base: tuple, u: ProbeUniverse) -> FinSetObj:
+def forall0_value(body: sf.Type, base: tuple, u: ProbeUniverse) -> FinSetObj:
     key = ("fa0", body, base)
 
     def build():
         eqs = tuple(eq_rel(a) for a in base)
         envs = [EnvL(0, base + (a,)) for a in u.objs0]
-        arrow = isinstance(body, FArrow)
+        arrow = isinstance(body, sf.ArrowT)
         tree = body.cod if arrow else body
         args = [evaluate(body.dom, env, u).elements if arrow else (None,)
                 for env in envs]
@@ -592,7 +501,7 @@ def forall0_value(body: TypeFunctor, base: tuple, u: ProbeUniverse) -> FinSetObj
     return u.memo_eval(key, build)
 
 
-def forall1_value(body: TypeFunctor, rbar: tuple, u: ProbeUniverse) -> PropRel:
+def forall1_value(body: sf.Type, rbar: tuple, u: ProbeUniverse) -> PropRel:
     key = ("fa1", body, rbar)
 
     def build():
@@ -615,7 +524,7 @@ def forall1_value(body: TypeFunctor, rbar: tuple, u: ProbeUniverse) -> PropRel:
 # the comparison isomorphism at equality environments
 # ---------------------------------------------------------------------------
 
-def epsilon_of(f: TypeFunctor, env: tuple, u: ProbeUniverse) -> PropRelMor:
+def epsilon_of(f: sf.Type, env: tuple, u: ProbeUniverse) -> PropRelMor:
     """The comparison Eq(level-0 value) -> level-1 value at equalities.
 
     A relation morphism is determined by its legs, so the comparison is
@@ -640,7 +549,7 @@ def epsilon_of(f: TypeFunctor, env: tuple, u: ProbeUniverse) -> PropRelMor:
 # ---------------------------------------------------------------------------
 
 class NatRep:
-    """A transformation between two same-arity trees, read in a universe.
+    """A transformation between two arity-n types, read in a universe.
 
     component maps a level-0 environment to the function there; a
     level-1 component is forced, as the relation morphism whose legs
@@ -652,18 +561,14 @@ class NatRep:
     because the universe it reads is fixed.
     """
 
-    def __init__(self, source: TypeFunctor, target: TypeFunctor,
+    def __init__(self, arity: int, source: sf.Type, target: sf.Type,
                  component: Callable[[EnvL], FinFn], universe: ProbeUniverse,
                  name: str = "nat"):
-        if source.arity != target.arity:
-            raise ValueError("transformation endpoints disagree on arity")
-        self.source, self.target, self.component = source, target, component
-        self.universe, self.name = universe, name
+        _require_scoped(source, arity)
+        _require_scoped(target, arity)
+        self.arity, self.source, self.target = arity, source, target
+        self.component, self.universe, self.name = component, universe, name
         self._memo = {}
-
-    @property
-    def arity(self) -> int:
-        return self.source.arity
 
     def at(self, env: EnvL):
         # a component that raises is not kept, so asking again raises again
@@ -682,14 +587,14 @@ class NatRep:
         return out
 
 
-def nat_id(f: TypeFunctor, u: ProbeUniverse) -> NatRep:
-    return NatRep(f, f, lambda env: fn_id(evaluate(f, env, u)), u, "id")
+def nat_id(n: int, f: sf.Type, u: ProbeUniverse) -> NatRep:
+    return NatRep(n, f, f, lambda env: fn_id(evaluate(f, env, u)), u, "id")
 
 
 def nat_compose(n2: NatRep, n1: NatRep, name: Optional[str] = None) -> NatRep:
-    if n1.target != n2.source:
+    if (n1.arity, n1.target) != (n2.arity, n2.source):
         raise ValueError("non-composable transformations")
-    return NatRep(n1.source, n2.target,
+    return NatRep(n1.arity, n1.source, n2.target,
                   lambda env: fn_compose(n2.at(env), n1.at(env)), n1.universe,
                   name or f"{n2.name}.{n1.name}")
 
@@ -701,7 +606,7 @@ def nats_agree(n1: NatRep, n2: NatRep) -> Optional[str]:
     so once level 0 agrees they are one record or both missing: there a
     missing component is the difference reported, never an exception.
     """
-    if (n1.source, n1.target) != (n2.source, n2.target):
+    if (n1.arity, n1.source, n1.target) != (n2.arity, n2.source, n2.target):
         return "endpoint mismatch"
     for env in probe_envs(n1.universe, n1.arity, 0):
         if n1.at(env) != n2.at(env):
@@ -782,31 +687,29 @@ def _env_tag(env: EnvL) -> str:
 # ---------------------------------------------------------------------------
 
 class CtxMor(namedtuple("CtxMor", "src tgt comps")):
-    """A morphism n -> m of the base: one arity-n tree per target slot."""
+    """A morphism n -> m of the base: one arity-n type per target slot."""
 
     def __new__(cls, src: int, tgt: int, comps: tuple):
         if len(comps) != tgt:
             raise ValueError("component count must match the target")
         for c in comps:
-            if c.arity != src:
-                raise ValueError("component arity must match the source")
+            _require_scoped(c, src)
         return super().__new__(cls, src, tgt, comps)
 
 
 def ctx_id(n: int) -> CtxMor:
-    return CtxMor(n, n, tuple(FProj(n, i) for i in range(n)))
+    return CtxMor(n, n, tuple(sf.TVar(n - 1 - i) for i in range(n)))
 
 
 def ctx_compose(g: CtxMor, f: CtxMor) -> CtxMor:
     if f.tgt != g.src:
         raise ValueError("non-composable context morphisms")
-    return CtxMor(f.src, g.tgt,
-                  tuple(substitute(c, f.comps, f.src) for c in g.comps))
+    return CtxMor(f.src, g.tgt, tuple(sf.subst_types(c, f.comps) for c in g.comps))
 
 
 def ctx_proj(n: int) -> CtxMor:
     """The weakening n+1 -> n dropping the freshest slot."""
-    return CtxMor(n + 1, n, tuple(FProj(n + 1, i) for i in range(n)))
+    return CtxMor(n + 1, n, tuple(sf.TVar(n - i) for i in range(n)))
 
 
 def ctx_pair(f: CtxMor, g: CtxMor) -> CtxMor:
@@ -824,74 +727,73 @@ def _env_along(f: CtxMor, env: EnvL, u: ProbeUniverse) -> EnvL:
 def reindex(f: CtxMor, x):
     """Pull a fiber object or transformation back along a base morphism;
     a transformation stays in its universe."""
-    if isinstance(x, TypeFunctor):
-        if x.arity != f.tgt:
-            raise ValueError("fiber object lives over the wrong base")
-        return substitute(x, f.comps, f.src)
     if not isinstance(x, NatRep):
-        raise TypeError(f"cannot reindex {x!r}")
+        _require_scoped(x, f.tgt)
+        return sf.subst_types(x, f.comps)
+    if x.arity != f.tgt:
+        raise ValueError("transformation lives over the wrong base")
     u = x.universe
-    return NatRep(substitute(x.source, f.comps, f.src),
-                  substitute(x.target, f.comps, f.src),
+    return NatRep(f.src, sf.subst_types(x.source, f.comps),
+                  sf.subst_types(x.target, f.comps),
                   lambda env: x.at(_env_along(f, env, u)), u, f"{x.name}*")
 
 
-def theta(f: CtxMor) -> TypeFunctor:
+def theta(f: CtxMor) -> sf.Type:
     """Morphisms into the one-slot base name fiber objects."""
     if f.tgt != 1:
         raise ValueError("only morphisms into 1 name fiber objects")
     return f.comps[0]
 
 
-def theta_inv(x: TypeFunctor) -> CtxMor:
-    return CtxMor(x.arity, 1, (x,))
+def theta_inv(n: int, x: sf.Type) -> CtxMor:
+    return CtxMor(n, 1, (x,))
 
 
 # ---------------------------------------------------------------------------
 # fiberwise cartesian closed structure
 # ---------------------------------------------------------------------------
 
-# Object formers are the AST constructors; the morphism combinators
-# build NatReps whose level-0 components are the pointwise finite-set
-# CCC maps, their level-1 components forced as always.  A tree carries
-# its arity and a NatRep its universe, so only the maps built from
-# trees alone take the universe.
+# Object formers are the systemf type constructors; the morphism
+# combinators build NatReps whose level-0 components are the pointwise
+# finite-set CCC maps, their level-1 components forced as always.  A
+# NatRep carries its arity and its universe, so only the maps built
+# from types alone take both.
 
-def _pointwise(name: str, source: TypeFunctor, target: TypeFunctor,
+def _pointwise(name: str, n: int, source: sf.Type, target: sf.Type,
                parts: tuple, at0: Callable, u: ProbeUniverse) -> NatRep:
     """The transformation whose component applies at0 to the values of
     parts."""
-    return NatRep(source, target,
+    return NatRep(n, source, target,
                   lambda env: at0(*(evaluate(p, env, u) for p in parts)), u, name)
 
 
-def bang(x: TypeFunctor, u: ProbeUniverse) -> NatRep:
-    return _pointwise("!", x, FUnit(x.arity), (x,), bang0, u)
+def bang(n: int, x: sf.Type, u: ProbeUniverse) -> NatRep:
+    return _pointwise("!", n, x, sf.UnitT(), (x,), bang0, u)
 
 
-def p1(x: TypeFunctor, y: TypeFunctor, u: ProbeUniverse) -> NatRep:
-    return _pointwise("p1", FProd(x, y), x, (x, y), fst0, u)
+def p1(n: int, x: sf.Type, y: sf.Type, u: ProbeUniverse) -> NatRep:
+    return _pointwise("p1", n, sf.ProdT(x, y), x, (x, y), fst0, u)
 
 
-def p2(x: TypeFunctor, y: TypeFunctor, u: ProbeUniverse) -> NatRep:
-    return _pointwise("p2", FProd(x, y), y, (x, y), snd0, u)
+def p2(n: int, x: sf.Type, y: sf.Type, u: ProbeUniverse) -> NatRep:
+    return _pointwise("p2", n, sf.ProdT(x, y), y, (x, y), snd0, u)
 
 
 def pair(f: NatRep, g: NatRep) -> NatRep:
-    if f.source != g.source:
+    if (f.arity, f.source) != (g.arity, g.source):
         raise ValueError("pairing needs a common source")
-    return NatRep(f.source, FProd(f.target, g.target),
+    return NatRep(f.arity, f.source, sf.ProdT(f.target, g.target),
                   lambda env: pair0(f.at(env), g.at(env)), f.universe,
                   f"<{f.name},{g.name}>")
 
 
-def ev(x: TypeFunctor, y: TypeFunctor, u: ProbeUniverse) -> NatRep:
-    return _pointwise("ev", FProd(FArrow(x, y), x), y, (x, y), eval0, u)
+def ev(n: int, x: sf.Type, y: sf.Type, u: ProbeUniverse) -> NatRep:
+    return _pointwise("ev", n, sf.ProdT(sf.ArrowT(x, y), x), y, (x, y), eval0, u)
 
 
 def lam(f: NatRep) -> NatRep:
     """Curry f : Z × X -> Y into Z -> (X ⇒ Y)."""
-    if not isinstance(f.source, FProd):
+    if not isinstance(f.source, sf.ProdT):
         raise ValueError("currying needs a product source")
     z, x = f.source.left, f.source.right
     u = f.universe
@@ -899,26 +801,26 @@ def lam(f: NatRep) -> NatRep:
     def comp(env: EnvL):
         return lambda0(f.at(env), evaluate(z, env, u), evaluate(x, env, u))
 
-    return NatRep(z, FArrow(x, f.target), comp, u, f"cur({f.name})")
+    return NatRep(f.arity, z, sf.ArrowT(x, f.target), comp, u, f"cur({f.name})")
 
 
-def swap(x: TypeFunctor, y: TypeFunctor, u: ProbeUniverse) -> NatRep:
-    return pair(p2(x, y, u), p1(x, y, u))
+def swap(n: int, x: sf.Type, y: sf.Type, u: ProbeUniverse) -> NatRep:
+    return pair(p2(n, x, y, u), p1(n, x, y, u))
 
 
 # ---------------------------------------------------------------------------
 # the probe-bounded quantifier adjunction
 # ---------------------------------------------------------------------------
 
-def counit(g: TypeFunctor, u: ProbeUniverse) -> NatRep:
-    """Instantiate a quantified value at the environment's fresh entry.
+def counit(n: int, g: sf.Type, u: ProbeUniverse) -> NatRep:
+    """Instantiate a quantified value at the environment's fresh entry,
+    from the weakening of the quantified arity-(n-1) type ForallT(g) to g.
 
     The fresh entry must itself be a probe; anything else is a closure
     violation, since families only store values at probes (interp
     refuses a non-probe relation before asking for any component).
     """
-    n = g.arity - 1
-    source = reindex(ctx_proj(n), FForall(g))
+    source = reindex(ctx_proj(n - 1), sf.ForallT(g))
 
     def comp(env: EnvL):
         a = env.entries[-1]
@@ -928,17 +830,17 @@ def counit(g: TypeFunctor, u: ProbeUniverse) -> NatRep:
         tgt = evaluate(g, env, u)
         return fn(src, tgt, lambda fam: fam[1][u.index0[a]])
 
-    return NatRep(source, g, comp, u, "inst")
+    return NatRep(n, source, g, comp, u, "inst")
 
 
-def transpose(f: TypeFunctor, g: TypeFunctor, eta: NatRep,
+def transpose(f: sf.Type, g: sf.Type, eta: NatRep,
               u: ProbeUniverse) -> NatRep:
     """Package a transformation over the extended base into families.
 
     eta must run from the weakening of f to g; the element part of the
     output records eta's value at every probe.
     """
-    n = f.arity
+    n = eta.arity - 1
     if eta.source != reindex(ctx_proj(n), f) or eta.target != g:
         raise ValueError("transformation endpoints do not match the binder")
 
@@ -954,10 +856,10 @@ def transpose(f: TypeFunctor, g: TypeFunctor, eta: NatRep,
 
         return fn(evaluate(f, env, u), tgt, move)
 
-    return NatRep(f, FForall(g), comp, u, f"pack({eta.name})")
+    return NatRep(n, f, sf.ForallT(g), comp, u, f"pack({eta.name})")
 
 
-def adjunction_roundtrip(u: ProbeUniverse, body: TypeFunctor,
+def adjunction_roundtrip(u: ProbeUniverse, body: sf.Type,
                          report: Report) -> Report:
     """The adjunction's second triangle identity at a one-slot body.
 
@@ -967,15 +869,15 @@ def adjunction_roundtrip(u: ProbeUniverse, body: TypeFunctor,
     with counit must give it back.
     """
     fams = forall0_value(body, (), u)
-    inst = counit(body, u)
+    inst = counit(1, body, u)
     broken = []
     for fam in fams:
         def comp(env: EnvL, f0=fam[1]):
             x = f0[u.index0[env.entries[-1]]]
             return fn(terminal0(), evaluate(body, env, u), lambda _: x)
 
-        eta = NatRep(FUnit(1), body, comp, u, "elem")
-        packed = transpose(FUnit(0), body, eta, u)
+        eta = NatRep(1, sf.UnitT(), body, comp, u, "elem")
+        packed = transpose(sf.UnitT(), body, eta, u)
         back = nat_compose(inst, reindex(ctx_proj(0), packed))
         witness = nats_agree(back, eta)
         if witness is not None:
@@ -1008,11 +910,12 @@ class ClosureResult:
         self.rounds, self.reason = rounds, reason
 
 
-def universe_closure(ty_args: Sequence[TypeFunctor],
+def universe_closure(ty_args: Sequence[tuple[int, sf.Type]],
                      seed: ProbeUniverse) -> ClosureResult:
     """Grow the seed until every instantiation argument evaluates inside it.
 
-    Each round evaluates every argument tree at every current probe
+    ty_args pairs each argument type with its depth, its arity as a type
+    functor.  Each round evaluates every argument at every current probe
     environment, at both levels: level-0 values become carriers (with
     their equality probes) and level-1 values become probe relations.
     Both are needed, because instantiating a family looks up its entry
@@ -1024,15 +927,15 @@ def universe_closure(ty_args: Sequence[TypeFunctor],
     for round_no in range(1, MAX_ROUNDS + 1):
         fresh: list = []
         seen = set(u.objs0)
-        for t in ty_args:
-            for combo in itertools.product(u.objs0, repeat=t.arity):
+        for d, t in ty_args:
+            for combo in itertools.product(u.objs0, repeat=d):
                 val = evaluate(t, EnvL(0, combo), u)
                 if len(val) > MAX_CARRIER:
                     return ClosureResult(u, False, round_no,
                                          f"carrier of size {len(val)} exceeds "
                                          f"{MAX_CARRIER}")
                 if val not in seen:
-                    if isinstance(t, FForall) and val.elements:
+                    if isinstance(t, sf.ForallT) and val.elements:
                         # A nonempty family set's labels index every probe,
                         # so each extension strictly lengthens them: growth
                         # cannot bring this value inside.
@@ -1045,8 +948,8 @@ def universe_closure(ty_args: Sequence[TypeFunctor],
                     fresh.append(val)
         fresh_rels: list = []
         seen1 = set(u.objs1) | {eq_rel(a) for a in fresh}
-        for t in ty_args:
-            for combo in itertools.product(u.objs1, repeat=t.arity):
+        for d, t in ty_args:
+            for combo in itertools.product(u.objs1, repeat=d):
                 rv = evaluate(t, EnvL(1, combo), u)
                 if rv not in seen1:
                     seen1.add(rv)
@@ -1072,15 +975,16 @@ def universe_closure(ty_args: Sequence[TypeFunctor],
 # ---------------------------------------------------------------------------
 
 def stock_type_functors(arity: int) -> list:
-    """A small deterministic pool of arity-n trees for sampling laws."""
-    base: list = [FUnit(arity)] + [FProj(arity, i) for i in range(arity)]
+    """A small deterministic pool of arity-n types for sampling laws:
+    unit and the slots in slot order, each pair of those as a product
+    and as an arrow, and below arity 2 the polymorphic identity."""
+    base: list = [sf.UnitT()] + list(ctx_id(arity).comps)
     pool = list(base)
     for l, r in itertools.product(base, repeat=2):
-        pool.append(FProd(l, r))
-        pool.append(FArrow(l, r))
+        pool.append(sf.ProdT(l, r))
+        pool.append(sf.ArrowT(l, r))
     if arity <= 1:
-        inner = FProj(arity + 1, arity)
-        pool.append(FForall(FArrow(inner, inner)))
+        pool.append(sf.ForallT(sf.ArrowT(sf.TVar(0), sf.TVar(0))))
     return pool
 
 
@@ -1109,12 +1013,12 @@ def fibration_suite(policy: IsoPolicy = IsoPolicy.REY, bound: int = 2,
         args = tuple(rng.choice(pool[n]) for _ in range(n))
         k = rng.randrange(n)
         report.add(f"subst {i}: projection picks its argument",
-                   substitute(FProj(n, k), args) == args[k])
+                   sf.subst_types(sf.TVar(n - 1 - k), args) == args[k])
         g = rng.choice(pool[n])
         report.add(f"subst {i}: identity tuple is inert",
-                   substitute(g, ctx_id(n).comps, n) == g)
+                   sf.subst_types(g, ctx_id(n).comps) == g)
         f = _rng_ctx_mor(rng, rng.choice((0, 1, 2)), n, pool)
-        eager = substitute(g, f.comps, f.src)
+        eager = sf.subst_types(g, f.comps)
         diff = next((f"values differ at {_env_tag(env)}"
                      for level in (0, 1) for env in probe_envs(u, f.src, level)
                      if evaluate(g, _env_along(f, env, u), u)
@@ -1133,70 +1037,71 @@ def fibration_suite(policy: IsoPolicy = IsoPolicy.REY, bound: int = 2,
         rhs = reindex(ctx_compose(g, f), x)
         report.check(f"split {i}: reindexing composes strictly",
                      None if lhs == rhs else f"{lhs!r} != {rhs!r}")
-        named = theta(ctx_compose(theta_inv(x), g))
+        named = theta(ctx_compose(theta_inv(k, x), g))
         report.add(f"split {i}: generic object naturality",
                    named == reindex(g, x))
 
     # comparison isos: identity legs, isomorphy, face images
     for t in pool[1]:
+        name = sf.pretty_type(t, 1)
         for env in probe_envs(u, 1, 0):
             # the legs are identities by construction
             eps = epsilon_of(t, env.entries, u)
-            report.check(f"coherence: comparison at {_env_tag(env)} of {t!r}",
+            report.check(f"coherence: comparison at {_env_tag(env)} of {name}",
                          None if eps.is_iso else "comparison is not an iso")
 
     # structural Beck-Chevalley identities for all four formers
-    x1, y1 = FProj(1, 0), FArrow(FProj(1, 0), FUnit(1))
+    x1, y1 = sf.TVar(0), sf.ArrowT(sf.TVar(0), sf.UnitT())
     fmor = _rng_ctx_mor(rng, 1, 1, pool)
     report.add("theta: unit former commutes with substitution",
-               reindex(fmor, FUnit(1)) == FUnit(1))
+               reindex(fmor, sf.UnitT()) == sf.UnitT())
     report.add("theta: pair former commutes with substitution",
-               reindex(fmor, FProd(x1, y1))
-               == FProd(reindex(fmor, x1), reindex(fmor, y1)))
+               reindex(fmor, sf.ProdT(x1, y1))
+               == sf.ProdT(reindex(fmor, x1), reindex(fmor, y1)))
     report.add("theta: arrow former commutes with substitution",
-               reindex(fmor, FArrow(x1, y1))
-               == FArrow(reindex(fmor, x1), reindex(fmor, y1)))
-    body = FArrow(FProj(2, 1), FProj(2, 0))
-    lifted = CtxMor(2, 2, tuple(weaken(c) for c in fmor.comps) + (FProj(2, 1),))
+               reindex(fmor, sf.ArrowT(x1, y1))
+               == sf.ArrowT(reindex(fmor, x1), reindex(fmor, y1)))
+    body = sf.ArrowT(sf.TVar(0), sf.TVar(1))
+    lifted = CtxMor(2, 2, tuple(sf.shift_type(c, 1) for c in fmor.comps)
+                    + (sf.TVar(0),))
     report.add("theta: quantifier commutes with substitution",
-               reindex(fmor, FForall(body)) == FForall(reindex(lifted, body)))
+               reindex(fmor, sf.ForallT(body)) == sf.ForallT(reindex(lifted, body)))
 
     # fiber beta laws over the one-slot fiber
-    a, b = FProj(1, 0), FUnit(1)
-    fpair = pair(p2(a, b, u), p1(a, b, u))
-    beta1 = nats_agree(nat_compose(p1(b, a, u), fpair), p2(a, b, u))
+    a, b = sf.TVar(0), sf.UnitT()
+    fpair = pair(p2(1, a, b, u), p1(1, a, b, u))
+    beta1 = nats_agree(nat_compose(p1(1, b, a, u), fpair), p2(1, a, b, u))
     report.check("fiber: first projection beta law", beta1)
-    beta2 = nats_agree(nat_compose(p2(b, a, u), fpair), p1(a, b, u))
+    beta2 = nats_agree(nat_compose(p2(1, b, a, u), fpair), p1(1, a, b, u))
     report.check("fiber: second projection beta law", beta2)
-    curried = lam(p2(b, a, u))
-    lhs = nat_compose(ev(a, a, u), _nat_cross(curried, nat_id(a, u)))
-    beta3 = nats_agree(lhs, p2(b, a, u))
+    curried = lam(p2(1, b, a, u))
+    lhs = nat_compose(ev(1, a, a, u), _nat_cross(curried, nat_id(1, a, u)))
+    beta3 = nats_agree(lhs, p2(1, b, a, u))
     report.check("fiber: exponential beta law", beta3)
 
     # quantifier benchmarks over the default universe
-    one_fam = forall0_value(FArrow(FProj(1, 0), FProj(1, 0)), (), u)
+    one_fam = forall0_value(sf.ArrowT(a, a), (), u)
     report.check("quantifier: one endomorphism family",
                  None if len(one_fam) == 1 else f"{len(one_fam)} families")
     # over a carrier with two elements the selectors are the two
     # projections; over singletons and the empty set they coincide
     selectors = 2 if any(len(a) >= 2 for a in u.objs0) else 1
-    sel_fam = forall0_value(
-        FArrow(FProj(1, 0), FArrow(FProj(1, 0), FProj(1, 0))), (), u)
+    sel_fam = forall0_value(sf.ArrowT(a, sf.ArrowT(a, a)), (), u)
     report.check(f"quantifier: {selectors} selector families",
                  None if len(sel_fam) == selectors
                  else f"{len(sel_fam)} families")
 
     # the two adjunction triangles: instantiation and the transpose
     # are mutually inverse
-    g = FArrow(FProj(1, 0), FProj(1, 0))
-    inst = counit(g, u)
-    packed = transpose(FForall(g), g, inst, u)
-    tri = nats_agree(packed, nat_id(FForall(g), u))
+    g = sf.ArrowT(a, a)
+    inst = counit(1, g, u)
+    packed = transpose(sf.ForallT(g), g, inst, u)
+    tri = nats_agree(packed, nat_id(0, sf.ForallT(g), u))
     report.check("adjunction: repackaged instantiation is the identity", tri)
     return adjunction_roundtrip(u, g, report)
 
 
 def _nat_cross(f: NatRep, g: NatRep) -> NatRep:
     """f × g on a product source."""
-    a, b, u = f.source, g.source, f.universe
-    return pair(nat_compose(f, p1(a, b, u)), nat_compose(g, p2(a, b, u)))
+    n, a, b, u = f.arity, f.source, g.source, f.universe
+    return pair(nat_compose(f, p1(n, a, b, u)), nat_compose(g, p2(n, a, b, u)))

@@ -1,8 +1,8 @@
 """System F read into the finite relational semantics, plus checkers.
 
-interp_type turns a type with n free variables into an arity-n tree;
-interp_term turns a typing derivation into a transformation from the
-interpreted hypothesis context to the interpreted type.  On top of the
+A type with n free variables is already an arity-n type functor (see
+fibration); interp_term turns a typing derivation into a transformation
+from the hypothesis context, as a product, to the term's type.  On top of the
 interpretation sit three checkers:
 
 * iel_check: at equality environments the comparison iso must be an
@@ -36,15 +36,9 @@ from .fibration import (
     ClosureResult,
     CtxMor,
     EnvL,
-    FArrow,
-    FForall,
-    FProd,
-    FProj,
-    FUnit,
     NatRep,
     ProbeUniverse,
     Report,
-    TypeFunctor,
     counit,
     ctx_id,
     ctx_pair,
@@ -60,7 +54,7 @@ from .fibration import (
 
 
 # ---------------------------------------------------------------------------
-# types and contexts as trees
+# types and contexts
 # ---------------------------------------------------------------------------
 
 def free_depth(ty: sf.Type) -> int:
@@ -79,38 +73,15 @@ def free_depth(ty: sf.Type) -> int:
     return max(0, go(ty, 0))
 
 
-def interp_type(depth: int, ty: sf.Type) -> TypeFunctor:
-    """Read a type with `depth` free variables as an arity-`depth` tree.
-
-    The innermost binder sits in the last slot, so entering a
-    quantifier extends environments on the right, exactly where the
-    quantifier node binds.
-    """
-    match ty:
-        case sf.TVar(i):
-            if not 0 <= i < depth:
-                raise ValueError(f"type variable {i} is unbound at depth {depth}")
-            return FProj(depth, depth - 1 - i)
-        case sf.UnitT():
-            return FUnit(depth)
-        case sf.ProdT(l, r):
-            return FProd(interp_type(depth, l), interp_type(depth, r))
-        case sf.ArrowT(d, c):
-            return FArrow(interp_type(depth, d), interp_type(depth, c))
-        case sf.ForallT(b):
-            return FForall(interp_type(depth + 1, b))
-    raise TypeError(f"not a type: {ty!r}")
-
-
-def context_functor(depth: int, termctx: Sequence[sf.Type]) -> TypeFunctor:
+def context_functor(termctx: Sequence[sf.Type]) -> sf.Type:
     """Hypotheses as right-nested products seeded by the terminal.
 
     The innermost hypothesis (variable 0) is the leftmost factor, so
     variable i is reached by i second projections and one first.
     """
-    out: TypeFunctor = FUnit(depth)
+    out: sf.Type = sf.UnitT()
     for ty in reversed(tuple(termctx)):
-        out = FProd(interp_type(depth, ty), out)
+        out = sf.ProdT(ty, out)
     return out
 
 
@@ -132,63 +103,61 @@ def interp_term(tyctx_depth: int, termctx: Sequence[sf.Type], t: sf.Term,
     sf.typecheck(tyctx_depth, ctx, t)
     nat = _interp(tyctx_depth, ctx, t, u)
     pretty = sf.pretty_term(t, tyctx_depth, len(ctx))
-    return NatRep(nat.source, nat.target, nat.component, nat.universe,
+    return NatRep(nat.arity, nat.source, nat.target, nat.component, nat.universe,
                   f"interp({pretty})")
 
 
 def _interp(n: int, ctx: tuple, t: sf.Term, u: ProbeUniverse) -> NatRep:
-    c = context_functor(n, ctx)
+    c = context_functor(ctx)
     match t:
         case sf.Var(i):
             nat = None
             cur = c
             for _ in range(i):
-                step = fib.p2(cur.left, cur.right, u)
+                step = fib.p2(n, cur.left, cur.right, u)
                 nat = step if nat is None else nat_compose(step, nat)
                 cur = cur.right
-            head = fib.p1(cur.left, cur.right, u)
+            head = fib.p1(n, cur.left, cur.right, u)
             return head if nat is None else nat_compose(head, nat)
         case sf.Lam(annot, body):
-            a = interp_type(n, annot)
             inner = _interp(n, (annot,) + ctx, body, u)
-            return fib.lam(nat_compose(inner, fib.swap(c, a, u)))
+            return fib.lam(nat_compose(inner, fib.swap(n, c, annot, u)))
         case sf.App(f, x):
             nf = _interp(n, ctx, f, u)
             nx = _interp(n, ctx, x, u)
             arr = nf.target
-            return nat_compose(fib.ev(arr.dom, arr.cod, u), fib.pair(nf, nx))
+            return nat_compose(fib.ev(n, arr.dom, arr.cod, u), fib.pair(nf, nx))
         case sf.Pair(l, r):
             return fib.pair(_interp(n, ctx, l, u), _interp(n, ctx, r, u))
         case sf.Fst(b):
             nb = _interp(n, ctx, b, u)
-            return nat_compose(fib.p1(nb.target.left, nb.target.right, u), nb)
+            return nat_compose(fib.p1(n, nb.target.left, nb.target.right, u), nb)
         case sf.Snd(b):
             nb = _interp(n, ctx, b, u)
-            return nat_compose(fib.p2(nb.target.left, nb.target.right, u), nb)
+            return nat_compose(fib.p2(n, nb.target.left, nb.target.right, u), nb)
         case sf.UnitV():
-            return fib.bang(c, u)
+            return fib.bang(n, c, u)
         case sf.TyLam(body):
             shifted = tuple(sf.shift_type(ty, 1) for ty in ctx)
             inner = _interp(n + 1, shifted, body, u)
             return transpose(c, inner.target, inner, u)
         case sf.TyApp(f, argty):
             nf = _interp(n, ctx, f, u)
-            arg = interp_type(n, argty)
-            _require_probe_values(t, arg, argty, n, u)
-            m = ctx_pair(ctx_id(n), CtxMor(n, 1, (arg,)))
-            inst = reindex(m, counit(nf.target.body, u))
+            _require_probe_values(t, argty, n, u)
+            m = ctx_pair(ctx_id(n), CtxMor(n, 1, (argty,)))
+            inst = reindex(m, counit(n + 1, nf.target.body, u))
             return nat_compose(inst, nf)
     raise TypeError(f"not a term: {t!r}")
 
 
-def _require_probe_values(t: sf.Term, arg: TypeFunctor, argty: sf.Type,
-                          depth: int, u: ProbeUniverse) -> None:
+def _require_probe_values(t: sf.Term, argty: sf.Type, depth: int,
+                          u: ProbeUniverse) -> None:
     """Instantiation looks family entries up at the argument's values,
     so those must be probes at both levels; failing eagerly here names
     the offending instantiation instead of some component later."""
     for level, index in ((0, u.index0), (1, u.index1)):
         for env in probe_envs(u, depth, level):
-            if evaluate(arg, env, u) not in index:
+            if evaluate(argty, env, u) not in index:
                 raise ClosureError(
                     f"cannot instantiate {sf.pretty_term(t, depth)}: argument "
                     f"{sf.pretty_type(argty, depth)} evaluates outside the "
@@ -225,8 +194,7 @@ def collect_tyapp_args(t: sf.Term) -> list[tuple[int, sf.Type]]:
 
 def closure_for_term(t: sf.Term, seed: ProbeUniverse) -> ClosureResult:
     """Grow a universe until every instantiation in t reads inside it."""
-    args = [interp_type(d, ty) for d, ty in collect_tyapp_args(t)]
-    return universe_closure(args, seed)
+    return universe_closure(collect_tyapp_args(t), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +214,11 @@ def iel_check(ty: sf.Type, u: ProbeUniverse) -> Report:
     """
     report = Report()
     depth = free_depth(ty)
-    f = interp_type(depth, ty)
     pretty = sf.pretty_type(ty, depth)
     for env in probe_envs(u, depth, 0):
         tag = f"{pretty} at {fib._env_tag(env)}"
         try:
-            eps = epsilon_of(f, env.entries, u)
+            eps = epsilon_of(ty, env.entries, u)
         except ClosureError as exc:
             report.add(f"iel {tag}: comparison exists", False, str(exc))
             continue
@@ -296,7 +263,7 @@ def abstraction_check(t: sf.Term, u: ProbeUniverse,
     uu = res.universe
     nat = interp_term(0, (), t, uu)
     validate_nat(nat, report)
-    if isinstance(nat.target, FForall):
+    if isinstance(nat.target, sf.ForallT):
         seed = evaluate(nat.source, EnvL(0, ()), uu)
         fam = nat.at(EnvL(0, ()))(seed.elements[0])
         body = nat.target.body

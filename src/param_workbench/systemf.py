@@ -5,11 +5,13 @@ typechecking is syntax-directed. Both binder kinds use de Bruijn
 indices; the pretty-printer regenerates fresh names. `normalize` and
 `unormalize` share one NbE core.
 
-The hot walkers (`_eval`, `_normal_form`, `erase`) dispatch on
-`type(t)` with an `is` chain, most frequent case first: a `match` class
-pattern costs an isinstance call per arm tried plus an attribute read
-per captured field, and App would be its seventh arm. Cold paths
-(typechecking, printing, type substitution) keep `match`.
+The hot walkers (`_eval`, `_normal_form`, `erase`, and
+`type_well_scoped`, which fibration runs on every transformation it
+builds) dispatch on `type(t)` with an `is` chain, most frequent case
+first: a `match` class pattern costs an isinstance call per arm tried
+plus an attribute read per captured field, and App would be its seventh
+arm. Cold paths (typechecking, printing, type substitution) keep
+`match`.
 
 Syntax nodes are interned (finmodel.hash_cons) and built by positional
 fields only, so `==` is identity and the hash is the identity hash: a
@@ -195,15 +197,17 @@ class FuelExhausted(Exception):
 
 def type_well_scoped(ty: Type, depth: int) -> bool:
     """Every TVar index is strictly below the binder depth."""
-    match ty:
-        case TVar(i):
-            return 0 <= i < depth
-        case UnitT():
-            return True
-        case ProdT(l, r) | ArrowT(l, r):
-            return type_well_scoped(l, depth) and type_well_scoped(r, depth)
-        case ForallT(b):
-            return type_well_scoped(b, depth + 1)
+    c = type(ty)
+    if c is TVar:
+        return 0 <= ty.index < depth
+    if c is ArrowT:
+        return type_well_scoped(ty.dom, depth) and type_well_scoped(ty.cod, depth)
+    if c is ProdT:
+        return type_well_scoped(ty.left, depth) and type_well_scoped(ty.right, depth)
+    if c is UnitT:
+        return True
+    if c is ForallT:
+        return type_well_scoped(ty.body, depth + 1)
     raise TypeError(f"not a type: {ty!r}")
 
 
@@ -239,6 +243,28 @@ def subst_type(ty: Type, replacement: Type, target: int = 0) -> Type:
                           subst_type(c, replacement, target))
         case ForallT(b):
             return ForallT(subst_type(b, replacement, target + 1))
+    raise TypeError(f"not a type: {ty!r}")
+
+
+def subst_types(ty: Type, args: tuple) -> Type:
+    """Substitute args[-1-i] for every TVar(i) of ty at once.
+
+    ty is well scoped at depth len(args) and every arg at one common
+    depth: reading a type at depth n as a type functor, slot k is
+    TVar(n-1-k), so args[k] fills slot k.
+    """
+    match ty:
+        case TVar(i):
+            return args[-1 - i]
+        case UnitT():
+            return ty
+        case ProdT(l, r):
+            return ProdT(subst_types(l, args), subst_types(r, args))
+        case ArrowT(d, c):
+            return ArrowT(subst_types(d, args), subst_types(c, args))
+        case ForallT(b):
+            lifted = tuple(shift_type(a, 1) for a in args) + (TVar(0),)
+            return ForallT(subst_types(b, lifted))
     raise TypeError(f"not a type: {ty!r}")
 
 

@@ -4,7 +4,7 @@ The type oracle runs the declarative typing rules with environment
 semantics: types evaluate to closures, foralls open with fresh atoms,
 and equality is comparison of reified normal spines. No shifting and
 no syntactic substitution anywhere, so agreement with the library's
-shift/substitute typechecker is evidence rather than tautology.
+shift/subst_type typechecker is evidence rather than tautology.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ def all_wit_mors(src: cb.WitRel, tgt: cb.WitRel) -> list:
     return out
 
 
-def componentwise_families(u: fib.ProbeUniverse, body: fib.TypeFunctor) -> list:
+def componentwise_families(u: fib.ProbeUniverse, body: sf.Type) -> list:
     """The families of the quantified one-slot body, by brute force.
 
     Every choice of one element of body's value per probe object is
@@ -152,7 +152,7 @@ def componentwise_families(u: fib.ProbeUniverse, body: fib.TypeFunctor) -> list:
             x = combo[u.index0[env.entries[0]]]
             return fn(terminal0(), fib.evaluate(body, env, u), lambda _: x)
 
-        return fib.NatRep(fib.FUnit(1), body, comp, u, "candidate")
+        return fib.NatRep(1, sf.UnitT(), body, comp, u, "candidate")
 
     choices = [fib.evaluate(body, fib.EnvL(0, (a,)), u).elements for a in u.objs0]
     return [("fam", combo) for combo in itertools.product(*choices)
@@ -177,44 +177,43 @@ def expo0_action(d, c):
     return fn(expo0(d.dom, c.dom), expo0(d.cod, c.cod), go)
 
 
-def evaluate_mor(f: fib.TypeFunctor, isos, u: fib.ProbeUniverse) -> FinFn:
-    """A tree's action on a tuple of level-0 bijections, tabulated
-    through the library's transport: the bijection between the tree's
-    values at the isos' domains and codomains."""
+def evaluate_mor(f: sf.Type, isos, u: fib.ProbeUniverse) -> FinFn:
+    """A type's action on a tuple of level-0 bijections, one per slot,
+    tabulated through the library's transport: the bijection between the
+    type's values at the isos' domains and codomains."""
     isos = tuple(isos)
     if not all(isinstance(m, FinFn) and m.is_bijection for m in isos):
         raise ValueError("transports must be level-0 bijections")
-    if f.arity != len(isos):
-        raise ValueError(f"arity {f.arity} tree fed {len(isos)} transports")
     return fn(fib.evaluate(f, fib.EnvL(0, tuple(m.dom for m in isos)), u),
               fib.evaluate(f, fib.EnvL(0, tuple(m.cod for m in isos)), u),
               lambda x: fib.transport(f, isos, x, u))
 
 
-def tabulated_action(f: fib.TypeFunctor, isos: tuple, u: fib.ProbeUniverse):
-    """A tree's action on level-0 bijections, one whole table per node.
+def tabulated_action(f: sf.Type, isos: tuple, u: fib.ProbeUniverse):
+    """A type's action on level-0 bijections, one whole table per node.
 
-    A slot is its iso, a product the parallel map, an arrow the
-    conjugation of its whole function space, and a quantifier moves
-    every family, each component by the body's table at that probe.
-    The library's transport moves one element structurally instead.
+    A type variable TVar(i) is the iso of its slot, isos[-1-i]; a
+    product is the parallel map, an arrow the conjugation of its whole
+    function space, and a quantifier moves every family, each component
+    by the body's table at that probe, the bound slot held fixed.  The
+    library's transport moves one element structurally instead.
     """
-    if isinstance(f, fib.FProj):
-        return isos[f.index]
-    if isinstance(f, fib.FUnit):
-        return fn_id(terminal0())
-    if isinstance(f, fib.FProd):
-        return prod_fn(tabulated_action(f.left, isos, u),
-                       tabulated_action(f.right, isos, u))
-    if isinstance(f, fib.FArrow):
-        return expo0_action(tabulated_action(f.dom, isos, u),
-                            tabulated_action(f.cod, isos, u))
-    if isinstance(f, fib.FForall):
-        moves = [tabulated_action(f.body, isos + (fn_id(a),), u) for a in u.objs0]
-        return fn(fib.forall0_value(f.body, tuple(i.dom for i in isos), u),
-                  fib.forall0_value(f.body, tuple(i.cod for i in isos), u),
-                  lambda fam: ("fam", tuple(m(c) for m, c in zip(moves, fam[1]))))
-    raise TypeError(f"not a type functor: {f!r}")
+    match f:
+        case sf.TVar(i):
+            return isos[-1 - i]
+        case sf.UnitT():
+            return fn_id(terminal0())
+        case sf.ProdT(l, r):
+            return prod_fn(tabulated_action(l, isos, u), tabulated_action(r, isos, u))
+        case sf.ArrowT(d, c):
+            return expo0_action(tabulated_action(d, isos, u),
+                                tabulated_action(c, isos, u))
+        case sf.ForallT(b):
+            moves = [tabulated_action(b, isos + (fn_id(a),), u) for a in u.objs0]
+            return fn(fib.forall0_value(b, tuple(i.dom for i in isos), u),
+                      fib.forall0_value(b, tuple(i.cod for i in isos), u),
+                      lambda fam: ("fam", tuple(m(c) for m, c in zip(moves, fam[1]))))
+    raise TypeError(f"not a type: {f!r}")
 
 
 def transpose2(q: cb.TwoRel) -> cb.TwoRel:

@@ -16,6 +16,7 @@ import verdict_rows
 from param_workbench import cubemodel as cm
 from param_workbench import fibration as fib
 from param_workbench import interp
+from param_workbench import systemf as sf
 from param_workbench.finmodel import (
     IsoPolicy,
     apply_label,
@@ -56,6 +57,41 @@ def test_fibration_suite_passes(policy, bound):
 
 
 @pytest.mark.parametrize("arity", [0, 1, 2])
+def test_stock_type_functors_have_distinct_pretty_names(arity):
+    # fibration_suite names each by sf.pretty_type, so no two may share one
+    pool = fib.stock_type_functors(arity)
+    assert len({sf.pretty_type(t, arity) for t in pool}) == len(pool)
+
+
+class TestScope:
+    """A type functor's arity is its environment's length: a type that is
+    not well scoped there is refused, never read at another slot."""
+
+    u = fib.default_universe()
+    env = fib.EnvL(0, (fin_set([0]),))
+
+    @pytest.mark.parametrize("index", [1, -1])
+    def test_evaluate_refuses_an_unbound_variable(self, index):
+        with pytest.raises(ValueError, match="not well scoped at arity 1"):
+            fib.evaluate(sf.TVar(index), self.env, self.u)
+
+    def test_the_bound_variable_is_its_slot(self):
+        assert fib.evaluate(sf.TVar(0), self.env, self.u) == fin_set([0])
+
+    def test_a_context_morphism_refuses_an_unbound_component(self):
+        with pytest.raises(ValueError, match="not well scoped at arity 1"):
+            fib.CtxMor(1, 1, (sf.TVar(1),))
+        assert fib.CtxMor(1, 1, (sf.TVar(0),)) == fib.ctx_id(1)
+
+    def test_transformations_and_reindexing_refuse_unbound_variables(self):
+        with pytest.raises(ValueError, match="not well scoped at arity 0"):
+            fib.NatRep(0, sf.UnitT(), sf.TVar(0), lambda env: None, self.u)
+        with pytest.raises(ValueError, match="not well scoped at arity 1"):
+            fib.reindex(fib.ctx_id(1), sf.TVar(1))
+        assert fib.reindex(fib.ctx_proj(1), sf.TVar(0)) == sf.TVar(1)
+
+
+@pytest.mark.parametrize("arity", [0, 1, 2])
 def test_identity_extension_over_stock_type_functors(arity):
     """At every level-0 probe environment the comparison from the
     equality on the level-0 value to the level-1 value at equalities
@@ -66,14 +102,16 @@ def test_identity_extension_over_stock_type_functors(arity):
             assert fib.epsilon_of(t, env.entries, u).is_iso, (t, env)
 
 
-P1, P2 = fib.FProj(1, 0), fib.FProj(2, 1)
-# trees the stock pools lack: an arrow out of an arrow or a quantifier,
+# the innermost variable: the one slot of an arity-1 type, the bound
+# slot under a quantifier
+P1 = sf.TVar(0)
+# types the stock pools lack: an arrow out of an arrow or a quantifier,
 # and quantifiers whose bodies mention the outer slot
 RELATED_EXTRA = {
-    1: [fib.FArrow(fib.FArrow(P1, P1), P1),
-        fib.FArrow(fib.FForall(fib.FArrow(P2, P2)), P1),
-        fib.FForall(fib.FArrow(P2, fib.FProj(2, 0))),
-        fib.FForall(fib.FProd(fib.FProj(2, 0), fib.FArrow(P2, P2)))],
+    1: [sf.ArrowT(sf.ArrowT(P1, P1), P1),
+        sf.ArrowT(sf.ForallT(sf.ArrowT(P1, P1)), P1),
+        sf.ForallT(sf.ArrowT(P1, sf.TVar(1))),
+        sf.ForallT(sf.ProdT(sf.TVar(1), sf.ArrowT(P1, P1)))],
     2: [],
 }
 
@@ -81,7 +119,7 @@ RELATED_EXTRA = {
 @pytest.mark.parametrize("policy", list(IsoPolicy))
 @pytest.mark.parametrize("arity", [1, 2])
 def test_related_agrees_with_the_listed_relation(policy, arity):
-    """Deciding relatedness on the tree gives the materialized level-1
+    """Deciding relatedness on the type gives the materialized level-1
     value's answer on every pair of the two faces' level-0 values."""
     u = fib.default_universe(policy)
     for t in fib.stock_type_functors(arity) + RELATED_EXTRA[arity]:
@@ -100,7 +138,7 @@ def test_families_into_a_fixed_carrier_are_its_elements(policy):
     """∀b. b→a ≅ a: a family is constant at every probe, and the graphs
     between different carriers force all probes to one constant."""
     u = fib.default_universe(policy)
-    into = fib.FArrow(fib.FProj(2, 1), fib.FProj(2, 0))
+    into = sf.ArrowT(sf.TVar(0), sf.TVar(1))
     for a in u.objs0:
         fams = fib.forall0_value(into, (a,), u)
         assert len(fams) == len(a), (a, fams)
@@ -116,8 +154,8 @@ BOUND3 = textwrap.dedent("""
     from param_workbench.finmodel import IsoPolicy, apply_label
 
     u = fib.graph_universe((1, 2, 3))
-    a = fib.FProj(1, 0)
-    body = fib.FArrow(a, fib.FArrow(a, a))
+    a = sf.TVar(0)
+    body = sf.ArrowT(a, sf.ArrowT(a, a))
     fams = fib.forall0_value(body, (), u)
     picks = set()
     for fam in fams:
@@ -138,7 +176,7 @@ BOUND3 = textwrap.dedent("""
         assert rep.ok and rep.findings, [f.row() for f in rep.failures]
     crey = fib.graph_universe((1, 2, 3), IsoPolicy.CREY)
     assert len(fib.forall0_value(body, (), crey)) == 2
-    numeral = fib.FArrow(fib.FArrow(a, a), fib.FArrow(a, a))
+    numeral = sf.ArrowT(sf.ArrowT(a, a), sf.ArrowT(a, a))
     church = sf.parse_type_str("forall a. (a -> a) -> a -> a")
     for v in (u, crey):
         # the numerals 0-7 differ on these carriers, and with graph probes
@@ -210,7 +248,7 @@ class TestCreyArrowAction:
     involutions at bound 2, σ⁻¹ ≠ σ, so the contravariant leg shows."""
 
     u = fib.graph_universe((1, 2, 3), IsoPolicy.CREY)
-    endo = fib.FArrow(fib.FProj(1, 0), fib.FProj(1, 0))
+    endo = sf.ArrowT(sf.TVar(0), sf.TVar(0))
     a3 = fin_set(range(3))
     sigma = fn(a3, a3, lambda x: (x + 1) % 3)
 
@@ -278,8 +316,8 @@ class TestEnvL:
             fib.EnvL(2, ())
 
 
-SELECTORS = fib.FArrow(P1, fib.FArrow(P1, P1))
-NUMERAL = fib.FArrow(fib.FArrow(P1, P1), fib.FArrow(P1, P1))
+SELECTORS = sf.ArrowT(P1, sf.ArrowT(P1, P1))
+NUMERAL = sf.ArrowT(sf.ArrowT(P1, P1), sf.ArrowT(P1, P1))
 
 
 @pytest.mark.parametrize("bound", [1, 2])
@@ -309,7 +347,7 @@ def test_a_search_without_endomorphism_constraints_fails_the_oracle(monkeypatch)
 def test_transport_agrees_with_the_tabulated_action(bound):
     """Moving one element along a bijection gives that element's entry
     in the action tabulated node by node, for every CREY bijection on
-    every stock one-slot tree (and the numeral body at bound 2, whose
+    every stock one-slot type (and the numeral body at bound 2, whose
     action there lists 256 tables)."""
     u = fib.graph_universe(tuple(range(1, bound + 1)), IsoPolicy.CREY)
     for t in fib.stock_type_functors(1) + ([NUMERAL] if bound == 2 else []):
@@ -327,7 +365,7 @@ def test_a_component_that_raises_is_not_kept():
         calls.append(env)
         raise fib.ClosureError("not a probe")
 
-    nat = fib.NatRep(P1, P1, comp, fib.default_universe())
+    nat = fib.NatRep(1, P1, P1, comp, fib.default_universe())
     for _ in range(2):
         with pytest.raises(fib.ClosureError):
             nat.at(fib.EnvL(0, (fin_set([0]),)))
@@ -338,17 +376,17 @@ def test_a_component_that_raises_is_not_kept():
 def test_forced_components_are_the_level_one_formers(policy):
     """At every level-1 probe environment the fiber CCC's components,
     forced by their faces, are what finmodel's level-1 formers build
-    from the trees' values there (two arrows would make ev list a
+    from the types' values there (two arrows would make ev list a
     1,024-element carrier)."""
     u = fib.graph_universe((1, 2), policy)
-    for x, y in itertools.permutations((P1, fib.FUnit(1), fib.FArrow(P1, P1)), 2):
+    for x, y in itertools.permutations((P1, sf.UnitT(), sf.ArrowT(P1, P1)), 2):
         cases = [
-            (fib.bang(x, u), lambda r, s: bang1(r)),
-            (fib.p1(x, y, u), fst1),
-            (fib.p2(x, y, u), snd1),
-            (fib.swap(x, y, u), lambda r, s: pair1(snd1(r, s), fst1(r, s))),
-            (fib.ev(x, y, u), eval1),
-            (fib.lam(fib.p2(x, y, u)), lambda r, s: lambda1(snd1(r, s), r, s)),
+            (fib.bang(1, x, u), lambda r, s: bang1(r)),
+            (fib.p1(1, x, y, u), fst1),
+            (fib.p2(1, x, y, u), snd1),
+            (fib.swap(1, x, y, u), lambda r, s: pair1(snd1(r, s), fst1(r, s))),
+            (fib.ev(1, x, y, u), eval1),
+            (fib.lam(fib.p2(1, x, y, u)), lambda r, s: lambda1(snd1(r, s), r, s)),
         ]
         for env in fib.probe_envs(u, 1, 1):
             r, s = fib.evaluate(x, env, u), fib.evaluate(y, env, u)
@@ -362,15 +400,15 @@ def test_transpose_reads_each_component_once(level):
     (environment, probe) once, however many elements it moves: here
     the two families of ∀a. a→a→a."""
     u = fib.default_universe()
-    inst = fib.counit(SELECTORS, u)
+    inst = fib.counit(1, SELECTORS, u)
     calls = Counter()
 
     def comp(env):
         calls[env] += 1
         return inst.component(env)
 
-    eta = fib.NatRep(inst.source, inst.target, comp, u, "counted")
-    packed = fib.transpose(fib.FForall(SELECTORS), SELECTORS, eta, u)
+    eta = fib.NatRep(1, inst.source, inst.target, comp, u, "counted")
+    packed = fib.transpose(sf.ForallT(SELECTORS), SELECTORS, eta, u)
     assert len(fib.forall0_value(SELECTORS, (), u)) == 2
     packed.at(fib.EnvL(level, ()))
     packed.at(fib.EnvL(level, ()))
@@ -381,7 +419,7 @@ def test_transpose_reads_each_component_once(level):
 def test_endomorphisms_round_trip_over_three_element_carriers(policy):
     # the body fibration_suite checks, at the bound the frozen rows lack
     u = fib.graph_universe((1, 2, 3), policy)
-    rep = fib.adjunction_roundtrip(u, fib.FArrow(P1, P1), fib.Report())
+    rep = fib.adjunction_roundtrip(u, sf.ArrowT(P1, P1), fib.Report())
     assert [(f.law, f.status) for f in rep.findings] == [(ROUNDTRIP, "pass")]
 
 
@@ -397,7 +435,7 @@ def test_a_collapsing_transpose_fails_the_round_trip(monkeypatch):
         def comp(env):
             fams = fib.forall0_value(g, env.entries, u)
             return fn(fib.evaluate(f, env, u), fams, lambda _: fams.elements[0])
-        return fib.NatRep(f, fib.FForall(g), comp, u, "collapse")
+        return fib.NatRep(0, f, sf.ForallT(g), comp, u, "collapse")
 
     monkeypatch.setattr(fib, "transpose", collapse)
     rows = fib.fibration_suite(IsoPolicy.REY, 2, rounds=1).findings

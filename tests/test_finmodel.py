@@ -450,11 +450,6 @@ RECORD_BUILDERS = {
     "UFst": lambda: sf.UFst(sf.UVar(0)),
     "USnd": lambda: sf.USnd(sf.UVar(0)),
     "UUnit": sf.UUnit,
-    "FProj": lambda: fib.FProj(2, 1),
-    "FUnit": lambda: fib.FUnit(2),
-    "FProd": lambda: fib.FProd(fib.FProj(1, 0), fib.FUnit(1)),
-    "FArrow": lambda: fib.FArrow(fib.FProj(1, 0), fib.FUnit(1)),
-    "FForall": lambda: fib.FForall(fib.FArrow(fib.FProj(1, 0), fib.FProj(1, 0))),
     "EnvL": lambda: fib.EnvL(1, (graph_rel(_swap()),)),
 }
 
@@ -498,9 +493,6 @@ ONE_FIELD_APART = {
     "ULam": lambda: (sf.ULam(sf.UVar(0)), sf.ULam(sf.UVar(1))),
     "ArrowT": lambda: (sf.ArrowT(sf.TVar(0), sf.UnitT()),
                        sf.ArrowT(sf.TVar(0), sf.TVar(0))),
-    "FArrow": lambda: (fib.FArrow(fib.FProj(1, 0), fib.FUnit(1)),
-                       fib.FArrow(fib.FProj(1, 0), fib.FProj(1, 0))),
-    "FForall": lambda: (fib.FForall(fib.FProj(1, 0)), fib.FForall(fib.FUnit(1))),
     "EnvL": lambda: (fib.EnvL(0, (A1,)), fib.EnvL(0, (A2,))),
 }
 
@@ -524,8 +516,6 @@ REJECTED_THEN_VALID = {
     "TwoRelMor": (lambda: cm.TwoRelMor(*[cm.square_on("horizontal", cm.weq(A1))] * 2,
                                        *[cm.wit_mor_id(cm.weq(A2))] * 4),
                   lambda: cm.two_mor_id(cm.square_on("horizontal", cm.weq(A1)))),
-    "FProj": (lambda: fib.FProj(1, 1), lambda: fib.FProj(1, 0)),
-    "FForall": (lambda: fib.FForall(fib.FUnit(0)), lambda: fib.FForall(fib.FUnit(1))),
     "EnvL": (lambda: fib.EnvL(0, (eq_rel(A2),)), lambda: fib.EnvL(1, (eq_rel(A2),))),
 }
 
@@ -623,7 +613,13 @@ class TestRecordProtocol:
         interned = {c.__name__ for c in fm._SHOWN
                     if c.__module__.startswith("param_workbench.")}
         assert interned == set(RECORD_BUILDERS)
-        assert len(interned) == 35
+        assert len(interned) == 30
+
+    def test_fibration_and_interp_intern_only_environments(self):
+        # types are systemf's: a second type syntax here would be interned
+        ours = {c.__name__ for c in fm._SHOWN if c.__module__ in (
+            "param_workbench.fibration", "param_workbench.interp")}
+        assert ours == {"EnvL"}
 
     @pytest.mark.parametrize("name", sorted(RECORD_BUILDERS))
     def test_match_args_are_the_dataclass_field_order(self, name):

@@ -160,7 +160,7 @@ class TestMutation:
                 return fn(out.dom, out.cod, lambda _: swap)
             return out
 
-        bad = NatRep(good.source, good.target, comp, u, "bad")
+        bad = NatRep(1, good.source, good.target, comp, u, "bad")
         assert fib.validate_nat(good).ok
         rep = fib.validate_nat(bad)
         laws = [f.law for f in rep.failures]

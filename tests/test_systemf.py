@@ -194,6 +194,63 @@ class TestPrettyUnchanged:
 
 
 # ---------------------------------------------------------------------------
+# simultaneous substitution
+# ---------------------------------------------------------------------------
+
+DEPTHS = st.integers(0, 3)
+
+
+def identity_args(n: int) -> tuple:
+    """Slot k of depth n is TVar(n-1-k), so this tuple fills each slot
+    with itself."""
+    return tuple(TVar(n - 1 - k) for k in range(n))
+
+
+def draw_args(data, count: int, depth: int) -> tuple:
+    return tuple(data.draw(scoped_types(depth, 3)) for _ in range(count))
+
+
+class TestSubstTypes:
+    """subst_types is the fibration's reindexing: its laws on random
+    well-scoped types."""
+
+    @given(st.data())
+    def test_the_identity_tuple_is_inert(self, data):
+        n = data.draw(DEPTHS)
+        ty = data.draw(scoped_types(n))
+        assert sf.subst_types(ty, identity_args(n)) == ty
+
+    @given(st.data())
+    def test_a_projection_picks_its_argument(self, data):
+        m, n = data.draw(st.integers(1, 3)), data.draw(DEPTHS)
+        args = draw_args(data, m, n)
+        k = data.draw(st.integers(0, m - 1))
+        assert sf.subst_types(TVar(m - 1 - k), args) == args[k]
+
+    @given(st.data())
+    def test_substitutions_compose(self, data):
+        m, n, p = (data.draw(DEPTHS) for _ in range(3))
+        g = data.draw(scoped_types(m))
+        f, h = draw_args(data, m, n), draw_args(data, n, p)
+        assert sf.subst_types(sf.subst_types(g, f), h) == sf.subst_types(
+            g, tuple(sf.subst_types(c, h) for c in f))
+
+    @given(st.data())
+    def test_weakening_is_a_shift(self, data):
+        n = data.draw(DEPTHS)
+        ty = data.draw(scoped_types(n))
+        weakening = tuple(TVar(n - k) for k in range(n))
+        assert sf.subst_types(ty, weakening) == sf.shift_type(ty, 1)
+
+    @given(st.data())
+    def test_filling_the_last_slot_is_subst_type(self, data):
+        n = data.draw(DEPTHS)
+        body, arg = data.draw(scoped_types(n + 1)), data.draw(scoped_types(n))
+        filled = sf.subst_types(body, identity_args(n) + (arg,))
+        assert filled == sf.subst_type(body, arg)
+
+
+# ---------------------------------------------------------------------------
 # typechecking
 # ---------------------------------------------------------------------------
 
